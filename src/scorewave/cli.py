@@ -30,6 +30,7 @@ iterate, undefined metric).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -49,7 +50,7 @@ from .distort import (
 )
 from .errors import AudioError, ConfigError, NumericError
 from .metrics import evaluate_pair
-from .oracle import GmmPrior, posterior_prior, perturbed_score
+from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
 from .schedule import NoiseSchedule, denoise_only_plan, make_plan
 from .scorenet import (
@@ -70,18 +71,6 @@ EXIT_NUMERIC = 4
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-
-def _p_int(s):
-    return int(s)
-
-
-def _p_float(s):
-    return float(s)
-
-
-def _p_str(s):
-    return str(s)
 
 
 def _p_ints(s):
@@ -115,29 +104,29 @@ def _p_weights(s):
 # key -> (parser, default). Values given in config files go through the
 # parser; defaults are stored already parsed.
 CONFIG_KEYS = {
-    "seed": (_p_int, 0),
-    "schedule.sigma_min": (_p_float, 5e-4),
-    "schedule.sigma_max": (_p_float, 5.0),
-    "sampling.n_steps": (_p_int, 64),
-    "sampling.epsilon": (_p_float, 2.3),
-    "sampling.n_realizations": (_p_int, 1),
+    "seed": (int, 0),
+    "schedule.sigma_min": (float, 5e-4),
+    "schedule.sigma_max": (float, 5.0),
+    "sampling.n_steps": (int, 64),
+    "sampling.epsilon": (float, 2.3),
+    "sampling.n_realizations": (int, 1),
     "model.hidden": (_p_ints, (64, 64)),
-    "model.n_pairs": (_p_int, 32),
-    "model.embed_dim": (_p_int, 256),
-    "optimizer.peak_lr": (_p_float, 2e-4),
-    "optimizer.warmup_frac": (_p_float, 0.05),
-    "optimizer.weight_decay": (_p_float, 0.01),
-    "optimizer.total_steps": (_p_int, 0),  # 0: use train.iterations
-    "train.iterations": (_p_int, 2000),
-    "train.batch_size": (_p_int, 128),
+    "model.n_pairs": (int, 32),
+    "model.embed_dim": (int, 256),
+    "optimizer.peak_lr": (float, 2e-4),
+    "optimizer.warmup_frac": (float, 0.05),
+    "optimizer.weight_decay": (float, 0.01),
+    "optimizer.total_steps": (int, 0),  # 0: use train.iterations
+    "train.iterations": (int, 2000),
+    "train.batch_size": (int, 128),
     "train.gmm_weights": (_p_floats, (0.3, 0.7)),
     "train.gmm_means": (_p_floats, (-2.0, 2.0)),
     "train.gmm_variances": (_p_floats, (0.1, 0.1)),
-    "enhance.noise_std": (_p_float, 1.0),
+    "enhance.noise_std": (float, 1.0),
     "distort.count_probs": (_p_floats, (0.35, 0.45, 0.15, 0.04, 0.01)),
-    "distort.clip_level": (_p_float, 4.0),
-    "distort.noise_dir": (_p_str, ""),
-    "distort.rir_dir": (_p_str, ""),
+    "distort.clip_level": (float, 4.0),
+    "distort.noise_dir": (str, ""),
+    "distort.rir_dir": (str, ""),
     "distort.weights": (_p_weights, {}),
     "metrics.resolutions": (_p_resolutions, ((512, 128), (1024, 256), (2048, 512))),
 }
@@ -206,12 +195,12 @@ def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
     return make_plan(schedule, n_steps, epsilon)
 
 
-def _chain_config_from(cfg: ToolkitConfig, rate: int) -> ChainConfig:
+def _chain_config_from(cfg: ToolkitConfig) -> ChainConfig:
+    """The distort.* settings without asset pools; the pools are loaded per
+    sample rate."""
     kwargs = {
         "count_probs": tuple(cfg["distort.count_probs"]),
         "clip_level": cfg["distort.clip_level"],
-        "noise_pool": _load_pool(cfg["distort.noise_dir"], rate),
-        "rir_pool": _load_pool(cfg["distort.rir_dir"], rate),
     }
     if cfg["distort.weights"]:
         kwargs["weights"] = dict(cfg["distort.weights"])
@@ -244,62 +233,32 @@ def _write_jsonl(path, lines) -> None:
 # Enhancement core (shared by enhance and sweep)
 
 
-def _batched_posterior_score(prior: GmmPrior, observed: np.ndarray, noise_std: float):
-    """Score function for a batch of independent per-sample posteriors.
-
-    Row i of the batch carries its own conjugate posterior p(x | y_i) for
-    y_i = x + noise_std * n under the mixture prior; the returned callable
-    evaluates all their perturbed scores in one shot. Equivalent to calling
-    posterior_prior + perturbed_score per sample (cross-checked in tests),
-    just vectorized.
-    """
-    if prior.dim != 1:
-        raise ConfigError("oracle enhancement needs a 1-D prior")
-    y = np.asarray(observed, dtype=np.float64).ravel()[:, None]  # (n, 1)
-    mu = prior.means[:, 0][None, :]  # (1, k)
-    v = prior.variances[None, :]
-    s2 = float(noise_std) ** 2
-    post_var = (v * s2 / (v + s2))  # (1, k)
-    post_mean = (mu * s2 + y * v) / (v + s2)  # (n, k)
-    log_w = (prior.log_weights[None, :]
-             - 0.5 * np.log(2.0 * np.pi * (v + s2))
-             - 0.5 * (y - mu) ** 2 / (v + s2))
-    log_w = log_w - log_w.max(axis=1, keepdims=True)
-    log_w = log_w - np.log(np.exp(log_w).sum(axis=1, keepdims=True))
-
-    def score_fn(x, c, sigma):
-        var = post_var + float(sigma) ** 2  # (1, k)
-        z = x - post_mean  # (n, k) via broadcast of (n, 1)
-        t = log_w - 0.5 * np.log(2.0 * np.pi * var) - 0.5 * z**2 / var
-        t = t - t.max(axis=1, keepdims=True)
-        r = np.exp(t)
-        r /= r.sum(axis=1, keepdims=True)
-        return np.sum(r * (-z / var), axis=1, keepdims=True)
-
-    return score_fn
-
-
-def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, checkpoint: str | None,
-                     n_steps: int, epsilon: float, rng) -> np.ndarray:
-    plan = _plan_from(_schedule_from(cfg), n_steps, epsilon)
-    n = observed.size
-    if checkpoint is not None:
-        net, _ = load_checkpoint(checkpoint)
-        if net.config.dim_x != 1:
-            raise ConfigError(
-                f"enhance needs a dim_x=1 checkpoint, got dim_x={net.config.dim_x}")
-        if net.config.dim_c not in (0, 1):
-            raise ConfigError(
-                f"enhance needs dim_c in {{0, 1}}, got dim_c={net.config.dim_c}")
-        c = observed[:, None] if net.config.dim_c == 1 else None
-        score_fn = net.forward
-    else:
-        c = None
-        score_fn = _batched_posterior_score(prior=_prior_from(cfg), observed=observed,
-                                            noise_std=cfg["enhance.noise_std"])
+def _enhancement_score(observed: np.ndarray, cfg: ToolkitConfig, checkpoint: str | None):
+    """(score_fn, c) for enhancing ``observed``: a trained checkpoint's
+    network, or the analytic per-sample posterior. Built once per command."""
     n_realizations = cfg["sampling.n_realizations"]
     if n_realizations < 1:
         raise ConfigError(f"n_realizations must be >= 1, got {n_realizations}")
+    if checkpoint is None:
+        return posterior_score(_prior_from(cfg), observed, cfg["enhance.noise_std"]), None
+    net, _ = load_checkpoint(checkpoint)
+    if net.config.dim_x != 1:
+        raise ConfigError(
+            f"enhance needs a dim_x=1 checkpoint, got dim_x={net.config.dim_x}")
+    if net.config.dim_c not in (0, 1):
+        raise ConfigError(
+            f"enhance needs dim_c in {{0, 1}}, got dim_c={net.config.dim_c}")
+    return net.forward, (observed[:, None] if net.config.dim_c == 1 else None)
+
+
+def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, score, n_steps: int,
+                     epsilon: float, rng) -> np.ndarray:
+    """Average of sampling.n_realizations Langevin samples through
+    ``score`` = :func:`_enhancement_score` of ``observed``."""
+    score_fn, c = score
+    plan = _plan_from(_schedule_from(cfg), n_steps, epsilon)
+    n = observed.size
+    n_realizations = cfg["sampling.n_realizations"]
     acc = np.zeros((n, 1))
     for child in rng.spawn(n_realizations):
         acc += langevin_sample(score_fn, c, plan, dim=1, rng=child, n_samples=n)
@@ -311,6 +270,7 @@ def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, checkpoint: str |
 
 
 def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+    base_cfg = _chain_config_from(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = Path(args.log) if args.log else out_dir / "distort_log.jsonl"
@@ -328,7 +288,9 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
             signal = read_wav(path, downmix=True)
             rate = signal.sample_rate
             if rate not in chain_cfg_cache:
-                chain_cfg_cache[rate] = _chain_config_from(cfg, rate)
+                chain_cfg_cache[rate] = dataclasses.replace(
+                    base_cfg, noise_pool=_load_pool(cfg["distort.noise_dir"], rate),
+                    rir_pool=_load_pool(cfg["distort.rir_dir"], rate))
             chain_cfg = chain_cfg_cache[rate]
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             chain = sample_chain(chain_cfg, rng)
@@ -439,9 +401,9 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int) -> int:
 
 def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
     noisy = read_wav(args.input, downmix=True)
-    rng = np.random.default_rng(seed)
-    enhanced = _enhance_samples(noisy.samples, cfg, args.checkpoint,
-                                cfg["sampling.n_steps"], cfg["sampling.epsilon"], rng)
+    score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
+    enhanced = _enhance_samples(noisy.samples, cfg, score, cfg["sampling.n_steps"],
+                                cfg["sampling.epsilon"], np.random.default_rng(seed))
     out_sig = Signal(samples=enhanced, sample_rate=noisy.sample_rate)
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     write_wav(args.output, out_sig, encoding="float32")
@@ -522,14 +484,14 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int) -> int:
     eps_list = _p_floats(args.eps_list)
     if not n_list or not eps_list:
         raise ConfigError("sweep needs non-empty --n-list and --eps-list")
+    score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
 
     rows = []
     for n_steps in n_list:
         for epsilon in eps_list:
             rng = np.random.default_rng(np.random.SeedSequence([seed, n_steps]))
             start = time.perf_counter()
-            enhanced = _enhance_samples(noisy.samples, cfg, args.checkpoint,
-                                        n_steps, epsilon, rng)
+            enhanced = _enhance_samples(noisy.samples, cfg, score, n_steps, epsilon, rng)
             elapsed = time.perf_counter() - start
             row = {"n_steps": n_steps, "epsilon": epsilon,
                    "rtf": elapsed / duration, "seconds": elapsed}
@@ -559,11 +521,7 @@ def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int) -> int:
     else:
         plan = _plan_from(_schedule_from(cfg), cfg["sampling.n_steps"],
                           cfg["sampling.epsilon"])
-
-        def score_fn(x, c, sigma):
-            return perturbed_score(prior, x, sigma)
-
-        draws = langevin_sample(score_fn, None, plan, dim=prior.dim, rng=rng,
+        draws = langevin_sample(score_function(prior), None, plan, dim=prior.dim, rng=rng,
                                 n_samples=args.n)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -654,7 +612,9 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = cfg["seed"]
-        jobs = max(1, getattr(args, "jobs", 1))
+        jobs = getattr(args, "jobs", 1)
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         if args.command == "distort":
             return cmd_distort(args, cfg, seed, jobs)
         if args.command == "train":

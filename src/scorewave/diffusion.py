@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, SamplingError
-from .schedule import NoiseSchedule, SamplingPlan, sigma_at
+from .schedule import NoiseSchedule, SamplingPlan
 
 
 def perturb(x0, sigma: float, rng: np.random.Generator):
@@ -51,7 +51,7 @@ def dsm_loss(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Generator)
     """
     x0 = np.asarray(x0, dtype=np.float64)
     t = rng.uniform()
-    sig = sigma_at(schedule, t)
+    sig = schedule.sigma_at(t)
     x_t, z = perturb(x0, sig, rng)
     s = np.asarray(score_fn(x_t, c, sig), dtype=np.float64)
     if not np.all(np.isfinite(s)):
@@ -69,7 +69,7 @@ def dsm_loss_batch(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Gene
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     t = rng.uniform(size=x0.shape[0])
-    sig = sigma_at(schedule, t)
+    sig = schedule.sigma_at(t)
     z = rng.standard_normal(x0.shape)
     x_t = x0 + sig[:, None] * z
     s = np.asarray(score_fn(x_t, c, sig), dtype=np.float64)

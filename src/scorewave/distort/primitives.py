@@ -139,14 +139,10 @@ def _scaled_to_snr(reference: np.ndarray, noise: np.ndarray, snr_db: float) -> n
     return noise * (target / n)
 
 
-def _segment_starts(n: int, seg: int):
-    return range(0, n, seg)
-
-
 def _segment_mask(n: int, seg: int, prob: float, rng) -> np.ndarray:
     """0/1 mask built from consecutive segments, each active with prob."""
     mask = np.zeros(n)
-    for start in _segment_starts(n, seg):
+    for start in range(0, n, seg):
         if rng.uniform() < prob:
             mask[start : start + seg] = 1.0
     return mask
@@ -272,7 +268,7 @@ def _apply_destroy_levels(x, rate, p, rng, assets):
     y = x.copy()
     seg = max(1, int(p["segment_ms"] * rate / 1000.0))
     lo, hi = p["gain_db_lo"], p["gain_db_hi"]
-    for start in _segment_starts(x.size, seg):
+    for start in range(0, x.size, seg):
         if rng.uniform() < p["prob"]:
             y[start : start + seg] *= 10.0 ** (rng.uniform(lo, hi) / 20.0)
     return y
@@ -505,20 +501,10 @@ def _apply_insert_noise(x, rate, p, rng, assets):
     return x + noise
 
 
-def _apply_perturb_amplitude(x, rate, p, rng, assets):
-    y = x.copy()
-    seg = max(1, int(p["segment_ms"] * rate / 1000.0))
-    lo, hi = p["gain_db_lo"], p["gain_db_hi"]
-    for start in _segment_starts(x.size, seg):
-        if rng.uniform() < p["prob"]:
-            y[start : start + seg] *= 10.0 ** (rng.uniform(lo, hi) / 20.0)
-    return y
-
-
 def _apply_sample_duplicate(x, rate, p, rng, assets):
     y = x.copy()
     block = max(1, int(p["block_ms"] * rate / 1000.0))
-    for start in _segment_starts(x.size, block):
+    for start in range(0, x.size, block):
         if start + 2 * block <= x.size and rng.uniform() < p["prob"]:
             y[start + block : start + 2 * block] = y[start : start + block]
     return y
@@ -527,7 +513,7 @@ def _apply_sample_duplicate(x, rate, p, rng, assets):
 def _apply_silent_gap(x, rate, p, rng, assets):
     y = x.copy()
     gap = max(1, int(p["gap_ms"] * rate / 1000.0))
-    for start in _segment_starts(x.size, gap):
+    for start in range(0, x.size, gap):
         if rng.uniform() < p["prob"]:
             y[start : start + gap] = 0.0
     return y
@@ -720,15 +706,6 @@ def _s_insert_noise(rng, b):
     }
 
 
-def _s_perturb_amplitude(rng, b):
-    return {
-        "segment_ms": _lu(rng, b["segment_ms"]),
-        "prob": _u(rng, b["prob"]),
-        "gain_db_lo": float(b["gain_db"][0]),
-        "gain_db_hi": float(b["gain_db"][1]),
-    }
-
-
 def _s_sample_duplicate(rng, b):
     return {"block_ms": _lu(rng, b["block_ms"]), "prob": _u(rng, b["prob"])}
 
@@ -813,8 +790,8 @@ PRIMITIVES: dict[str, Primitive] = {
         Primitive("insert_attenuation", "transmission", 3, _s_insert_attenuation,
                   _apply_insert_attenuation),
         Primitive("insert_noise", "transmission", 5, _s_insert_noise, _apply_insert_noise),
-        Primitive("perturb_amplitude", "transmission", 1, _s_perturb_amplitude,
-                  _apply_perturb_amplitude),
+        Primitive("perturb_amplitude", "transmission", 1, _s_destroy_levels,
+                  _apply_destroy_levels),
         Primitive("sample_duplicate", "transmission", 2, _s_sample_duplicate,
                   _apply_sample_duplicate),
         Primitive("silent_gap", "transmission", 15, _s_silent_gap, _apply_silent_gap),

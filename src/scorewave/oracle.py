@@ -78,28 +78,33 @@ class GmmPrior:
         return self.means.shape[1]
 
 
-def _component_log_terms(prior: GmmPrior, x: np.ndarray, sigma):
-    """Per-component log w_i + log N(x; mu_i, (v_i + sigma^2) I).
+def _log_terms(log_weights, means, variances, x, sigma):
+    """Per-component log w_i + log N(x; mu_i, (v_i + sigma^2) I), shaped (..., k).
 
-    sigma is a scalar or an array broadcastable against x's batch axes
-    (one noise level per example). Returns (log_terms, diff, pvar) with
-    shapes (..., k), (..., k, d), (k,) or (..., k).
+    log_weights (..., k), means (..., k, d) and variances (..., k) broadcast
+    against x (..., d), whose last axis may be omitted for d = 1; sigma is a
+    scalar or per-example. Returns (log_terms, diff, pvar).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (prior.dim,):
-        if prior.dim == 1 and x.ndim >= 0:
-            x = x[..., None]
-        else:
-            raise ConfigError(f"x last axis must be {prior.dim}, got shape {x.shape}")
-    pvar = prior.variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
-    diff = x[..., None, :] - prior.means
+    d = means.shape[-1]
+    if x.shape[-1:] != (d,):
+        if d != 1:
+            raise ConfigError(f"x last axis must be {d}, got shape {x.shape}")
+        x = x[..., None]
+    pvar = variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
+    diff = x[..., None, :] - means
     sq = np.sum(diff**2, axis=-1)
-    log_terms = (
-        prior.log_weights
-        - 0.5 * prior.dim * np.log(2.0 * np.pi * pvar)
-        - 0.5 * sq / pvar
-    )
+    log_terms = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar) - 0.5 * sq / pvar
     return log_terms, diff, pvar
+
+
+def _mixture_score(log_terms, diff, pvar):
+    """sum_i r_i (mu_i - x) / pvar_i, r = softmax(log_terms), max-subtracted:
+    sigma spans several orders of magnitude, so naive exponentials overflow."""
+    m = np.max(log_terms, axis=-1, keepdims=True)
+    resp = np.exp(log_terms - m)
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+    return np.sum(resp[..., None] * (-diff) / pvar[..., None], axis=-2)
 
 
 def log_density(prior: GmmPrior, x, sigma=0.0):
@@ -108,24 +113,17 @@ def log_density(prior: GmmPrior, x, sigma=0.0):
     x may carry leading batch axes; for d = 1 the last axis may be omitted.
     sigma may be per-example (broadcast against the batch axes).
     """
-    log_terms, _, _ = _component_log_terms(prior, x, sigma)
+    log_terms, _, _ = _log_terms(prior.log_weights, prior.means, prior.variances, x, sigma)
     m = np.max(log_terms, axis=-1, keepdims=True)
     out = m[..., 0] + np.log(np.sum(np.exp(log_terms - m), axis=-1))
     return float(out) if out.ndim == 0 else out
 
 
 def perturbed_score(prior: GmmPrior, x, sigma=0.0):
-    """Exact score grad_x log p_sigma(x); same batch conventions as log_density.
-
-    Responsibilities use max-subtracted softmax: sigma spans several orders
-    of magnitude, so the naive exponentials under- and overflow.
-    """
+    """Exact score grad_x log p_sigma(x); same batch conventions as log_density."""
     x_in = np.asarray(x, dtype=np.float64)
-    log_terms, diff, pvar = _component_log_terms(prior, x_in, sigma)
-    m = np.max(log_terms, axis=-1, keepdims=True)
-    resp = np.exp(log_terms - m)
-    resp /= np.sum(resp, axis=-1, keepdims=True)
-    score = np.sum(resp[..., None] * (-diff) / pvar[..., None], axis=-2)
+    score = _mixture_score(*_log_terms(prior.log_weights, prior.means, prior.variances,
+                                       x_in, sigma))
     if prior.dim == 1 and x_in.shape[-1:] != (1,):
         score = score[..., 0]
     return float(score) if score.ndim == 0 else score
@@ -151,23 +149,35 @@ def score_function(prior: GmmPrior):
     return score
 
 
-def posterior_prior(prior: GmmPrior, observation: np.ndarray, noise_std: float) -> GmmPrior:
-    """Exact posterior mixture for y = x0 + noise_std * n with x0 ~ prior.
-
-    Valid for scalar mixtures applied independently per sample (d = 1).
-    Used by oracle-mode enhancement: conditioning on a noisy observation of
-    a GMM variable is conjugate, so the posterior is again a GMM.
-    """
+def _conjugate_update(prior: GmmPrior, observed, noise_std: float):
+    """Posterior of x0 ~ prior given y = x0 + noise_std * n, per observation
+    (d = 1): again a mixture. Returns normalized log-weights (n, k), means
+    (n, k) and the shared variances (k,)."""
     if prior.dim != 1:
-        raise ConfigError("posterior_prior supports d = 1 priors only")
-    y = float(np.asarray(observation).reshape(()))
-    v = prior.variances
-    s2 = float(noise_std) ** 2
-    mu = prior.means[:, 0]
-    post_var = v * s2 / (v + s2)
-    post_mean = (mu * s2 + y * v) / (v + s2)
+        raise ConfigError("the conjugate posterior supports d = 1 priors only")
+    y = np.asarray(observed, dtype=np.float64).reshape(-1, 1)
+    v, s2, mu = prior.variances, float(noise_std) ** 2, prior.means[:, 0]
     log_w = prior.log_weights - 0.5 * np.log(2.0 * np.pi * (v + s2)) - 0.5 * (y - mu) ** 2 / (v + s2)
-    log_w -= np.max(log_w)
-    w = np.exp(log_w)
-    w /= w.sum()
-    return GmmPrior(weights=w, means=post_mean, variances=post_var)
+    log_w -= np.max(log_w, axis=1, keepdims=True)
+    log_w -= np.log(np.sum(np.exp(log_w), axis=1, keepdims=True))
+    return log_w, (mu * s2 + y * v) / (v + s2), v * s2 / (v + s2)
+
+
+def posterior_prior(prior: GmmPrior, observation: np.ndarray, noise_std: float) -> GmmPrior:
+    """Exact posterior mixture for y = x0 + noise_std * n with x0 ~ prior (d = 1)."""
+    y = float(np.asarray(observation).reshape(()))
+    log_w, mean, var = _conjugate_update(prior, y, noise_std)
+    return GmmPrior(weights=np.exp(log_w[0]), means=mean[0], variances=var)
+
+
+def posterior_score(prior: GmmPrior, observed: np.ndarray, noise_std: float):
+    """Sampler score (x, c, sigma) -> (n, 1) whose row i is the perturbed
+    score of :func:`posterior_prior` for observed[i], vectorized over rows
+    (oracle-mode enhancement; c is ignored)."""
+    log_w, mean, var = _conjugate_update(prior, observed, noise_std)
+    means = mean[..., None]
+
+    def score(x, c, sigma):
+        return _mixture_score(*_log_terms(log_w, means, var, x, sigma))
+
+    return score

@@ -21,7 +21,6 @@ the fully deterministic annealing limit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,11 +83,6 @@ class SamplingPlan:
         self.sigmas.flags.writeable = False
 
 
-def sigma_at(schedule: NoiseSchedule, t) -> float:
-    """Noise level at time t; see :meth:`NoiseSchedule.sigma_at`."""
-    return schedule.sigma_at(t)
-
-
 def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> SamplingPlan:
     """Discretize the schedule into ``n_steps`` uniform levels.
 
@@ -127,27 +121,3 @@ def denoise_only_plan(schedule: NoiseSchedule) -> SamplingPlan:
     """
     sigmas = np.array([schedule.sigma_max], dtype=np.float64)
     return SamplingPlan(n_steps=1, epsilon=1.0, gamma=0.0, eta=1.0, beta=0.0, sigmas=sigmas)
-
-
-def check_schedule_scale(schedule: NoiseSchedule, data_variance: float) -> None:
-    """Warn when the schedule does not bracket the data scale.
-
-    The working regime is sigma_min^2 << Var(x0) << sigma_max^2. There is
-    no hard rule for the margins, so this is a runtime warning rather than
-    an error; the factor-100 thresholds are this toolkit's convention.
-    """
-    if data_variance <= 0 or not math.isfinite(data_variance):
-        return
-    if schedule.sigma_min**2 > 0.01 * data_variance:
-        warnings.warn(
-            f"sigma_min^2 = {schedule.sigma_min**2:.3g} is not small against the "
-            f"data variance {data_variance:.3g}; perturbation will be visible at t=0",
-            stacklevel=2,
-        )
-    if schedule.sigma_max**2 < 100.0 * data_variance:
-        warnings.warn(
-            f"sigma_max^2 = {schedule.sigma_max**2:.3g} is not large against the "
-            f"data variance {data_variance:.3g}; the terminal distribution will "
-            "retain signal structure",
-            stacklevel=2,
-        )

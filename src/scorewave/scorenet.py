@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, TrainingError
 from .oracle import GmmPrior
 from .oracle import sample as sample_prior
-from .schedule import NoiseSchedule, sigma_at
+from .schedule import NoiseSchedule
 
 _CKPT_MAGIC = b"SWCKPT01"
 
@@ -283,22 +283,6 @@ class ScoreNet:
         grads.update({f"mlp.{k}": v for k, v in mlp_grads.items()})
         return grads
 
-    def score_function(self, c=None):
-        """Adapter to the sampler interface (x, c, sigma) -> score.
-
-        A fixed conditioning vector given here is used whenever the caller
-        passes c=None (the sampler threads conditioning explicitly)."""
-
-        def score(x, c_in, sigma):
-            return self.forward(x, c_in if c_in is not None else c, sigma)
-
-        return score
-
-
-def sigma_embed(emb: SigmaEmbedding, sigma) -> np.ndarray:
-    """Embedding vector for a noise level; deterministic per (emb, sigma)."""
-    return emb.forward(sigma)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -409,7 +393,7 @@ def dsm_loss_and_grads(net: ScoreNet, x0: np.ndarray, c, schedule: NoiseSchedule
     x0 = np.asarray(x0, dtype=np.float64)
     batch = x0.shape[0]
     t = rng.uniform(size=batch)
-    sig = sigma_at(schedule, t)
+    sig = schedule.sigma_at(t)
     z = rng.standard_normal(x0.shape)
     x_t = x0 + sig[:, None] * z
     s = net.forward(x_t, c, sig, train=True)
@@ -517,23 +501,41 @@ def save_checkpoint(path, net: ScoreNet, opt_state: OptimizerState | None = None
 
 
 def load_checkpoint(path):
-    """Rebuild (net, opt_state or None) from a checkpoint file."""
+    """Rebuild (net, opt_state or None) from a checkpoint file.
+
+    A file that does not match the layout :func:`save_checkpoint` writes
+    (bad magic, short or undecodable header, parameter shapes other than
+    the header's config implies, payload longer or shorter than the header
+    implies) raises :class:`ConfigError`.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _CKPT_MAGIC:
             raise ConfigError(f"not a checkpoint file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            cfg = ScoreNetConfig(**header["config"])
+            names = header["param_names"]
+            shapes = {k: tuple(header["param_shapes"][k]) for k in names}
+            opt_config, step = None, 0
+            if header["has_opt"]:
+                oh = dict(header["opt"])
+                step = oh.pop("step")
+                opt_config = OptimizerConfig(**oh)
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         raw = fh.read()
 
-    cfg = ScoreNetConfig(
-        dim_x=header["config"]["dim_x"],
-        dim_c=header["config"]["dim_c"],
-        hidden=tuple(header["config"]["hidden"]),
-        n_pairs=header["config"]["n_pairs"],
-        embed_dim=header["config"]["embed_dim"],
-    )
     net = ScoreNet(cfg, np.random.default_rng(0))
+    params = net.parameters()
+    if set(names) != set(params) or any(shapes[k] != params[k].shape for k in names):
+        raise ConfigError("checkpoint parameters do not match the rebuilt network")
+    n_copies = 1 if opt_config is None else 3  # parameters, then Adam's m and v
+    expected = 8 * (cfg.n_pairs + n_copies * sum(params[k].size for k in names))
+    if len(raw) != expected:
+        raise ConfigError(f"{path}: checkpoint payload is {len(raw)} bytes, "
+                          f"its header implies {expected}")
 
     offset = 0
 
@@ -547,21 +549,14 @@ def load_checkpoint(path):
     freq = take((cfg.n_pairs,))
     freq.flags.writeable = False
     net.embedding.frequencies = freq
-    names = header["param_names"]
-    shapes = header["param_shapes"]
-    params = net.parameters()
-    if set(names) != set(params):
-        raise ConfigError("checkpoint parameter names do not match the rebuilt network")
     for k in names:
-        params[k][...] = take(tuple(shapes[k]))
+        params[k][...] = take(shapes[k])
     opt_state = None
-    if header["has_opt"]:
-        oh = dict(header["opt"])
-        step = oh.pop("step")
-        opt_state = init_optimizer(params, OptimizerConfig(**oh))
+    if opt_config is not None:
+        opt_state = init_optimizer(params, opt_config)
         opt_state.step = step
         for k in names:
-            opt_state.m[k][...] = take(tuple(shapes[k]))
+            opt_state.m[k][...] = take(shapes[k])
         for k in names:
-            opt_state.v[k][...] = take(tuple(shapes[k]))
+            opt_state.v[k][...] = take(shapes[k])
     return net, opt_state

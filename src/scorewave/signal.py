@@ -153,6 +153,8 @@ def read_wav(path, downmix: bool = False) -> Signal:
 
     Unknown chunks are skipped (with RIFF word padding). Multichannel
     input raises unless downmix=True, in which case channels are averaged.
+    A data chunk cut short by the end of the file, or not a whole number
+    of samples, raises AudioError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -170,6 +172,9 @@ def read_wav(path, downmix: bool = False) -> Signal:
                 raise AudioError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
+            if len(body) < size:
+                raise AudioError(f"{path}: data chunk declares {size} bytes, "
+                                 f"only {len(body)} present")
             data = body
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
@@ -177,12 +182,15 @@ def read_wav(path, downmix: bool = False) -> Signal:
     fmt_code, channels, rate, _, _, bits = fmt
     if channels < 1:
         raise AudioError(f"{path}: invalid channel count {channels}")
-    if fmt_code == 1 and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32767.0
-    elif fmt_code == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (fmt_code, bits) not in ((1, 16), (3, 32)):
         raise AudioError(f"{path}: unsupported encoding (format {fmt_code}, {bits}-bit)")
+    if len(data) % (bits // 8):
+        raise AudioError(f"{path}: data chunk of {len(data)} bytes is not a whole "
+                         f"number of {bits}-bit samples")
+    if fmt_code == 1:
+        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32767.0
+    else:
+        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if channels > 1:
         if not downmix:
             raise AudioError(f"{path}: {channels} channels; pass downmix=True to average")

@@ -17,14 +17,13 @@ from scorewave.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
-    _batched_posterior_score,
     load_config,
     main,
 )
 from scorewave.distort import ChainConfig, DistortionSpec, apply_chain
 from scorewave.errors import ConfigError
 from scorewave.metrics import evaluate_pair, snr
-from scorewave.oracle import GmmPrior, perturbed_score, posterior_prior
+from scorewave.oracle import GmmPrior
 from scorewave.oracle import sample as sample_prior
 from scorewave.scorenet import ScoreNet, ScoreNetConfig, load_checkpoint, save_checkpoint
 from scorewave.signal import Signal, read_wav, write_wav
@@ -98,6 +97,16 @@ class TestConfig:
     def test_echo_is_json_serializable(self):
         json.dumps(load_config(None).to_dict())
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_is_config_error(self, tmp_path, jobs):
+        write_tone(tmp_path / "x.wav", seed=1)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        out = tmp_path / "out"
+        code = main(["distort", str(manifest), str(out), "--jobs", jobs])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestDistort:
     def test_empty_manifest_writes_header_only_log(self, tmp_path):
@@ -168,6 +177,19 @@ class TestDistort:
         lines = read_lines(out / "distort_log.jsonl")
         assert "error" in lines[1]
         assert "chain" in lines[2]  # the good file still went through
+
+    def test_bad_distort_setting_is_config_error(self, tmp_path):
+        """A bad distort.* value fails the command once, before any file is
+        processed, rather than as a per-file I/O failure."""
+        write_tone(tmp_path / "x.wav", seed=6)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("distort.weights = clip:0\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "distort", str(manifest), str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_jobs_fanout_matches_sequential(self, tmp_path):
         for i in range(3):
@@ -268,22 +290,6 @@ def make_noisy_pair(tmp_path, n=400, noise_std=1.0, seed=11, rate=8000):
 
 
 class TestEnhance:
-    def test_batched_posterior_score_matches_per_sample_oracle(self):
-        """The vectorized per-row posterior score equals building each
-        sample's conjugate posterior explicitly and scoring it."""
-        rng = np.random.default_rng(3)
-        prior = GmmPrior(weights=[0.4, 0.6], means=[-1.0, 1.5],
-                         variances=[0.2, 0.05])
-        y = rng.standard_normal(16) * 2.0
-        score_fn = _batched_posterior_score(prior, y, noise_std=0.7)
-        x = rng.standard_normal((16, 1))
-        for sigma in (0.01, 0.3, 2.0):
-            got = score_fn(x, None, sigma)
-            for i in range(16):
-                post = posterior_prior(prior, y[i], 0.7)
-                want = perturbed_score(post, x[i : i + 1], sigma)
-                np.testing.assert_allclose(got[i], want[0], rtol=1e-10, atol=1e-12)
-
     def test_oracle_enhancement_improves_snr(self, tmp_path):
         clean, noisy = make_noisy_pair(tmp_path, n=600, seed=17)
         out = tmp_path / "enh.wav"
@@ -330,6 +336,38 @@ class TestEnhance:
                      "--output", str(tmp_path / "o.wav"),
                      "--checkpoint", str(ckpt), "--seed", "1"])
         assert code == EXIT_NUMERIC
+
+
+def save_tiny_checkpoint(path):
+    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=0, hidden=(8,), n_pairs=2,
+                                  embed_dim=8), np.random.default_rng(0))
+    save_checkpoint(path, net)
+    return path
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("damage", ["truncate", "append"])
+    def test_damaged_checkpoint_is_config_error(self, tmp_path, damage):
+        ckpt = save_tiny_checkpoint(tmp_path / "net.bin")
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-12] if damage == "truncate" else blob + b"\x00" * 8)
+        make_noisy_pair(tmp_path, n=64, seed=3)
+        code = main(["enhance", "--input", str(tmp_path / "noisy.wav"),
+                     "--output", str(tmp_path / "o.wav"),
+                     "--checkpoint", str(ckpt), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_partial_pcm16_sample_is_io_error(self, tmp_path):
+        make_noisy_pair(tmp_path, n=256, seed=4)
+        est = tmp_path / "est.wav"
+        write_wav(est, Signal(samples=np.zeros(256), sample_rate=8000), encoding="pcm16")
+        blob = bytearray(est.read_bytes())
+        blob[40:44] = (511).to_bytes(4, "little")  # data size: 255.5 samples
+        est.write_bytes(bytes(blob))
+        code = main(["eval", "--reference", str(tmp_path / "clean.wav"),
+                     "--estimate", str(est)])
+        assert code == EXIT_IO
 
 
 class TestEval:
@@ -396,6 +434,25 @@ class TestSweep:
         by_n = {row["n_steps"]: row for row in rows}
         assert by_n[32]["rtf"] > by_n[1]["rtf"]
         assert np.isfinite(by_n[32]["snr"])
+
+    def test_checkpoint_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        from scorewave import cli
+
+        ckpt = save_tiny_checkpoint(tmp_path / "net.bin")
+        make_noisy_pair(tmp_path, n=64, seed=43)
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+        code = main(["sweep", "--input", str(tmp_path / "noisy.wav"),
+                     "--checkpoint", str(ckpt), "--n-list", "2,4",
+                     "--eps-list", "1.5,2.3", "--out", str(tmp_path / "s.jsonl")])
+        assert code == EXIT_OK
+        assert len(read_lines(tmp_path / "s.jsonl")) == 1 + 4
+        assert calls == [str(ckpt)]
 
     def test_empty_grid_is_config_error(self, tmp_path):
         make_noisy_pair(tmp_path, n=64, seed=1)

@@ -29,7 +29,6 @@ from scorewave import (
     make_plan,
     perturb,
     sample_prior,
-    sigma_at,
 )
 from scorewave.oracle import score_function
 
@@ -97,12 +96,12 @@ class TestDsmLoss:
         s2 = 1.0
         sched = NoiseSchedule()
         prior = GmmPrior(weights=[1.0], means=[0.0], variances=[s2])
-        floor_quad, _ = quad(lambda t: 0.5 * s2 / (s2 + sigma_at(sched, t) ** 2), 0.0, 1.0)
+        floor_quad, _ = quad(lambda t: 0.5 * s2 / (s2 + sched.sigma_at(t) ** 2), 0.0, 1.0)
 
         rng = np.random.default_rng(7)
         n = 1_000_000
         t = rng.uniform(size=n)
-        sig = sigma_at(sched, t)
+        sig = sched.sigma_at(t)
         x0 = rng.standard_normal(n) * np.sqrt(s2)
         z = rng.standard_normal(n)
         resid = sig * (0.0 - (x0 + sig * z)) / (s2 + sig**2) + z

@@ -17,22 +17,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scorewave import ConfigError, NoiseSchedule, denoise_only_plan, make_plan, sigma_at
-from scorewave.schedule import check_schedule_scale
+from scorewave import ConfigError, NoiseSchedule, denoise_only_plan, make_plan
 
 
 class TestSigmaAt:
     def test_endpoints(self):
         """sigma(0) = sigma_min and sigma(1) = sigma_max to 1e-12 relative."""
         sched = NoiseSchedule()
-        np.testing.assert_allclose(sigma_at(sched, 0.0), sched.sigma_min, rtol=1e-12)
-        np.testing.assert_allclose(sigma_at(sched, 1.0), sched.sigma_max, rtol=1e-12)
+        np.testing.assert_allclose(sched.sigma_at(0.0), sched.sigma_min, rtol=1e-12)
+        np.testing.assert_allclose(sched.sigma_at(1.0), sched.sigma_max, rtol=1e-12)
 
     def test_geometric_midpoint(self):
         """sigma(1/2) is the geometric mean of the endpoints."""
         sched = NoiseSchedule(sigma_min=2e-3, sigma_max=8.0)
         np.testing.assert_allclose(
-            sigma_at(sched, 0.5), np.sqrt(sched.sigma_min * sched.sigma_max), rtol=1e-12
+            sched.sigma_at(0.5), np.sqrt(sched.sigma_min * sched.sigma_max), rtol=1e-12
         )
 
     def test_log_linear(self):
@@ -40,27 +39,27 @@ class TestSigmaAt:
         constant ratio."""
         sched = NoiseSchedule()
         t = np.linspace(0.0, 1.0, 17)
-        ratios = np.diff(np.log(sigma_at(sched, t)))
+        ratios = np.diff(np.log(sched.sigma_at(t)))
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_monotone_and_vectorized(self):
         sched = NoiseSchedule()
         t = np.linspace(0.0, 1.0, 1001)
-        s = sigma_at(sched, t)
+        s = sched.sigma_at(t)
         assert s.shape == t.shape
         assert np.all(np.diff(s) > 0)
 
     def test_scalar_returns_float(self):
-        assert isinstance(sigma_at(NoiseSchedule(), 0.25), float)
+        assert isinstance(NoiseSchedule().sigma_at(0.25), float)
 
     @pytest.mark.parametrize("t", [-0.01, 1.01, 2.0, -1e9])
     def test_domain_error(self, t):
         with pytest.raises(ConfigError):
-            sigma_at(NoiseSchedule(), t)
+            NoiseSchedule().sigma_at(t)
 
     def test_domain_error_vector(self):
         with pytest.raises(ConfigError):
-            sigma_at(NoiseSchedule(), np.array([0.0, 0.5, 1.0000001]))
+            NoiseSchedule().sigma_at(np.array([0.0, 0.5, 1.0000001]))
 
 
 class TestScheduleValidation:
@@ -135,20 +134,3 @@ class TestMakePlan:
         plan = denoise_only_plan(sched)
         assert plan.n_steps == 1
         np.testing.assert_allclose(plan.sigmas, [sched.sigma_max], rtol=1e-12)
-
-
-class TestScheduleScaleCheck:
-    def test_warns_when_sigma_max_too_small(self):
-        with pytest.warns(UserWarning):
-            check_schedule_scale(NoiseSchedule(5e-4, 5.0), data_variance=10.0)
-
-    def test_warns_when_sigma_min_too_large(self):
-        with pytest.warns(UserWarning):
-            check_schedule_scale(NoiseSchedule(0.5, 5000.0), data_variance=1.0)
-
-    def test_silent_when_well_scaled(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            check_schedule_scale(NoiseSchedule(5e-4, 5.0), data_variance=0.05)

@@ -7,6 +7,8 @@ differences of the full batched DSM objective with the randomness frozen
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from scorewave import (
     TrainingError,
     load_checkpoint,
     save_checkpoint,
-    sigma_embed,
     train,
 )
 from scorewave.scorenet import adam_step, decay_mask, dsm_loss_and_grads, init_optimizer, lr_at
@@ -209,8 +210,8 @@ class TestForward:
     def test_embedding_shape_and_determinism(self):
         """Default sizes: 32 frequency pairs expand to 256 channels."""
         emb = SigmaEmbedding(n_pairs=32, embed_dim=256, rng=np.random.default_rng(11))
-        e1 = sigma_embed(emb, 0.05)
-        e2 = sigma_embed(emb, 0.05)
+        e1 = emb.forward(0.05)
+        e2 = emb.forward(0.05)
         assert e1.shape == (256,)
         np.testing.assert_array_equal(e1, e2)
 
@@ -218,7 +219,7 @@ class TestForward:
         emb = SigmaEmbedding(n_pairs=2, embed_dim=3, rng=np.random.default_rng(12))
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ConfigError):
-                sigma_embed(emb, bad)
+                emb.forward(bad)
 
     def test_frequencies_frozen(self):
         emb = SigmaEmbedding(n_pairs=4, embed_dim=4, rng=np.random.default_rng(13))
@@ -431,3 +432,43 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def _saved(self, tmp_path, with_opt):
+        net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=(4,), n_pairs=2, embed_dim=3),
+                       np.random.default_rng(36))
+        state = init_optimizer(net.parameters(), OptimizerConfig(total_steps=10))
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(path, net, state if with_opt else None)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_rejects_truncated_payload(self, tmp_path, with_opt):
+        blob = self._saved(tmp_path, with_opt)
+        for cut in (8, 1):
+            path = tmp_path / f"short{cut}.ckpt"
+            path.write_bytes(blob[:-cut])
+            with pytest.raises(ConfigError, match="payload"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_rejects_trailing_bytes(self, tmp_path, with_opt):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self._saved(tmp_path, with_opt) + b"\x00" * 8)
+        with pytest.raises(ConfigError, match="payload"):
+            load_checkpoint(path)
+
+    def test_rejects_short_or_undecodable_header(self, tmp_path):
+        blob = self._saved(tmp_path, True)
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        cases = {
+            "no_length": blob[:10],
+            "cut_header": blob[: 12 + hlen // 2],
+            "not_utf8": blob[:12] + b"\xff" * hlen + blob[12 + hlen:],
+            "not_json": blob[:12] + b"{" * hlen + blob[12 + hlen:],
+            "wrong_keys": b"SWCKPT01" + struct.pack("<I", 2) + b"{}",
+        }
+        for name, data in cases.items():
+            path = tmp_path / f"{name}.ckpt"
+            path.write_bytes(data)
+            with pytest.raises(ConfigError):
+                load_checkpoint(path)

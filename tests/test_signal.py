@@ -142,6 +142,26 @@ class TestWav:
         with pytest.raises(AudioError, match="unsupported"):
             read_wav(bad_fmt)
 
+    def test_partial_sample_rejected(self, tmp_path):
+        """A PCM16 data chunk with an odd byte count holds half a sample."""
+        path = tmp_path / "odd.wav"
+        payload = b"\x01\x02\x03"
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 36 + 8 + len(payload) + 1) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16))
+            fh.write(b"data" + struct.pack("<I", len(payload)) + payload + b"\x00")
+        with pytest.raises(AudioError, match="whole number"):
+            read_wav(path)
+
+    def test_data_chunk_past_end_of_file_rejected(self, tmp_path):
+        """A data chunk that declares more bytes than the file holds is
+        rejected, not silently truncated."""
+        path = tmp_path / "cut.wav"
+        write_wav(path, Signal(samples=np.zeros(100), sample_rate=16000), encoding="pcm16")
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(AudioError, match="declares 200 bytes"):
+            read_wav(path)
+
     def test_unsupported_write_encoding(self, tmp_path):
         with pytest.raises(AudioError):
             write_wav(tmp_path / "x.wav", Signal(samples=np.zeros(4)), encoding="pcm24")
