@@ -42,6 +42,7 @@ import numpy as np
 
 from .diffusion import langevin_sample
 from .distort import (
+    PRIMITIVES,
     ChainConfig,
     DistortionSpec,
     SoftClipWarning,
@@ -197,14 +198,21 @@ def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
 
 def _chain_config_from(cfg: ToolkitConfig) -> ChainConfig:
     """The distort.* settings without asset pools; the pools are loaded per
-    sample rate."""
+    sample rate. Rejects a type set in which every enabled type needs a pool
+    whose directory is not configured."""
     kwargs = {
         "count_probs": tuple(cfg["distort.count_probs"]),
         "clip_level": cfg["distort.clip_level"],
     }
     if cfg["distort.weights"]:
         kwargs["weights"] = dict(cfg["distort.weights"])
-    return ChainConfig(**kwargs)
+    chain_cfg = ChainConfig(**kwargs)
+    pool_dirs = {"noise_pool": cfg["distort.noise_dir"], "rir_pool": cfg["distort.rir_dir"]}
+    if not any(PRIMITIVES[name].needs is None or pool_dirs[PRIMITIVES[name].needs]
+               for name in chain_cfg.weights):
+        raise ConfigError("no enabled distortion type is usable: every one needs an asset "
+                          "pool whose distort.*_dir is not set")
+    return chain_cfg
 
 
 def _load_pool(directory: str, rate: int) -> tuple:
@@ -401,6 +409,14 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int) -> int:
 
 def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
     noisy = read_wav(args.input, downmix=True)
+    ref = None
+    if args.reference:  # checked before sampling, so a mismatch writes nothing
+        ref = read_wav(args.reference, downmix=True)
+        if ref.sample_rate != noisy.sample_rate:
+            raise ConfigError(
+                f"reference rate {ref.sample_rate} != input rate {noisy.sample_rate}")
+        if len(ref) != len(noisy):
+            raise ConfigError(f"reference length {len(ref)} != input length {len(noisy)}")
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
     enhanced = _enhance_samples(noisy.samples, cfg, score, cfg["sampling.n_steps"],
                                 cfg["sampling.epsilon"], np.random.default_rng(seed))
@@ -412,13 +428,7 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
     record = {"input": str(args.input), "output": str(args.output),
               "n_steps": cfg["sampling.n_steps"], "epsilon": cfg["sampling.epsilon"],
               "n_realizations": cfg["sampling.n_realizations"]}
-    if args.reference:
-        ref = read_wav(args.reference, downmix=True)
-        if ref.sample_rate != noisy.sample_rate:
-            raise ConfigError(
-                f"reference rate {ref.sample_rate} != input rate {noisy.sample_rate}")
-        if len(ref) != len(noisy):
-            raise ConfigError(f"reference length {len(ref)} != input length {len(noisy)}")
+    if ref is not None:
         report = evaluate_pair(ref.samples, enhanced,
                                resolutions=tuple(map(tuple, cfg["metrics.resolutions"])))
         record["metrics"] = report.to_dict()

@@ -173,9 +173,17 @@ def posterior_prior(prior: GmmPrior, observation: np.ndarray, noise_std: float) 
 def posterior_score(prior: GmmPrior, observed: np.ndarray, noise_std: float):
     """Sampler score (x, c, sigma) -> (n, 1) whose row i is the perturbed
     score of :func:`posterior_prior` for observed[i], vectorized over rows
-    (oracle-mode enhancement; c is ignored)."""
+    (oracle-mode enhancement; c is ignored).
+
+    The per-row log-weights and means are stored component-major (Fortran
+    order, same shapes). The sampler calls the score once per sigma step,
+    and every call reduces over the k components; with each component's
+    rows contiguous those reductions run as k whole-row passes instead of
+    n length-k ones, with bit-identical results.
+    """
     log_w, mean, var = _conjugate_update(prior, observed, noise_std)
-    means = mean[..., None]
+    log_w = np.asfortranarray(log_w)
+    means = np.asfortranarray(mean)[..., None]
 
     def score(x, c, sigma):
         return _mixture_score(*_log_terms(log_w, means, var, x, sigma))

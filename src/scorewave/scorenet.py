@@ -12,7 +12,9 @@ Three pieces, all double precision, all plain numpy:
   projections of the sigma embedding (FiLM). PReLU activations; the final
   affine layer is zero-initialized so training starts from score ≡ 0.
 * :class:`ScoreNet` — the composition, exposing the (x, c, sigma) -> score
-  interface the sampler and the DSM loss expect.
+  interface the sampler and the DSM loss expect. The sampler calls it at
+  one scalar sigma per step; outside training that sigma is embedded once
+  per call, not once per row.
 
 Backward passes are written out by hand and return gradients for every
 parameter (including PReLU slopes and FiLM projections); they are verified
@@ -255,13 +257,18 @@ class ScoreNet:
 
     def forward(self, x, c, sigma, train: bool = False) -> np.ndarray:
         """Score estimate S(x, c, sigma); x may be (dim_x,) or batched
-        (B, dim_x); sigma a positive scalar or per-example vector."""
+        (B, dim_x); sigma a positive scalar or per-example vector.
+
+        A scalar sigma is embedded for one row when train=False, and its
+        FiLM projections broadcast over the batch; train=True expands it to
+        one row per example, because backward needs per-row caches.
+        """
         x_in = np.asarray(x, dtype=np.float64)
         squeeze = x_in.ndim == 1
         x2 = x_in[None, :] if squeeze else x_in
         sig = np.asarray(sigma, dtype=np.float64)
         if sig.ndim == 0:
-            sig = np.full(x2.shape[0], float(sig))
+            sig = np.full(x2.shape[0] if train else 1, float(sig))
         emb_cache: dict | None = {} if train else None
         mlp_cache: dict | None = {} if train else None
         e = self.embedding.forward(sig, emb_cache)

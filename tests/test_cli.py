@@ -191,6 +191,19 @@ class TestDistort:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    def test_no_usable_type_is_config_error(self, tmp_path):
+        """Enabling only pool-needing types without their directory fails
+        the command once, before any file is read, not once per file."""
+        write_tone(tmp_path / "x.wav", seed=6)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("distort.weights = additive_noise:1\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "distort", str(manifest), str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()  # no log, so no per-file records
+
     def test_jobs_fanout_matches_sequential(self, tmp_path):
         for i in range(3):
             write_tone(tmp_path / f"f{i}.wav", seed=20 + i)
@@ -322,6 +335,22 @@ class TestEnhance:
                      "--output", str(tmp_path / "o.wav"),
                      "--reference", str(tmp_path / "ref16k.wav"), "--seed", "1"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("ref_rate, ref_n", [(16000, 300), (8000, 299)])
+    def test_bad_reference_rejected_before_output(self, tmp_path, ref_rate, ref_n):
+        """A reference of another rate or length exits 2 before sampling,
+        so no enhanced WAV is left behind."""
+        make_noisy_pair(tmp_path, n=300, seed=2, rate=8000)
+        rng = np.random.default_rng(0)
+        write_wav(tmp_path / "ref.wav",
+                  Signal(samples=rng.standard_normal(ref_n), sample_rate=ref_rate),
+                  encoding="float32")
+        out = tmp_path / "o.wav"
+        code = main(["enhance", "--input", str(tmp_path / "noisy.wav"),
+                     "--output", str(out), "--reference", str(tmp_path / "ref.wav"),
+                     "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_nan_checkpoint_is_numeric_error(self, tmp_path):
         net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=0, hidden=(8,), n_pairs=2,

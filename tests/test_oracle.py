@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from scorewave import ConfigError, GmmPrior, log_density, perturbed_score, sample_prior
-from scorewave.oracle import posterior_prior, posterior_score, score_function
+from scorewave.oracle import (
+    _conjugate_update,
+    _log_terms,
+    _mixture_score,
+    posterior_prior,
+    posterior_score,
+    score_function,
+)
 
 
 def fd_score(prior, x, sigma, h=1e-5):
@@ -221,3 +228,18 @@ class TestSampling:
                 post = posterior_prior(prior, y[i], 0.7)
                 want = perturbed_score(post, x[i : i + 1], sigma)
                 np.testing.assert_allclose(got[i], want[0], rtol=1e-10, atol=1e-12)
+
+    def test_posterior_score_is_bit_identical_to_row_major_evaluation(self):
+        """The component-major posterior layout changes memory order only:
+        the score equals a C-ordered evaluation of the same kernel bit for
+        bit, for a scalar sigma and for a per-row sigma vector."""
+        rng = np.random.default_rng(8)
+        prior = GmmPrior(weights=[0.3, 0.7], means=[-2.0, 2.0], variances=[0.1, 0.1])
+        y = rng.standard_normal(4096) * 2.0
+        score_fn = posterior_score(prior, y, noise_std=1.0)
+        log_w, mean, var = _conjugate_update(prior, y, 1.0)
+        log_w, means = np.ascontiguousarray(log_w), np.ascontiguousarray(mean)[..., None]
+        x = rng.standard_normal((4096, 1)) * 3.0
+        for sigma in (5e-4, 0.01, 0.3, 2.0, 5.0, rng.uniform(1e-3, 5.0, size=4096)):
+            want = _mixture_score(*_log_terms(log_w, means, var, x, sigma))
+            assert np.array_equal(score_fn(x, None, sigma), want)

@@ -20,7 +20,9 @@ from scorewave import (
     ScoreNetConfig,
     SigmaEmbedding,
     TrainingError,
+    langevin_sample,
     load_checkpoint,
+    make_plan,
     save_checkpoint,
     train,
 )
@@ -256,6 +258,57 @@ class TestForward:
         l1 = 5 * 4 + 4 + 4 + 6 * 4 + 4 + 6 * 4 + 4
         out = 4 * 2 + 2
         assert n1 == emb + l0 + l1 + out
+
+
+def count_embedded_rows(monkeypatch):
+    """Patch SigmaEmbedding.forward to record the sigma rows of each call."""
+    rows: list[int] = []
+    forward = SigmaEmbedding.forward
+
+    def counting(self, sigma, cache=None):
+        rows.append(int(np.size(sigma)))
+        return forward(self, sigma, cache)
+
+    monkeypatch.setattr(SigmaEmbedding, "forward", counting)
+    return rows
+
+
+class TestScalarSigma:
+    """The sampler calls the network at one scalar sigma per step; outside
+    training that sigma is embedded once, not once per row."""
+
+    def test_scalar_sigma_matches_per_row_sigma(self):
+        rng = np.random.default_rng(12)
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1), np.random.default_rng(2))
+        randomize(net, rng, scale=0.1)
+        x = rng.normal(size=(256, 1))
+        c = rng.normal(size=(256, 1))
+        plan = make_plan(NoiseSchedule(), 64, 2.3)
+        for sigma in plan.sigmas:
+            per_row = net.forward(x, c, np.full(256, sigma))
+            scalar = net.forward(x, c, sigma)
+            assert scalar.shape == per_row.shape
+            bound = 1e-12 * np.max(np.abs(per_row))
+            assert np.max(np.abs(scalar - per_row)) <= bound, sigma
+
+    def test_sampler_embeds_one_row_per_step(self, monkeypatch):
+        rows = count_embedded_rows(monkeypatch)
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=(8,), n_pairs=4,
+                                      embed_dim=8), np.random.default_rng(3))
+        plan = make_plan(NoiseSchedule(), 16, 2.3)
+        batch = 50
+        c = np.zeros((batch, 1))
+        langevin_sample(net.forward, c, plan, 1, np.random.default_rng(4), n_samples=batch)
+        assert rows == [1] * len(plan.sigmas)
+
+    def test_training_embeds_every_row(self, monkeypatch):
+        rows = count_embedded_rows(monkeypatch)
+        net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=(8,), n_pairs=4, embed_dim=8),
+                       np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            dsm_loss_and_grads(net, rng.normal(size=(32, 1)), None, NoiseSchedule(), rng)
+        assert rows == [32, 32, 32]
 
 
 class TestOptimizer:
