@@ -199,7 +199,7 @@ def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
 def _chain_config_from(cfg: ToolkitConfig) -> ChainConfig:
     """The distort.* settings without asset pools; the pools are loaded per
     sample rate. Rejects a type set in which every enabled type needs a pool
-    whose directory is not configured."""
+    whose directory is unset, missing or holds no *.wav file."""
     kwargs = {
         "count_probs": tuple(cfg["distort.count_probs"]),
         "clip_level": cfg["distort.clip_level"],
@@ -208,11 +208,21 @@ def _chain_config_from(cfg: ToolkitConfig) -> ChainConfig:
         kwargs["weights"] = dict(cfg["distort.weights"])
     chain_cfg = ChainConfig(**kwargs)
     pool_dirs = {"noise_pool": cfg["distort.noise_dir"], "rir_pool": cfg["distort.rir_dir"]}
-    if not any(PRIMITIVES[name].needs is None or pool_dirs[PRIMITIVES[name].needs]
+    usable = {need: bool(d) and any(Path(d).glob("*.wav")) for need, d in pool_dirs.items()}
+    if not any(PRIMITIVES[name].needs is None or usable[PRIMITIVES[name].needs]
                for name in chain_cfg.weights):
         raise ConfigError("no enabled distortion type is usable: every one needs an asset "
-                          "pool whose distort.*_dir is not set")
+                          "pool whose distort.*_dir is unset or holds no *.wav file")
     return chain_cfg
+
+
+def _read_manifest(path) -> list[str]:
+    """The stripped lines of a manifest, without blanks and # comments."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AudioError(f"cannot read manifest {path}: {exc}") from exc
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
 
 
 def _load_pool(directory: str, rate: int) -> tuple:
@@ -282,11 +292,7 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = Path(args.log) if args.log else out_dir / "distort_log.jsonl"
-    try:
-        manifest = [line.strip() for line in Path(args.manifest).read_text().splitlines()
-                    if line.strip() and not line.strip().startswith("#")]
-    except OSError as exc:
-        raise AudioError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    manifest = _read_manifest(args.manifest)
 
     chain_cfg_cache: dict[int, ChainConfig] = {}
 
@@ -339,8 +345,7 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
 
 
 def _corpus_sampler(manifest_path: str):
-    paths = [line.strip() for line in Path(manifest_path).read_text().splitlines()
-             if line.strip() and not line.strip().startswith("#")]
+    paths = _read_manifest(manifest_path)
     if not paths:
         raise ConfigError(f"training manifest {manifest_path} lists no files")
     pool = np.concatenate([read_wav(p, downmix=True).samples for p in paths])

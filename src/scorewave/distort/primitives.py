@@ -1,16 +1,26 @@
-"""The distortion primitives: one sampler + one applier per type.
+"""The distortion primitives: one bounds entry + one applier per type.
 
-Every primitive is registered with its family, its selection weight, a
-parameter sampler (drawing from the bounds table — frequency-like bounds
-log-uniform, everything else uniform), and an applier
+Every primitive is registered with its family, its selection weight, an
+applier
 
     apply(x, rate, params, rng, assets) -> y
 
-where `rng` is a generator seeded from the spec's sub-seed (so replaying
-a logged chain is bit-exact) and `assets` carries optional user-supplied
-material (noise recordings, room impulse responses). Parameter bounds
-live in DEFAULT_BOUNDS as plain data; they can be overridden per chain
-config without touching code.
+and the registry data that says how its parameters are drawn. Parameter
+bounds live in DEFAULT_BOUNDS as plain data (they can be overridden per
+chain config without touching code), and one method, `Primitive.sample`,
+turns a bounds entry into a parameter record, key by key in the entry's
+order:
+
+    int (lo, hi)      -> an integer in lo..hi inclusive
+    float (lo, hi)    -> uniform, or log-uniform for keys in the type's `log`
+    list              -> one of the choices
+    scalar            -> the constant itself
+    keys in `ranges`  -> `<key>_lo` and `<key>_hi`, for appliers that make
+                         their own per-segment or per-band draws
+
+The applier's `rng` is a generator seeded from the spec's sub-seed (so
+replaying a logged chain is bit-exact) and `assets` carries optional
+user-supplied material (noise recordings, room impulse responses).
 
 Appliers return float64 arrays; most preserve length, the delaying ones
 (short delay, impulse-response convolution) are flagged so the chain
@@ -30,9 +40,11 @@ from ..signal import Signal, istft, resample, stft
 from . import biquad
 
 # ---------------------------------------------------------------------------
-# Bounds table (data, not code). Two-tuples are (lo, hi) ranges; lists are
-# categorical choices. Frequencies and other scale-like ranges are sampled
-# log-uniformly by the samplers that use them.
+# Bounds table (data, not code), drawn by Primitive.sample: an int two-tuple
+# is an inclusive integer range, a float two-tuple a uniform range (log-
+# uniform for the keys in the type's `log`), a list a categorical choice, a
+# scalar a constant, and a key in the type's `ranges` is passed through as
+# `<key>_lo`/`<key>_hi`. Keys are drawn, and logged, in the order given here.
 
 DEFAULT_BOUNDS: dict[str, dict] = {
     "band_pass": {"freq": (300.0, 3000.0), "q": (0.5, 5.0)},
@@ -58,8 +70,8 @@ DEFAULT_BOUNDS: dict[str, dict] = {
     "simple_expander": {"ratio": (1.2, 3.0)},
     "tremolo": {"rate_hz": (0.5, 8.0), "depth": (0.3, 0.9)},
     "band_reject": {"freq": (300.0, 4000.0), "q": (0.5, 5.0)},
-    "random_eq": {"n_bands": (3, 10), "gain_db": (-12.0, 12.0), "q": (0.5, 5.0),
-                  "freq": (100.0, 7000.0)},
+    "random_eq": {"n_bands": (3, 10), "freq": (100.0, 7000.0), "gain_db": (-12.0, 12.0),
+                  "q": (0.5, 5.0)},
     "two_pole": {"freq": (300.0, 4000.0), "radius": (0.9, 0.99)},
     "additive_noise": {"snr_db": (-5.0, 25.0)},
     "impulsive_noise": {"snr_db": (-5.0, 25.0), "rate_hz": (0.5, 5.0),
@@ -102,25 +114,6 @@ DEFAULT_BOUNDS: dict[str, dict] = {
     "telephone": {"low_hz": (250.0, 400.0), "high_hz": (3000.0, 3600.0),
                   "ratio": (1.5, 4.0)},
 }
-
-
-# -- sampling helpers -------------------------------------------------------
-
-
-def _u(rng, bound) -> float:
-    return float(rng.uniform(bound[0], bound[1]))
-
-
-def _lu(rng, bound) -> float:
-    return float(np.exp(rng.uniform(np.log(bound[0]), np.log(bound[1]))))
-
-
-def _ui(rng, bound) -> int:
-    return int(rng.integers(bound[0], bound[1] + 1))
-
-
-def _pick(rng, options):
-    return options[int(rng.integers(len(options)))]
 
 
 # -- numeric helpers --------------------------------------------------------
@@ -195,19 +188,14 @@ def _from_spec(spec, data):
 # -- appliers ---------------------------------------------------------------
 
 
-def _apply_band_pass(x, rate, p, rng, assets):
-    b, a = biquad.band_pass(p["freq"], p["q"], rate)
-    return biquad.apply_biquad(x, b, a)
+def _biquad(design, *keys):
+    """Applier for one biquad section: design(*params[keys], rate)."""
 
+    def apply(x, rate, p, rng, assets):
+        b, a = design(*(p[key] for key in keys), rate)
+        return biquad.apply_biquad(x, b, a)
 
-def _apply_high_pass(x, rate, p, rng, assets):
-    b, a = biquad.high_pass(p["freq"], p["q"], rate)
-    return biquad.apply_biquad(x, b, a)
-
-
-def _apply_low_pass(x, rate, p, rng, assets):
-    b, a = biquad.low_pass(p["freq"], p["q"], rate)
-    return biquad.apply_biquad(x, b, a)
+    return apply
 
 
 def _apply_down_sample(x, rate, p, rng, assets):
@@ -234,16 +222,6 @@ def _apply_mu_law(x, rate, p, rng, assets):
     half = levels / 2.0
     q = np.round(comp * half) / half
     return np.sign(q) * (np.expm1(np.abs(q) * np.log1p(mu)) / mu) * peak
-
-
-def _apply_plosive_boost(x, rate, p, rng, assets):
-    b, a = biquad.low_shelf(p["freq"], p["gain_db"], rate)
-    return biquad.apply_biquad(x, b, a)
-
-
-def _apply_sibilance_boost(x, rate, p, rng, assets):
-    b, a = biquad.high_shelf(p["freq"], p["gain_db"], rate)
-    return biquad.apply_biquad(x, b, a)
 
 
 def _apply_overdrive(x, rate, p, rng, assets):
@@ -304,11 +282,6 @@ def _apply_tremolo(x, rate, p, rng, assets):
     return x * (1.0 - p["depth"] * lfo)
 
 
-def _apply_band_reject(x, rate, p, rng, assets):
-    b, a = biquad.notch(p["freq"], p["q"], rate)
-    return biquad.apply_biquad(x, b, a)
-
-
 def _apply_random_eq(x, rate, p, rng, assets):
     y = x.copy()
     lo_f, hi_f = p["freq_lo"], p["freq_hi"]
@@ -319,11 +292,6 @@ def _apply_random_eq(x, rate, p, rng, assets):
         b, a = biquad.peaking(f0, q, gain, rate)
         y = biquad.apply_biquad(y, b, a)
     return y
-
-
-def _apply_two_pole(x, rate, p, rng, assets):
-    b, a = biquad.two_pole(p["freq"], p["radius"], rate)
-    return biquad.apply_biquad(x, b, a)
 
 
 def _apply_additive_noise(x, rate, p, rng, assets):
@@ -511,12 +479,9 @@ def _apply_sample_duplicate(x, rate, p, rng, assets):
 
 
 def _apply_silent_gap(x, rate, p, rng, assets):
-    y = x.copy()
     gap = max(1, int(p["gap_ms"] * rate / 1000.0))
-    for start in range(0, x.size, gap):
-        if rng.uniform() < p["prob"]:
-            y[start : start + gap] = 0.0
-    return y
+    # where, not a multiply: x * 0 would write -0.0 for negative samples
+    return np.where(_segment_mask(x.size, gap, p["prob"], rng) > 0, 0.0, x)
 
 
 def _apply_telephone(x, rate, p, rng, assets):
@@ -529,272 +494,123 @@ def _apply_telephone(x, rate, p, rng, assets):
     return _apply_simple_compressor(y, rate, {"ratio": p["ratio"]}, rng, assets)
 
 
-# -- samplers ---------------------------------------------------------------
-
-
-def _s_freq_q(rng, b):
-    return {"freq": _lu(rng, b["freq"]), "q": _u(rng, b["q"])}
-
-
-def _s_down_sample(rng, b):
-    return {"factor": _pick(rng, b["factor"]), "method": _pick(rng, b["method"])}
-
-
-def _s_mu_law(rng, b):
-    return {"bits": _ui(rng, b["bits"]), "mu": float(b["mu"])}
-
-
-def _s_shelf(rng, b):
-    return {"freq": _lu(rng, b["freq"]), "gain_db": _u(rng, b["gain_db"])}
-
-
-def _s_overdrive(rng, b):
-    return {"gain": _lu(rng, b["gain"]), "mix": _u(rng, b["mix"])}
-
-
-def _s_clip(rng, b):
-    return {"threshold": _u(rng, b["threshold"])}
-
-
-def _s_compressor(rng, b):
-    return {
-        "threshold_db": _u(rng, b["threshold_db"]),
-        "ratio": _u(rng, b["ratio"]),
-        "attack_ms": _lu(rng, b["attack_ms"]),
-        "release_ms": _lu(rng, b["release_ms"]),
-    }
-
-
-def _s_destroy_levels(rng, b):
-    return {
-        "segment_ms": _lu(rng, b["segment_ms"]),
-        "prob": _u(rng, b["prob"]),
-        "gain_db_lo": float(b["gain_db"][0]),
-        "gain_db_hi": float(b["gain_db"][1]),
-    }
-
-
-def _s_noise_gate(rng, b):
-    return {
-        "threshold_db": _u(rng, b["threshold_db"]),
-        "attack_ms": _lu(rng, b["attack_ms"]),
-        "release_ms": _lu(rng, b["release_ms"]),
-    }
-
-
-def _s_ratio(rng, b):
-    return {"ratio": _u(rng, b["ratio"])}
-
-
-def _s_tremolo(rng, b):
-    return {"rate_hz": _lu(rng, b["rate_hz"]), "depth": _u(rng, b["depth"])}
-
-
-def _s_random_eq(rng, b):
-    return {
-        "n_bands": _ui(rng, b["n_bands"]),
-        "freq_lo": float(b["freq"][0]),
-        "freq_hi": float(b["freq"][1]),
-        "gain_db_lo": float(b["gain_db"][0]),
-        "gain_db_hi": float(b["gain_db"][1]),
-        "q_lo": float(b["q"][0]),
-        "q_hi": float(b["q"][1]),
-    }
-
-
-def _s_two_pole(rng, b):
-    return {"freq": _lu(rng, b["freq"]), "radius": _u(rng, b["radius"])}
-
-
-def _s_snr(rng, b):
-    return {"snr_db": _u(rng, b["snr_db"])}
-
-
-def _s_impulsive(rng, b):
-    return {
-        "snr_db": _u(rng, b["snr_db"]),
-        "rate_hz": _lu(rng, b["rate_hz"]),
-        "burst_ms": _lu(rng, b["burst_ms"]),
-    }
-
-
-def _s_algorithmic_reverb(rng, b):
-    return {"t60": _lu(rng, b["t60"]), "wet": _u(rng, b["wet"])}
-
-
-def _s_rir(rng, b):
-    return {
-        "t60": _lu(rng, b["t60"]),
-        "ir_ms": _lu(rng, b["ir_ms"]),
-        "predelay_ms": _u(rng, b["predelay_ms"]),
-        "wet": _u(rng, b["wet"]),
-    }
-
-
-def _s_short_delay(rng, b):
-    return {"delay_ms": _lu(rng, b["delay_ms"]), "gain": _u(rng, b["gain"])}
-
-
-def _s_griffin_lim(rng, b):
-    return {"window": _pick(rng, b["window"]), "iterations": _ui(rng, b["iterations"])}
-
-
-def _s_window_amount(rng, b):
-    return {"window": _pick(rng, b["window"]), "amount": _u(rng, b["amount"])}
-
-
-def _s_spectral_holes(rng, b):
-    return {
-        "window": _pick(rng, b["window"]),
-        "n_holes": _ui(rng, b["n_holes"]),
-        "max_bins": int(b["max_bins"]),
-        "max_frames": int(b["max_frames"]),
-    }
-
-
-def _s_colored(rng, b):
-    return {"snr_db": _u(rng, b["snr_db"]), "slope_db_oct": _u(rng, b["slope_db_oct"])}
-
-
-def _s_dc(rng, b):
-    return {"amplitude": _lu(rng, b["amplitude"])}
-
-
-def _s_electricity(rng, b):
-    return {
-        "snr_db": _u(rng, b["snr_db"]),
-        "freq": float(_pick(rng, b["freq"])),
-        "waveform": _pick(rng, b["waveform"]),
-    }
-
-
-def _s_random_tone(rng, b):
-    return {
-        "snr_db": _u(rng, b["snr_db"]),
-        "freq": _lu(rng, b["freq"]),
-        "waveform": _pick(rng, b["waveform"]),
-    }
-
-
-def _s_masked(base):
-    def sample(rng, b):
-        p = base(rng, b)
-        p["segment_ms"] = _lu(rng, b["segment_ms"])
-        p["prob"] = _u(rng, b["prob"])
-        return p
-
-    return sample
-
-
-def _s_frame_shuffle(rng, b):
-    return {"frame_ms": _lu(rng, b["frame_ms"]), "prob": _u(rng, b["prob"])}
-
-
-def _s_insert_attenuation(rng, b):
-    return {
-        "segment_ms": _lu(rng, b["segment_ms"]),
-        "prob": _u(rng, b["prob"]),
-        "gain_db": _u(rng, b["gain_db"]),
-    }
-
-
-def _s_insert_noise(rng, b):
-    return {
-        "segment_ms": _lu(rng, b["segment_ms"]),
-        "prob": _u(rng, b["prob"]),
-        "snr_db": _u(rng, b["snr_db"]),
-    }
-
-
-def _s_sample_duplicate(rng, b):
-    return {"block_ms": _lu(rng, b["block_ms"]), "prob": _u(rng, b["prob"])}
-
-
-def _s_silent_gap(rng, b):
-    return {"gap_ms": _lu(rng, b["gap_ms"]), "prob": _u(rng, b["prob"])}
-
-
-def _s_telephone(rng, b):
-    return {
-        "low_hz": _lu(rng, b["low_hz"]),
-        "high_hz": _lu(rng, b["high_hz"]),
-        "ratio": _u(rng, b["ratio"]),
-    }
-
-
 # -- registry ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Primitive:
-    """One distortion type: selection weight, parameter sampler, applier."""
+    """One distortion type: selection weight, applier, and how its
+    parameters are drawn from a DEFAULT_BOUNDS-shaped entry.
+
+    log: bound keys drawn log-uniformly; every other float range is drawn
+        uniformly. Per type, not per key name: ``overdrive.gain`` is
+        log-uniform but ``short_delay.gain`` is not.
+    ranges: bound keys passed through as ``<key>_lo``/``<key>_hi`` floats
+        for appliers that draw their own values per segment or per band.
+    """
 
     name: str
     family: str
     weight: float
-    sample: Callable
     apply: Callable
+    log: tuple[str, ...] = ()
+    ranges: tuple[str, ...] = ()
     introduces_delay: bool = False
     needs: str | None = None
+
+    def sample(self, rng, bounds: dict) -> dict:
+        """One parameter record drawn from ``bounds``, walking the keys of
+        DEFAULT_BOUNDS[name] in order (see the module docstring)."""
+        params = {}
+        for key in DEFAULT_BOUNDS[self.name]:
+            bound = bounds[key]
+            if isinstance(bound, list):
+                params[key] = bound[int(rng.integers(len(bound)))]
+            elif not isinstance(bound, tuple):
+                params[key] = bound
+            elif key in self.ranges:
+                params[f"{key}_lo"], params[f"{key}_hi"] = float(bound[0]), float(bound[1])
+            elif all(isinstance(v, int) for v in bound):
+                params[key] = int(rng.integers(bound[0], bound[1] + 1))
+            elif key in self.log:
+                params[key] = float(np.exp(rng.uniform(np.log(bound[0]), np.log(bound[1]))))
+            else:
+                params[key] = float(rng.uniform(bound[0], bound[1]))
+        return params
 
 
 PRIMITIVES: dict[str, Primitive] = {
     p.name: p
     for p in [
-        Primitive("band_pass", "band_limiting", 5, _s_freq_q, _apply_band_pass),
-        Primitive("high_pass", "band_limiting", 5, _s_freq_q, _apply_high_pass),
-        Primitive("low_pass", "band_limiting", 20, _s_freq_q, _apply_low_pass),
-        Primitive("down_sample", "band_limiting", 30, _s_down_sample, _apply_down_sample),
-        Primitive("mu_law", "codec", 3, _s_mu_law, _apply_mu_law),
-        Primitive("plosive_boost", "distortion", 10, _s_shelf, _apply_plosive_boost),
-        Primitive("sibilance_boost", "distortion", 10, _s_shelf, _apply_sibilance_boost),
-        Primitive("overdrive", "distortion", 5, _s_overdrive, _apply_overdrive),
-        Primitive("clip", "distortion", 8, _s_clip, _apply_clip),
-        Primitive("compressor", "loudness", 10, _s_compressor, _apply_compressor),
-        Primitive("destroy_levels", "loudness", 20, _s_destroy_levels, _apply_destroy_levels),
-        Primitive("noise_gate", "loudness", 10, _s_noise_gate, _apply_noise_gate),
-        Primitive("simple_compressor", "loudness", 3, _s_ratio, _apply_simple_compressor),
-        Primitive("simple_expander", "loudness", 2, _s_ratio, _apply_simple_expander),
-        Primitive("tremolo", "loudness", 2, _s_tremolo, _apply_tremolo),
-        Primitive("band_reject", "equalization", 5, _s_freq_q, _apply_band_reject),
-        Primitive("random_eq", "equalization", 15, _s_random_eq, _apply_random_eq),
-        Primitive("two_pole", "equalization", 10, _s_two_pole, _apply_two_pole),
-        Primitive("additive_noise", "recorded_noise", 150, _s_snr, _apply_additive_noise,
+        Primitive("band_pass", "band_limiting", 5, _biquad(biquad.band_pass, "freq", "q"),
+                  log=("freq",)),
+        Primitive("high_pass", "band_limiting", 5, _biquad(biquad.high_pass, "freq", "q"),
+                  log=("freq",)),
+        Primitive("low_pass", "band_limiting", 20, _biquad(biquad.low_pass, "freq", "q"),
+                  log=("freq",)),
+        Primitive("down_sample", "band_limiting", 30, _apply_down_sample),
+        Primitive("mu_law", "codec", 3, _apply_mu_law),
+        Primitive("plosive_boost", "distortion", 10,
+                  _biquad(biquad.low_shelf, "freq", "gain_db"), log=("freq",)),
+        Primitive("sibilance_boost", "distortion", 10,
+                  _biquad(biquad.high_shelf, "freq", "gain_db"), log=("freq",)),
+        Primitive("overdrive", "distortion", 5, _apply_overdrive, log=("gain",)),
+        Primitive("clip", "distortion", 8, _apply_clip),
+        Primitive("compressor", "loudness", 10, _apply_compressor,
+                  log=("attack_ms", "release_ms")),
+        Primitive("destroy_levels", "loudness", 20, _apply_destroy_levels,
+                  log=("segment_ms",), ranges=("gain_db",)),
+        Primitive("noise_gate", "loudness", 10, _apply_noise_gate,
+                  log=("attack_ms", "release_ms")),
+        Primitive("simple_compressor", "loudness", 3, _apply_simple_compressor),
+        Primitive("simple_expander", "loudness", 2, _apply_simple_expander),
+        Primitive("tremolo", "loudness", 2, _apply_tremolo, log=("rate_hz",)),
+        Primitive("band_reject", "equalization", 5, _biquad(biquad.notch, "freq", "q"),
+                  log=("freq",)),
+        Primitive("random_eq", "equalization", 15, _apply_random_eq,
+                  ranges=("freq", "gain_db", "q")),
+        Primitive("two_pole", "equalization", 10, _biquad(biquad.two_pole, "freq", "radius"),
+                  log=("freq",)),
+        Primitive("additive_noise", "recorded_noise", 150, _apply_additive_noise,
                   needs="noise_pool"),
-        Primitive("impulsive_noise", "recorded_noise", 30, _s_impulsive, _apply_impulsive_noise),
-        Primitive("algorithmic_reverb", "reverb_delay", 30, _s_algorithmic_reverb,
-                  _apply_algorithmic_reverb),
-        Primitive("rir_convolution", "reverb_delay", 120, _s_rir, _apply_rir_convolution,
+        Primitive("impulsive_noise", "recorded_noise", 30, _apply_impulsive_noise,
+                  log=("rate_hz", "burst_ms")),
+        Primitive("algorithmic_reverb", "reverb_delay", 30, _apply_algorithmic_reverb,
+                  log=("t60",)),
+        Primitive("rir_convolution", "reverb_delay", 120, _apply_rir_convolution,
+                  log=("t60", "ir_ms"), introduces_delay=True),
+        Primitive("short_delay", "reverb_delay", 3, _apply_short_delay, log=("delay_ms",),
                   introduces_delay=True),
-        Primitive("short_delay", "reverb_delay", 3, _s_short_delay, _apply_short_delay,
-                  introduces_delay=True),
-        Primitive("griffin_lim", "spectral", 3, _s_griffin_lim, _apply_griffin_lim),
-        Primitive("phase_randomization", "spectral", 1, _s_window_amount,
-                  _apply_phase_randomization),
-        Primitive("phase_shuffle", "spectral", 1, _s_window_amount, _apply_phase_shuffle),
-        Primitive("spectral_holes", "spectral", 1, _s_spectral_holes, _apply_spectral_holes),
-        Primitive("spectral_noise", "spectral", 1, _s_window_amount, _apply_spectral_noise),
-        Primitive("colored_noise", "synthetic_noise", 15, _s_colored, _apply_colored_noise),
-        Primitive("dc_component", "synthetic_noise", 1, _s_dc, _apply_dc_component),
-        Primitive("electricity_tone", "synthetic_noise", 6, _s_electricity, _apply_tone_snr),
-        Primitive("nonstat_colored_noise", "synthetic_noise", 5, _s_masked(_s_colored),
-                  _masked(_apply_colored_noise)),
-        Primitive("nonstat_dc_component", "synthetic_noise", 1, _s_masked(_s_dc),
-                  _masked(_apply_dc_component)),
-        Primitive("nonstat_electricity_tone", "synthetic_noise", 3, _s_masked(_s_electricity),
-                  _masked(_apply_tone_snr)),
-        Primitive("nonstat_random_tone", "synthetic_noise", 1, _s_masked(_s_random_tone),
-                  _masked(_apply_tone_snr)),
-        Primitive("random_tone", "synthetic_noise", 2, _s_random_tone, _apply_tone_snr),
-        Primitive("frame_shuffle", "transmission", 10, _s_frame_shuffle, _apply_frame_shuffle),
-        Primitive("insert_attenuation", "transmission", 3, _s_insert_attenuation,
-                  _apply_insert_attenuation),
-        Primitive("insert_noise", "transmission", 5, _s_insert_noise, _apply_insert_noise),
-        Primitive("perturb_amplitude", "transmission", 1, _s_destroy_levels,
-                  _apply_destroy_levels),
-        Primitive("sample_duplicate", "transmission", 2, _s_sample_duplicate,
-                  _apply_sample_duplicate),
-        Primitive("silent_gap", "transmission", 15, _s_silent_gap, _apply_silent_gap),
-        Primitive("telephone", "transmission", 10, _s_telephone, _apply_telephone),
+        Primitive("griffin_lim", "spectral", 3, _apply_griffin_lim),
+        Primitive("phase_randomization", "spectral", 1, _apply_phase_randomization),
+        Primitive("phase_shuffle", "spectral", 1, _apply_phase_shuffle),
+        Primitive("spectral_holes", "spectral", 1, _apply_spectral_holes),
+        Primitive("spectral_noise", "spectral", 1, _apply_spectral_noise),
+        Primitive("colored_noise", "synthetic_noise", 15, _apply_colored_noise),
+        Primitive("dc_component", "synthetic_noise", 1, _apply_dc_component,
+                  log=("amplitude",)),
+        Primitive("electricity_tone", "synthetic_noise", 6, _apply_tone_snr),
+        Primitive("nonstat_colored_noise", "synthetic_noise", 5, _masked(_apply_colored_noise),
+                  log=("segment_ms",)),
+        Primitive("nonstat_dc_component", "synthetic_noise", 1, _masked(_apply_dc_component),
+                  log=("amplitude", "segment_ms")),
+        Primitive("nonstat_electricity_tone", "synthetic_noise", 3, _masked(_apply_tone_snr),
+                  log=("segment_ms",)),
+        Primitive("nonstat_random_tone", "synthetic_noise", 1, _masked(_apply_tone_snr),
+                  log=("freq", "segment_ms")),
+        Primitive("random_tone", "synthetic_noise", 2, _apply_tone_snr, log=("freq",)),
+        Primitive("frame_shuffle", "transmission", 10, _apply_frame_shuffle,
+                  log=("frame_ms",)),
+        Primitive("insert_attenuation", "transmission", 3, _apply_insert_attenuation,
+                  log=("segment_ms",)),
+        Primitive("insert_noise", "transmission", 5, _apply_insert_noise,
+                  log=("segment_ms",)),
+        Primitive("perturb_amplitude", "transmission", 1, _apply_destroy_levels,
+                  log=("segment_ms",), ranges=("gain_db",)),
+        Primitive("sample_duplicate", "transmission", 2, _apply_sample_duplicate,
+                  log=("block_ms",)),
+        Primitive("silent_gap", "transmission", 15, _apply_silent_gap, log=("gap_ms",)),
+        Primitive("telephone", "transmission", 10, _apply_telephone,
+                  log=("low_hz", "high_hz")),
     ]
 }

@@ -164,10 +164,13 @@ def _conjugate_update(prior: GmmPrior, observed, noise_std: float):
 
 
 def posterior_prior(prior: GmmPrior, observation: np.ndarray, noise_std: float) -> GmmPrior:
-    """Exact posterior mixture for y = x0 + noise_std * n with x0 ~ prior (d = 1)."""
+    """Exact posterior mixture for y = x0 + noise_std * n with x0 ~ prior (d = 1),
+    less the components whose weight underflows to 0 (y far from them)."""
     y = float(np.asarray(observation).reshape(()))
     log_w, mean, var = _conjugate_update(prior, y, noise_std)
-    return GmmPrior(weights=np.exp(log_w[0]), means=mean[0], variances=var)
+    weights = np.exp(log_w[0])
+    kept = weights > 0
+    return GmmPrior(weights=weights[kept], means=mean[0][kept], variances=var[kept])
 
 
 def posterior_score(prior: GmmPrior, observed: np.ndarray, noise_std: float):

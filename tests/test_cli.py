@@ -204,6 +204,24 @@ class TestDistort:
         assert code == EXIT_CONFIG
         assert not out.exists()  # no log, so no per-file records
 
+    @pytest.mark.parametrize("pool", ["empty", "missing"])
+    def test_pool_dir_without_wavs_is_config_error(self, tmp_path, pool):
+        """A noise directory that holds no *.wav (or does not exist) is no
+        pool: with only additive_noise enabled the command fails once."""
+        write_tone(tmp_path / "x.wav", seed=6)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        noise_dir = tmp_path / "noise"
+        if pool == "empty":
+            noise_dir.mkdir()
+            (noise_dir / "readme.txt").write_text("not audio\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"distort.weights = additive_noise:1\ndistort.noise_dir = {noise_dir}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "distort", str(manifest), str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()  # no log, so no per-file records
+
     def test_jobs_fanout_matches_sequential(self, tmp_path):
         for i in range(3):
             write_tone(tmp_path / f"f{i}.wav", seed=20 + i)
@@ -283,7 +301,7 @@ class TestTrain:
     def test_corpus_manifest_training_runs(self, tmp_path):
         write_tone(tmp_path / "c.wav", seed=6, n=2000)
         manifest = tmp_path / "m.txt"
-        manifest.write_text(f"{tmp_path}/c.wav\n")
+        manifest.write_text(f"# corpus\n\n  {tmp_path}/c.wav  \n")
         cfg = self.write_cfg(tmp_path)
         code = main(["train", "--out", str(tmp_path / "ck.bin"), "--iterations", "4",
                      "--data", str(manifest), "--config", cfg, "--seed", "2"])
@@ -397,6 +415,17 @@ class TestMalformedInputs:
         code = main(["eval", "--reference", str(tmp_path / "clean.wav"),
                      "--estimate", str(est)])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["distort", "train"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["missing", "binary"])
+    def test_unreadable_manifest_is_io_error(self, tmp_path, command, content):
+        manifest = tmp_path / "m.txt"
+        if content is not None:
+            manifest.write_bytes(content)
+        argv = (["distort", str(manifest), str(tmp_path / "out")] if command == "distort"
+                else ["train", "--out", str(tmp_path / "ck.bin"), "--iterations", "1",
+                      "--data", str(manifest)])
+        assert main(argv) == EXIT_IO
 
 
 class TestEval:

@@ -9,6 +9,7 @@ constructed oracles (exact delay recovery, exact SNR realization,
 bit-exact replay from the JSON log).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -580,6 +581,38 @@ class TestChainSampling:
                         assert value in bound, (spec.kind, key)
                     elif isinstance(bound, tuple):
                         assert bound[0] <= value <= bound[1], (spec.kind, key)
+
+    def test_frozen_sampling_stream(self):
+        """Pins the RNG stream and the parameter key order that logs and
+        seeded datasets depend on: a seeded run of chains covering all 43
+        types, and one direct draw per type, hash to recorded digests."""
+        cfg = ChainConfig(noise_pool=(np.ones(8),), rir_pool=(np.ones(8),))
+        rng = np.random.default_rng(2024)
+        chains = [sample_chain(cfg, rng) for _ in range(1500)]
+        assert {spec.kind for chain in chains for spec in chain} == set(PRIMITIVES)
+        text = "\n".join(chain_to_json(chain) for chain in chains)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bb951bbeb5ae6468bc4137c2fb6aaefc5b92606f459c0d95d8a920fc3d13ec67")
+        rng = np.random.default_rng(2025)
+        draws = [PRIMITIVES[name].sample(rng, DEFAULT_BOUNDS[name]) for name in sorted(PRIMITIVES)]
+        assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == (
+            "b73d805d5b956a637c9b10d7345fc3805bdd4a6708cc44adaee660b251a06a2b")
+
+    def test_registry_sampling_keys_match_bounds(self):
+        """A misspelt `log` key would silently draw uniformly, and a
+        misspelt `ranges` key would draw one value where the applier reads
+        `_lo`/`_hi`: every key must name a bound of the right shape."""
+        assert set(DEFAULT_BOUNDS) == set(PRIMITIVES)
+        for name, prim in PRIMITIVES.items():
+            bounds = DEFAULT_BOUNDS[name]
+            for key in prim.log:
+                bound = bounds.get(key)
+                assert isinstance(bound, tuple) and len(bound) == 2, (name, key)
+                assert all(isinstance(v, float) for v in bound), (name, key)
+                assert 0 < bound[0] <= bound[1], (name, key)
+            for key in prim.ranges:
+                bound = bounds.get(key)
+                assert isinstance(bound, tuple) and len(bound) == 2, (name, key)
 
     def test_additive_noise_gated_on_pool(self):
         no_pool = ChainConfig()

@@ -229,6 +229,17 @@ class TestSampling:
                 want = perturbed_score(post, x[i : i + 1], sigma)
                 np.testing.assert_allclose(got[i], want[0], rtol=1e-10, atol=1e-12)
 
+    def test_posterior_of_far_observation_drops_underflowed_component(self):
+        """y = 250 is so far from the mean -2 component that its posterior
+        weight underflows to exactly 0. posterior_prior keeps the surviving
+        component and scores like the vectorized per-row posterior."""
+        prior = GmmPrior(weights=[0.5, 0.5], means=[-2.0, 2.0], variances=[0.1, 0.1])
+        post = posterior_prior(prior, 250.0, noise_std=1.0)
+        assert post.weights.size == 1
+        x = np.array([[249.0]])
+        want = posterior_score(prior, np.array([250.0]), noise_std=1.0)(x, None, 0.5)
+        np.testing.assert_allclose(perturbed_score(post, x, 0.5), want, rtol=1e-10)
+
     def test_posterior_score_is_bit_identical_to_row_major_evaluation(self):
         """The component-major posterior layout changes memory order only:
         the score equals a C-ordered evaluation of the same kernel bit for
