@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +43,7 @@ import numpy as np
 
 from .diffusion import langevin_sample
 from .distort import (
+    ENGINE_VERSION,
     PRIMITIVES,
     ChainConfig,
     DistortionSpec,
@@ -295,17 +297,22 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     manifest = _read_manifest(args.manifest)
 
     chain_cfg_cache: dict[int, ChainConfig] = {}
+    cache_lock = threading.Lock()
+
+    def chain_cfg_at(rate: int) -> ChainConfig:
+        # under the lock, so worker threads load each rate's pools once
+        with cache_lock:
+            if rate not in chain_cfg_cache:
+                chain_cfg_cache[rate] = dataclasses.replace(
+                    base_cfg, noise_pool=_load_pool(cfg["distort.noise_dir"], rate),
+                    rir_pool=_load_pool(cfg["distort.rir_dir"], rate))
+            return chain_cfg_cache[rate]
 
     def process(item):
         index, path = item
         try:
             signal = read_wav(path, downmix=True)
-            rate = signal.sample_rate
-            if rate not in chain_cfg_cache:
-                chain_cfg_cache[rate] = dataclasses.replace(
-                    base_cfg, noise_pool=_load_pool(cfg["distort.noise_dir"], rate),
-                    rir_pool=_load_pool(cfg["distort.rir_dir"], rate))
-            chain_cfg = chain_cfg_cache[rate]
+            chain_cfg = chain_cfg_at(signal.sample_rate)
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             chain = sample_chain(chain_cfg, rng)
             with warnings.catch_warnings(record=True) as caught:
@@ -324,10 +331,12 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
                 "file_index": index,
                 "offset": pair.offset,
                 "clipped": clipped,
+                "engine_version": ENGINE_VERSION,
                 "chain": [spec.to_dict() for spec in chain],
             }
         except Exception as exc:  # logged per file, surfaced via exit code
-            return {"input": str(path), "file_index": index, "error": str(exc)}
+            return {"input": str(path), "file_index": index, "engine_version": ENGINE_VERSION,
+                    "error": str(exc)}
 
     if jobs > 1 and manifest:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,6 @@
 """Programmatic speech degradation: weighted random chains of distortion
-primitives with bit-exact replay from the logged specs."""
+primitives with bit-exact replay from the logged specs (within one
+ENGINE_VERSION)."""
 
 from .biquad import (
     apply_biquad,
@@ -16,12 +17,14 @@ from .biquad import (
 from .chain import (
     CLIP_LEVEL,
     DEFAULT_COUNT_PROBS,
+    ENGINE_VERSION,
     ChainConfig,
     DistortedPair,
     DistortionSpec,
     SoftClipWarning,
     apply_chain,
     chain_from_json,
+    chain_from_record,
     chain_to_json,
     default_weights,
     sample_chain,
@@ -32,6 +35,7 @@ __all__ = [
     "CLIP_LEVEL",
     "DEFAULT_BOUNDS",
     "DEFAULT_COUNT_PROBS",
+    "ENGINE_VERSION",
     "PRIMITIVES",
     "ChainConfig",
     "DistortedPair",
@@ -42,6 +46,7 @@ __all__ = [
     "apply_chain",
     "band_pass",
     "chain_from_json",
+    "chain_from_record",
     "chain_to_json",
     "default_weights",
     "high_pass",

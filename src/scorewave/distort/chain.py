@@ -8,6 +8,13 @@ sub-seed. Because all randomness an applier consumes flows from that
 logged sub-seed, `apply_chain` is a pure function of (signal, chain,
 assets) — replaying a logged chain is bit-exact.
 
+That promise holds within one ENGINE_VERSION. The version is bumped by any
+change that moves an applier's output by even the last bit (version 2
+convolves room impulse responses by overlap-add FFT and projects
+Griffin-Lim phases as z / |z|), and `distort` writes it into every log
+record. `chain_from_record` replays a record only if its version is the
+running engine's; a record without the key is version 1.
+
 Chains that contain delay-introducing types (short delay, impulse
 response convolution) are re-aligned against the clean reference by the
 peak of the full normalized cross-correlation, ties broken toward the
@@ -30,6 +37,7 @@ from .primitives import DEFAULT_BOUNDS, PRIMITIVES
 
 DEFAULT_COUNT_PROBS = (0.35, 0.45, 0.15, 0.04, 0.01)
 CLIP_LEVEL = 4.0
+ENGINE_VERSION = 2
 
 
 class SoftClipWarning(UserWarning):
@@ -67,9 +75,10 @@ class ChainConfig:
                 raise ConfigError(f"unknown distortion type {name!r}")
             if not w > 0:
                 raise ConfigError(f"weight for {name!r} must be > 0")
-        for name in self.bounds:
+        for name, entry in self.bounds.items():
             if name not in PRIMITIVES:
                 raise ConfigError(f"bounds given for unknown type {name!r}")
+            PRIMITIVES[name].check_bounds(entry)
 
     def assets(self) -> dict:
         return {"noise_pool": self.noise_pool, "rir_pool": self.rir_pool}
@@ -208,3 +217,16 @@ def chain_to_json(chain) -> str:
 
 def chain_from_json(text: str) -> tuple:
     return tuple(DistortionSpec.from_dict(rec) for rec in json.loads(text))
+
+
+def chain_from_record(record: dict) -> tuple:
+    """The chain of one `distort` log record, for bit-exact replay. A record
+    from another engine version (no "engine_version" key means version 1)
+    would replay to different audio, so it raises ConfigError instead."""
+    version = record.get("engine_version", 1)
+    if version != ENGINE_VERSION:
+        raise ConfigError(f"log record is from distortion engine version {version}, this is "
+                          f"version {ENGINE_VERSION}: its chain would not replay bit-exactly")
+    if "chain" not in record:
+        raise ConfigError(f"log record holds no chain: {record.get('error', 'no error given')}")
+    return tuple(DistortionSpec.from_dict(spec) for spec in record["chain"])

@@ -29,6 +29,7 @@ runner knows to re-align against the clean reference afterwards.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -142,16 +143,23 @@ def _segment_mask(n: int, seg: int, prob: float, rng) -> np.ndarray:
 
 
 def _envelope(x: np.ndarray, rate: int, attack_ms: float, release_ms: float) -> np.ndarray:
-    """One-pole peak follower with separate attack and release times."""
-    ca = np.exp(-1.0 / (rate * attack_ms / 1000.0))
-    cr = np.exp(-1.0 / (rate * release_ms / 1000.0))
-    env = np.empty_like(x)
+    """One-pole peak follower with separate attack and release times.
+
+    The recursion is inherently serial, so it runs over Python floats (a
+    memoryview of |x|, overwritten in place with the envelope), which is
+    several times cheaper than indexing numpy scalars."""
+    ca = float(np.exp(-1.0 / (rate * attack_ms / 1000.0)))
+    cr = float(np.exp(-1.0 / (rate * release_ms / 1000.0)))
+    ga, gr = 1.0 - ca, 1.0 - cr
+    env = np.abs(x)
+    view = memoryview(env)
     level = 0.0
-    ax = np.abs(x)
-    for i in range(x.size):
-        c = ca if ax[i] > level else cr
-        level = c * level + (1.0 - c) * ax[i]
-        env[i] = level
+    for i, a in enumerate(view):
+        if a > level:
+            level = ca * level + ga * a
+        else:
+            level = cr * level + gr * a
+        view[i] = level
     return env
 
 
@@ -321,15 +329,21 @@ def _apply_impulsive_noise(x, rate, p, rng, assets):
     return x + _scaled_to_snr(x, track, p["snr_db"])
 
 
+def _comb(x: np.ndarray, d: int, g: float) -> np.ndarray:
+    """Feedback comb y[n] = x[n] + g * y[n - d], one delay-wide block at a
+    time: each block depends only on the block before it."""
+    y = x.copy()
+    for start in range(d, y.size, d):
+        y[start : start + d] += g * y[start - d : min(start, y.size - d)]
+    return y
+
+
 def _apply_algorithmic_reverb(x, rate, p, rng, assets):
     delays_ms = (29.7, 37.1, 41.1, 43.7)
     wet = np.zeros_like(x)
     for d_ms in delays_ms:
         d = max(1, int(d_ms * rate / 1000.0))
-        g = 10.0 ** (-3.0 * (d / rate) / p["t60"])
-        a = np.zeros(d + 1)
-        a[0], a[-1] = 1.0, -g
-        wet += scipy.signal.lfilter([1.0], a, x)
+        wet += _comb(x, d, 10.0 ** (-3.0 * (d / rate) / p["t60"]))
     wet /= len(delays_ms)
     return (1.0 - p["wet"]) * x + p["wet"] * wet
 
@@ -346,7 +360,7 @@ def _apply_rir_convolution(x, rate, p, rng, assets):
         tail /= max(np.sqrt(np.sum(tail**2)), 1e-12)
         pre = int(p["predelay_ms"] * rate / 1000.0)
         ir = np.concatenate([np.zeros(pre), [1.0], p["wet"] * tail])
-    return np.convolve(x, ir)
+    return scipy.signal.oaconvolve(x, ir)
 
 
 def _apply_short_delay(x, rate, p, rng, assets):
@@ -364,8 +378,14 @@ def _apply_griffin_lim(x, rate, p, rng, assets):
     data = mag * np.exp(1j * phase)
     for _ in range(iters):
         y = _from_spec(spec, data)
-        est = _spec_roundtrip(y, rate, int(p["window"]))
-        data = mag * np.exp(1j * np.angle(est.data))
+        data = _spec_roundtrip(y, rate, int(p["window"])).data
+        # keep mag, take the estimate's phase: mag * z / |z| (mag where z == 0),
+        # in place on the fresh estimate
+        norm = np.abs(data)
+        silent = norm == 0.0
+        data[silent], norm[silent] = 1.0, 1.0
+        data /= norm
+        data *= mag
     return _from_spec(spec, data)
 
 
@@ -537,6 +557,30 @@ class Primitive:
             else:
                 params[key] = float(rng.uniform(bound[0], bound[1]))
         return params
+
+    def check_bounds(self, bounds) -> None:
+        """Raise ConfigError unless `sample` can draw from ``bounds``: the
+        keys of DEFAULT_BOUNDS[name], non-empty choice lists, and (low,
+        high) ranges with low <= high, and low > 0 for `log` keys."""
+        where = f"bounds for {self.name!r}"
+        if not isinstance(bounds, dict):
+            raise ConfigError(f"{where} must be a dict, got {type(bounds).__name__}")
+        expected = DEFAULT_BOUNDS[self.name]
+        if set(bounds) != set(expected):
+            raise ConfigError(f"{where}: missing keys {sorted(set(expected) - set(bounds))}, "
+                              f"unknown keys {sorted(set(bounds) - set(expected))}")
+        for key, bound in bounds.items():
+            if isinstance(bound, list) and not bound:
+                raise ConfigError(f"{where}: {key!r} has no choices")
+            if not isinstance(bound, tuple):
+                continue
+            if (len(bound) != 2 or not all(isinstance(v, numbers.Real) for v in bound)
+                    or not bound[0] <= bound[1]):
+                raise ConfigError(f"{where}: {key!r} must be a (low, high) range with "
+                                  f"low <= high, got {bound!r}")
+            if key in self.log and not bound[0] > 0:
+                raise ConfigError(f"{where}: {key!r} is drawn log-uniformly, so its low end "
+                                  f"must be > 0, got {bound!r}")
 
 
 PRIMITIVES: dict[str, Primitive] = {

@@ -259,6 +259,21 @@ def stft(sig: Signal, frame: int = MEL_FRAME, hop: int = MEL_HOP) -> Spectrogram
     )
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frame t into samples [t * hop, t * hop + frame), at least frame +
+    hop * (n_frames - 1) samples long. Frames are cut into hop-wide
+    segments and segment j of every frame is added to output block t + j in
+    one whole-array step, latest segment first, so each sample sums its
+    frames in frame order: bit-identical to a per-frame loop."""
+    n_frames, frame = frames.shape
+    n_segments = -(-frame // hop)
+    out = np.zeros((n_frames + n_segments - 1, hop))
+    for j in reversed(range(n_segments)):
+        seg = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + n_frames, : seg.shape[1]] += seg
+    return out.ravel()
+
+
 def istft(spec: Spectrogram) -> Signal:
     """Weighted-overlap-add inverse of :func:`stft`.
 
@@ -272,12 +287,8 @@ def istft(spec: Spectrogram) -> Signal:
     window = _hann(frame)
     frames = np.fft.irfft(spec.data, n=frame, axis=1) * window
     n_padded = frame + hop * (spec.n_frames - 1)
-    out = np.zeros(n_padded)
-    wsum = np.zeros(n_padded)
-    for t in range(spec.n_frames):
-        start = t * hop
-        out[start : start + frame] += frames[t]
-        wsum[start : start + frame] += window**2
+    out = _overlap_add(frames, hop)[:n_padded]
+    wsum = _overlap_add(np.broadcast_to(window**2, frames.shape), hop)[:n_padded]
     pad = frame // 2
     support = wsum[pad : pad + spec.n_samples]
     if support.size and support.min() < 1e-8:

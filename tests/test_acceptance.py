@@ -3,7 +3,9 @@
 Run with ``pytest -v tests/test_acceptance.py`` — each test function is one
 criterion, so the -v report reads as the acceptance checklist. Every test
 also prints an explicit ``criterion N (...): PASS`` line (visible with -s
-and in failure output).
+and in failure output). Criteria 5 and 8 train networks and take most of
+the suite's time; they are marked ``slow``, so ``-m "not slow"`` gives a
+quick loop.
 
 The two trained networks are session-scoped fixtures with frozen seeds;
 every number asserted here was frozen from a preliminary run of the same
@@ -231,6 +233,7 @@ def test_4_gradient_exactness():
     report(4, "gradient exactness", checks)
 
 
+@pytest.mark.slow
 def test_5_learning_matches_oracle(toy_net):
     """20k-iteration DSM training on the 0.3/0.7 toy GMM: density-weighted
     relative squared score error vs the analytic oracle < 0.05 over
@@ -353,6 +356,7 @@ def test_7_distortion_engine():
     report(7, "distortion engine", checks)
 
 
+@pytest.mark.slow
 def test_8_speed_quality_structure(conditional_net):
     """Toy conditional denoising (x0 from the toy GMM, c = x0 + n), sweep
     over N in {1,2,4,8,16,32,64} x eps in {1.5, 2.3, 3.0}, 8 averaged

@@ -20,7 +20,13 @@ from scorewave.cli import (
     load_config,
     main,
 )
-from scorewave.distort import ChainConfig, DistortionSpec, apply_chain
+from scorewave.distort import (
+    ENGINE_VERSION,
+    ChainConfig,
+    DistortionSpec,
+    apply_chain,
+    chain_from_record,
+)
 from scorewave.errors import ConfigError
 from scorewave.metrics import evaluate_pair, snr
 from scorewave.oracle import GmmPrior
@@ -221,6 +227,56 @@ class TestDistort:
         code = main(["--config", str(cfg), "distort", str(manifest), str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()  # no log, so no per-file records
+
+    def test_every_record_carries_engine_version(self, tmp_path):
+        """Failed and written records alike name the engine version, and a
+        written record replays through chain_from_record."""
+        write_tone(tmp_path / "good.wav", seed=7)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/good.wav\n{tmp_path}/absent.wav\n")
+        out = tmp_path / "out"
+        assert main(["distort", str(manifest), str(out), "--seed", "3"]) == EXIT_IO
+        good, failed = read_lines(out / "distort_log.jsonl")[1:]
+        assert "error" in failed
+        assert good["engine_version"] == failed["engine_version"] == ENGINE_VERSION
+        pair = apply_chain(read_wav(good["input"]), chain_from_record(good), ChainConfig())
+        np.testing.assert_array_equal(
+            np.asarray(pair.distorted.samples, dtype=np.float32),
+            read_wav(good["distorted"]).samples)
+
+    def test_pools_loaded_once_per_rate_under_jobs(self, tmp_path, monkeypatch):
+        """Worker threads that meet a new sample rate together load its
+        noise and RIR pools once between them, not once each."""
+        import time
+
+        from scorewave import cli
+
+        pools = {}
+        for kind in ("noise", "rir"):
+            pools[kind] = tmp_path / kind
+            pools[kind].mkdir()
+            write_tone(pools[kind] / "a.wav", n=2000, rate=48000, seed=30)
+        for i in range(4):
+            write_tone(tmp_path / f"f{i}.wav", seed=40 + i)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("".join(f"{tmp_path}/f{i}.wav\n" for i in range(4)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"distort.noise_dir = {pools['noise']}\n"
+                       f"distort.rir_dir = {pools['rir']}\n")
+        calls = []
+        load_pool = cli._load_pool
+
+        def slow_load_pool(directory, rate):
+            calls.append((directory, rate))
+            time.sleep(0.05)  # widen the window in which a second thread could miss
+            return load_pool(directory, rate)
+
+        monkeypatch.setattr(cli, "_load_pool", slow_load_pool)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "distort", str(manifest), str(out),
+                     "--jobs", "2"]) == EXIT_OK
+        assert sorted(calls) == sorted([(str(pools["noise"]), 16000),
+                                        (str(pools["rir"]), 16000)])
 
     def test_jobs_fanout_matches_sequential(self, tmp_path):
         for i in range(3):

@@ -6,19 +6,22 @@ case plus a hand-derived response or bound, then chain sampling against
 counting statistics (chi-square on the length distribution, 3-sigma
 multinomial bands on type frequencies) and chain application against
 constructed oracles (exact delay recovery, exact SNR realization,
-bit-exact replay from the JSON log).
+bit-exact replay from the JSON log). The rewritten hot kernels are pinned
+against the plain forms they replaced, which live only in this file.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.signal
 
-from scorewave import ConfigError, NumericError, Signal
+from scorewave import ConfigError, NumericError, Signal, istft, stft
 from scorewave.distort import (
     DEFAULT_BOUNDS,
+    ENGINE_VERSION,
     PRIMITIVES,
     ChainConfig,
     DistortedPair,
@@ -27,7 +30,9 @@ from scorewave.distort import (
     apply_chain,
     biquad,
     chain_from_json,
+    chain_from_record,
     chain_to_json,
+    primitives,
     sample_chain,
 )
 
@@ -519,6 +524,108 @@ class TestPrimitiveResponses:
         assert 10.0 ** (-12.0 / 20.0) < ratio < 10.0 ** (12.0 / 20.0)
 
 
+# -- reference kernels: the straightforward forms the engine's kernels replaced
+
+
+def reference_envelope(x, rate, attack_ms, release_ms):
+    ca = np.exp(-1.0 / (rate * attack_ms / 1000.0))
+    cr = np.exp(-1.0 / (rate * release_ms / 1000.0))
+    env = np.empty_like(x)
+    level = 0.0
+    ax = np.abs(x)
+    for i in range(x.size):
+        c = ca if ax[i] > level else cr
+        level = c * level + (1.0 - c) * ax[i]
+        env[i] = level
+    return env
+
+
+def reference_comb(x, d, g):
+    a = np.zeros(d + 1)
+    a[0], a[-1] = 1.0, -g
+    return scipy.signal.lfilter([1.0], a, x)
+
+
+def reference_rir(x, rate, p, rng, assets):
+    pool = assets.get("rir_pool") or ()
+    if pool:
+        ir = np.asarray(pool[int(rng.integers(len(pool)))], dtype=np.float64)
+        ir = ir * rng.uniform(0.7, 1.0)
+    else:
+        length = max(8, int(p["ir_ms"] * rate / 1000.0))
+        t = np.arange(length) / rate
+        tail = rng.standard_normal(length) * 10.0 ** (-3.0 * t / p["t60"])
+        tail /= max(np.sqrt(np.sum(tail**2)), 1e-12)
+        pre = int(p["predelay_ms"] * rate / 1000.0)
+        ir = np.concatenate([np.zeros(pre), [1.0], p["wet"] * tail])
+    return np.convolve(x, ir)
+
+
+def reference_griffin_lim(x, rate, p, rng):
+    window = int(p["window"])
+    spec = stft(sig(x), frame=window, hop=window // 4)
+    mag = np.abs(spec.data)
+    data = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, size=mag.shape))
+    for _ in range(int(p["iterations"])):
+        y = istft(replace(spec, data=data)).samples
+        est = stft(sig(y), frame=window, hop=window // 4)
+        data = mag * np.exp(1j * np.angle(est.data))
+    return istft(replace(spec, data=data)).samples
+
+
+class TestKernelReferences:
+    """The engine's hot kernels against the plain forms kept above: equal
+    bit for bit where the arithmetic is unchanged, within 1e-12 of the
+    peak where the FFT convolution or the z / |z| phase projection
+    reorders it (ENGINE_VERSION 2)."""
+
+    @pytest.mark.parametrize("d", [1, 7, 475, 699, 5000])
+    def test_comb_equals_lfilter(self, d):
+        x = noise_signal(n=3000, seed=60)
+        for g in (0.0, 0.5, 0.93):
+            assert np.array_equal(primitives._comb(x, d, g), reference_comb(x, d, g))
+
+    def test_algorithmic_reverb_equals_lfilter_combs(self):
+        x = noise_signal(n=RATE, seed=61)
+        p = {"t60": 0.9, "wet": 0.6}
+        wet = sum(reference_comb(x, int(ms * RATE / 1000.0),
+                                 10.0 ** (-3.0 * (int(ms * RATE / 1000.0) / RATE) / p["t60"]))
+                  for ms in (29.7, 37.1, 41.1, 43.7)) / 4
+        assert np.array_equal(apply_direct(x, "algorithmic_reverb", p),
+                              (1.0 - p["wet"]) * x + p["wet"] * wet)
+
+    @pytest.mark.parametrize("attack_ms,release_ms", [(1.0, 20.0), (5.0, 100.0), (10.0, 300.0)])
+    def test_envelope_equals_per_sample_loop(self, attack_ms, release_ms):
+        x = noise_signal(n=RATE, seed=62)
+        x[3000:5000] = 0.0
+        gate = (np.abs(x) > 0.2).astype(np.float64)
+        for signal in (x, gate, np.zeros(10), np.zeros(0)):
+            got = primitives._envelope(signal, RATE, attack_ms, release_ms)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, reference_envelope(signal, RATE, attack_ms, release_ms))
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_rir_convolution_matches_direct_convolution(self, pool):
+        x = noise_signal(n=RATE, seed=63)
+        ir = np.exp(-np.arange(4000) / 800.0) * np.random.default_rng(5).standard_normal(4000)
+        assets = {"rir_pool": (ir,)} if pool else {}
+        for ir_ms in (100.0, 600.0):
+            p = {"t60": 0.8, "ir_ms": ir_ms, "predelay_ms": 12.0, "wet": 0.7}
+            got = apply_direct(x, "rir_convolution", p, seed=3, assets=assets)
+            ref = reference_rir(x, RATE, p, np.random.default_rng(3), assets)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("window", [256, 512, 1024])
+    def test_griffin_lim_matches_angle_projection(self, window):
+        x = noise_signal(n=RATE // 2, seed=64)
+        x[2000:3000] = 0.0  # silent bins: the projection must keep mag there
+        p = {"window": window, "iterations": 8}
+        got = apply_direct(x, "griffin_lim", p, seed=4)
+        ref = reference_griffin_lim(x, RATE, p, np.random.default_rng(4))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestChainSampling:
     """Counting statistics of the chain sampler."""
 
@@ -644,6 +751,26 @@ class TestChainSampling:
         with pytest.raises(ConfigError):
             ChainConfig(**kwargs)
 
+    @pytest.mark.parametrize("bounds,message", [
+        ({"clip": {"thresh": (0.1, 0.5)}}, "unknown keys"),
+        ({"clip": {}}, "missing keys"),
+        ({"clip": 0.5}, "must be a dict"),
+        ({"clip": {"threshold": (0.5, 0.1)}}, "low <= high"),
+        ({"clip": {"threshold": (0.5,)}}, "low <= high"),
+        ({"mu_law": {"bits": (8, 4), "mu": 255.0}}, "low <= high"),
+        ({"overdrive": {"gain": (-1.0, 2.0), "mix": (0.5, 1.0)}}, "low end must be > 0"),
+        ({"overdrive": {"gain": (0.0, 2.0), "mix": (0.5, 1.0)}}, "low end must be > 0"),
+        ({"down_sample": {"factor": [], "method": ["hold"]}}, "no choices"),
+    ], ids=["unknown-key", "missing-key", "not-a-dict", "reversed", "one-ended",
+            "reversed-int", "log-negative", "log-zero", "empty-choices"])
+    def test_bad_bounds_entry_rejected(self, bounds, message):
+        with pytest.raises(ConfigError, match=message):
+            ChainConfig(bounds=bounds)
+
+    def test_valid_bounds_override_is_drawn_from(self):
+        cfg = ChainConfig(weights={"clip": 1.0}, bounds={"clip": {"threshold": (0.2, 0.2)}})
+        assert sample_chain(cfg, np.random.default_rng(0))[0].params == {"threshold": 0.2}
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             DistortionSpec(kind="vinyl_crackle", params={}, seed=0)
@@ -708,6 +835,26 @@ class TestChainApplication:
             a = apply_chain(sig(x), chain, cfg)
             b = apply_chain(sig(x), replayed, cfg)
             assert np.array_equal(a.distorted.samples, b.distorted.samples)
+
+    def test_replay_from_record_checks_engine_version(self):
+        """A log record replays bit-exactly under the engine version that
+        wrote it; a record from another version, or one without the key
+        (version 1), is rejected rather than replayed to different audio."""
+        x = noise_signal(n=RATE, seed=49)
+        cfg = ChainConfig(noise_pool=(np.random.default_rng(3).standard_normal(RATE),))
+        chain = sample_chain(cfg, np.random.default_rng(90))
+        record = {"engine_version": ENGINE_VERSION, "chain": [s.to_dict() for s in chain]}
+        record = json.loads(json.dumps(record))
+        a = apply_chain(sig(x), chain, cfg)
+        b = apply_chain(sig(x), chain_from_record(record), cfg)
+        assert np.array_equal(a.distorted.samples, b.distorted.samples)
+        assert a.offset == b.offset
+        for stale in ({**record, "engine_version": 1},
+                      {key: value for key, value in record.items() if key != "engine_version"}):
+            with pytest.raises(ConfigError, match="engine version 1"):
+                chain_from_record(stale)
+        with pytest.raises(ConfigError, match="no chain"):
+            chain_from_record({"engine_version": ENGINE_VERSION, "error": "unreadable"})
 
     def test_error_carries_chain_index(self):
         x = noise_signal(seed=45)

@@ -4,6 +4,7 @@ trips and Parseval, mel filterbank geometry, loudness/VAD, deltas."""
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,23 @@ from scorewave import (
     write_features,
     write_wav,
 )
+
+
+def reference_istft(spec) -> np.ndarray:
+    """The per-frame weighted overlap-add that istft must equal bit for bit;
+    raises ZeroDivisionError where istft rejects a gap in the envelope."""
+    frame, hop = spec.frame, spec.hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    frames = np.fft.irfft(spec.data, n=frame, axis=1) * window
+    n_padded = frame + hop * (spec.n_frames - 1)
+    out, wsum = np.zeros(n_padded), np.zeros(n_padded)
+    for t in range(spec.n_frames):
+        out[t * hop : t * hop + frame] += frames[t]
+        wsum[t * hop : t * hop + frame] += window**2
+    support = wsum[frame // 2 : frame // 2 + spec.n_samples]
+    if support.min() < 1e-8:
+        raise ZeroDivisionError("gap in the window-power envelope")
+    return out[frame // 2 : frame // 2 + spec.n_samples] / support
 
 
 class TestSignal:
@@ -249,11 +267,26 @@ class TestStft:
         assert spec.n_frames == 1 + 16000 // 160
         assert spec.n_bins == 257
 
+    @pytest.mark.parametrize("frame,hop", [(256, 64), (512, 128), (1024, 256), (512, 160),
+                                           (400, 100), (300, 77), (256, 200), (64, 63)])
+    def test_istft_equals_per_frame_overlap_add(self, frame, hop):
+        """Bit for bit the per-frame loop: every sample sums its frames in
+        frame order, also for hops that do not divide the frame and for
+        data that is not the STFT of any signal."""
+        rng = np.random.default_rng(73)
+        for n in (1000, 16013):
+            spec = stft(Signal(samples=rng.normal(size=n)), frame=frame, hop=hop)
+            noisy = replace(spec, data=spec.data * np.exp(1j * rng.uniform(-3, 3, spec.data.shape)))
+            for s in (spec, noisy):
+                assert np.array_equal(istft(s).samples, reference_istft(s))
+
     def test_non_invertible_config_flagged(self):
         """hop == frame leaves zeros in the window-power envelope."""
         spec = stft(Signal(samples=np.ones(2048)), frame=512, hop=512)
         with pytest.raises(ConfigError, match="envelope"):
             istft(spec)
+        with pytest.raises(ZeroDivisionError):
+            reference_istft(spec)
 
     def test_bad_framing_rejected(self):
         s = Signal(samples=np.zeros(100))
