@@ -52,7 +52,7 @@ from .distort import (
     sample_chain,
 )
 from .errors import AudioError, ConfigError, NumericError
-from .metrics import evaluate_pair
+from .metrics import evaluate_pair, snr
 from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
 from .schedule import NoiseSchedule, denoise_only_plan, make_plan
@@ -159,7 +159,7 @@ def load_config(path: str | None) -> ToolkitConfig:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -446,7 +446,7 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
         report = evaluate_pair(ref.samples, enhanced,
                                resolutions=tuple(map(tuple, cfg["metrics.resolutions"])))
         record["metrics"] = report.to_dict()
-        record["input_snr"] = evaluate_pair(ref.samples, noisy.samples).snr
+        record["input_snr"] = snr(ref.samples, noisy.samples)
         print(f"enhance: snr {record['input_snr']:.2f} dB -> {report.snr:.2f} dB")
     else:
         print(f"enhance: wrote {args.output}")
@@ -458,8 +458,12 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
 
 def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     if args.pairs:
+        try:
+            text = Path(args.pairs).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise AudioError(f"cannot read pairs manifest {args.pairs}: {exc}") from exc
         pairs = []
-        for lineno, raw in enumerate(Path(args.pairs).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -538,6 +542,8 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int) -> int:
 
 
 def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     prior = _prior_from(cfg)
     rng = np.random.default_rng(seed)
     if args.method == "direct":

@@ -11,10 +11,16 @@ The multi-resolution distance is the mean over (frame, hop) resolutions
 of a spectral-convergence term ||(|R|-|E|)||_F / ||R||_F plus a mean
 absolute natural-log magnitude difference — so an estimate equal to
 2x the reference scores exactly 1 + ln 2 at every resolution.
+
+:func:`evaluate_pair` computes each (signal, frame, hop) magnitude
+spectrum once and shares it across metrics: the log-spectral distance
+reuses the 512/128 spectra of the first default multi-resolution STFT
+resolution. Its report is bit-identical to calling each metric separately.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +75,22 @@ def si_snr(reference, estimate) -> float:
     return _clamped_ratio_db(float(np.sum(target**2)), float(np.sum(residual**2)))
 
 
+# Per-call memo of magnitude spectra, open only while evaluate_pair runs:
+# (id(x), frame, hop) -> (x, |STFT(x)|). Holding x keeps its id from being
+# reused by another array while the memo lives.
+_SPECTRA: ContextVar[dict | None] = ContextVar("scorewave_metric_spectra", default=None)
+
+
 def _magnitudes(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    memo = _SPECTRA.get()
+    key = (id(x), frame, hop)
+    if memo is not None and key in memo:
+        return memo[key][1]
     spec = stft(Signal(samples=x, sample_rate=1), frame=frame, hop=hop)
-    return np.abs(spec.data)
+    mag = np.abs(spec.data)
+    if memo is not None:
+        memo[key] = (x, mag)
+    return mag
 
 
 def lsd(reference, estimate, frame: int = LSD_FRAME, hop: int = LSD_HOP) -> float:
@@ -130,11 +149,18 @@ class MetricReport:
 
 
 def evaluate_pair(reference, estimate, resolutions=DEFAULT_RESOLUTIONS) -> MetricReport:
-    value, parts = mrstft(reference, estimate, resolutions)
-    return MetricReport(
-        snr=snr(reference, estimate),
-        si_snr=si_snr(reference, estimate),
-        lsd=lsd(reference, estimate),
-        mrstft=value,
-        mrstft_parts=parts,
-    )
+    # validated once, so every metric below sees the same two array objects
+    # and the spectrum memo can match them by identity
+    ref, est = _pair(reference, estimate)
+    token = _SPECTRA.set({})
+    try:
+        value, parts = mrstft(ref, est, resolutions)
+        return MetricReport(
+            snr=snr(ref, est),
+            si_snr=si_snr(ref, est),
+            lsd=lsd(ref, est),
+            mrstft=value,
+            mrstft_parts=parts,
+        )
+    finally:
+        _SPECTRA.reset(token)

@@ -229,10 +229,6 @@ def _hann(frame: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
 
 
-def _frame_starts(n_padded: int, frame: int, hop: int) -> int:
-    return 1 + (n_padded - frame) // hop
-
-
 def stft(sig: Signal, frame: int = MEL_FRAME, hop: int = MEL_HOP) -> Spectrogram:
     """Centered Hann STFT: frames x (frame // 2 + 1) complex bins.
 
@@ -246,10 +242,9 @@ def stft(sig: Signal, frame: int = MEL_FRAME, hop: int = MEL_HOP) -> Spectrogram
     pad = frame // 2
     extra = (-(x.size + 2 * pad - frame)) % hop
     padded = np.concatenate([np.zeros(pad), x, np.zeros(pad + extra)])
-    n_frames = _frame_starts(padded.size, frame, hop)
-    window = _hann(frame)
-    idx = np.arange(frame) + hop * np.arange(n_frames)[:, None]
-    frames = padded[idx] * window
+    # frames are strided views into `padded`; the window product is the
+    # only copy
+    frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop] * _hann(frame)
     return Spectrogram(
         data=np.fft.rfft(frames, axis=1),
         frame=frame,
@@ -405,9 +400,9 @@ def loudness_vad(
     x = sig.samples
     if x.size < frame:
         raise AudioError(f"signal shorter than one frame ({x.size} < {frame})")
-    n_frames = 1 + (x.size - frame) // hop
-    idx = np.arange(frame) + hop * np.arange(n_frames)[:, None]
-    rms = np.sqrt(np.mean(x[idx] ** 2, axis=1))
+    squares = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop] ** 2
+    n_frames = squares.shape[0]
+    rms = np.sqrt(np.mean(squares, axis=1))
     level = 20.0 * np.log10(np.maximum(rms, 1e-6))
     above = level > threshold_db
     vad = np.zeros(n_frames)

@@ -100,6 +100,16 @@ class TestConfig:
                      "sample-prior", "--n", "1", "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_CONFIG
 
+    def test_non_utf8_file_is_config_error_exit(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"seed = 4\n\xff\xfe\x00bad\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(str(path))
+        code = main(["--config", str(path),
+                     "sample-prior", "--n", "1", "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "d.txt").exists()
+
     def test_echo_is_json_serializable(self):
         json.dumps(load_config(None).to_dict())
 
@@ -391,6 +401,30 @@ class TestEnhance:
         assert lines[0]["command"] == "enhance"
         assert lines[1]["metrics"]["snr"] > lines[1]["input_snr"]
 
+    def test_input_snr_without_second_evaluation(self, tmp_path, monkeypatch):
+        """The input SNR is the plain snr of (reference, input); only the
+        enhanced output goes through the full metric report."""
+        from scorewave import cli
+
+        clean, noisy = make_noisy_pair(tmp_path, n=300, seed=19)
+        calls = []
+
+        def counting_evaluate_pair(*args, **kwargs):
+            calls.append(args)
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_pair", counting_evaluate_pair)
+        log = tmp_path / "enh.jsonl"
+        code = main(["enhance", "--input", str(tmp_path / "noisy.wav"),
+                     "--output", str(tmp_path / "enh.wav"),
+                     "--reference", str(tmp_path / "clean.wav"),
+                     "--log", str(log), "--seed", "5"])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        clean32 = clean.astype(np.float32).astype(np.float64)
+        noisy32 = noisy.astype(np.float32).astype(np.float64)
+        assert read_lines(log)[1]["input_snr"] == snr(clean32, noisy32)
+
     def test_enhancement_is_deterministic(self, tmp_path):
         make_noisy_pair(tmp_path, n=300, seed=23)
         out_a, out_b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -512,6 +546,23 @@ class TestEval:
         assert len(rows) == 2
         assert rows[1]["snr"] == 100.0  # identical pair hits the dB cap
 
+    @pytest.mark.parametrize("content", [None, b"a.wav b.wav\n\xff\xfe\x00bad\n"],
+                             ids=["missing", "binary"])
+    def test_unreadable_pairs_manifest_is_io_error(self, tmp_path, content, capsys):
+        pairs = tmp_path / "pairs.txt"
+        if content is not None:
+            pairs.write_bytes(content)
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--pairs", str(pairs), "--out", str(out)]) == EXIT_IO
+        assert "cannot read pairs manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_pairs_line_is_config_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("# header\nonly-one-path.wav\n")
+        assert main(["eval", "--pairs", str(pairs)]) == EXIT_CONFIG
+        assert f"{pairs}:2: expected 'ref est'" in capsys.readouterr().err
+
     def test_neither_pairs_nor_files_is_config_error(self, tmp_path):
         assert main(["eval"]) == EXIT_CONFIG
 
@@ -585,6 +636,14 @@ class TestSamplePrior:
                          variances=[0.1, 0.1])
         want = sample_prior(prior, 64, np.random.default_rng(19)).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("method", ["direct", "langevin"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_is_config_error(self, tmp_path, n, method):
+        out = tmp_path / "draws.txt"
+        code = main(["sample-prior", "--n", n, "--method", method, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_langevin_method_lands_near_modes(self, tmp_path):
         out = tmp_path / "draws.txt"

@@ -3,11 +3,13 @@ distance implementation, scale-invariance properties, and the
 monotone-trend and hop-stability checks."""
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from scorewave import ConfigError, MetricError
+from scorewave import ConfigError, MetricError, metrics
 from scorewave.metrics import (
     DB_CAP,
     DEFAULT_RESOLUTIONS,
@@ -19,6 +21,7 @@ from scorewave.metrics import (
     si_snr,
     snr,
 )
+from scorewave.signal import stft as signal_stft
 
 RATE = 16000
 
@@ -187,3 +190,83 @@ class TestReport:
         assert report.si_snr == DB_CAP
         assert report.lsd == 0.0
         assert report.mrstft == 0.0
+
+
+def count_stfts(monkeypatch):
+    """Wrap metrics.stft; returns the list of (frame, hop) it was called with."""
+    calls = []
+
+    def counting_stft(sig, frame, hop):
+        calls.append((frame, hop))
+        return signal_stft(sig, frame=frame, hop=hop)
+
+    monkeypatch.setattr(metrics, "stft", counting_stft)
+    return calls
+
+
+def separate_report(ref, est, resolutions=DEFAULT_RESOLUTIONS) -> MetricReport:
+    value, parts = mrstft(ref, est, resolutions)
+    return MetricReport(snr=snr(ref, est), si_snr=si_snr(ref, est), lsd=lsd(ref, est),
+                        mrstft=value, mrstft_parts=parts)
+
+
+class TestSharedSpectra:
+    def test_six_stfts_with_default_resolutions(self, monkeypatch):
+        """lsd's 512/128 spectra are the first mrstft resolution's: 2 signals
+        x 3 resolutions, none computed twice."""
+        calls = count_stfts(monkeypatch)
+        x = ref_signal(n=RATE, seed=30)
+        evaluate_pair(x, with_noise_at(x, 10.0, seed=31))
+        assert len(calls) == 6
+        assert sorted(calls) == sorted(DEFAULT_RESOLUTIONS * 2)
+
+    @pytest.mark.parametrize("resolutions", [DEFAULT_RESOLUTIONS, ((256, 64), (512, 160))],
+                             ids=["default", "without-lsd-framing"])
+    def test_report_bit_equal_to_separate_metrics(self, resolutions):
+        x = ref_signal(n=RATE + 77, seed=32)
+        for est in (with_noise_at(x, 5.0, seed=33), 0.5 * x, x):
+            report = evaluate_pair(x, est, resolutions=resolutions)
+            assert report == separate_report(x, est, resolutions)
+        x32 = x.astype(np.float32)
+        est32 = with_noise_at(x, 5.0, seed=34).astype(np.float32)
+        assert evaluate_pair(x32, est32, resolutions) == separate_report(x32, est32, resolutions)
+
+    def test_memo_closed_after_return_and_after_error(self, monkeypatch):
+        calls = count_stfts(monkeypatch)
+        x = ref_signal(n=RATE, seed=35)
+        est = with_noise_at(x, 10.0, seed=36)
+        evaluate_pair(x, est)
+        calls.clear()
+        lsd(x, est)
+        y = ref_signal(n=RATE, seed=37)
+        lsd(y, 2.0 * y)
+        assert calls == [(512, 128)] * 4
+        with pytest.raises(ConfigError):
+            evaluate_pair(x, est, resolutions=())
+        calls.clear()
+        lsd(x, est)
+        assert len(calls) == 2
+
+    def test_threads_get_their_own_reports(self, monkeypatch):
+        """Two threads inside evaluate_pair at once each make their own six
+        STFTs and get the report of their own pair."""
+        barrier = threading.Barrier(2)
+        per_thread: dict[int, int] = {}
+
+        def meeting_stft(sig, frame, hop):
+            ident = threading.get_ident()
+            per_thread[ident] = per_thread.get(ident, 0) + 1
+            if per_thread[ident] == 1:
+                barrier.wait(timeout=30)
+            return signal_stft(sig, frame=frame, hop=hop)
+
+        x = ref_signal(n=RATE, seed=38)
+        y = ref_signal(n=RATE, seed=39, amp=0.1)
+        pairs = [(x, with_noise_at(x, 3.0, seed=40)), (y, with_noise_at(y, 20.0, seed=41))]
+        expected = [separate_report(ref, est) for ref, est in pairs]
+        monkeypatch.setattr(metrics, "stft", meeting_stft)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reports = list(pool.map(lambda pair: evaluate_pair(*pair), pairs))
+        assert reports == expected
+        assert reports[0] != reports[1]
+        assert sorted(per_thread.values()) == [6, 6]

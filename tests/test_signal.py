@@ -221,7 +221,30 @@ class TestResample:
             resample(Signal(samples=np.zeros(10)), -8000)
 
 
+def reference_stft(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    """The index-gather framing that stft's strided framing must equal bit
+    for bit."""
+    pad = frame // 2
+    extra = (-(x.size + 2 * pad - frame)) % hop
+    padded = np.concatenate([np.zeros(pad), x, np.zeros(pad + extra)])
+    n_frames = 1 + (padded.size - frame) // hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    idx = np.arange(frame) + hop * np.arange(n_frames)[:, None]
+    return np.fft.rfft(padded[idx] * window, axis=1)
+
+
 class TestStft:
+    @pytest.mark.parametrize("frame,hop", [(256, 64), (512, 128), (1024, 256), (2048, 512),
+                                           (512, 160), (400, 100), (300, 77), (256, 200)])
+    def test_equals_gather_framing(self, frame, hop):
+        """Bit for bit the index-gather reference, for hops that divide the
+        frame and hops that do not, and for a signal shorter than a frame."""
+        rng = np.random.default_rng(74)
+        for n in (frame // 3, 1000, 16013):
+            x = rng.normal(size=n)
+            spec = stft(Signal(samples=x), frame=frame, hop=hop)
+            assert np.array_equal(spec.data, reference_stft(x, frame, hop))
+
     def test_impulse_flat_magnitude(self):
         """A unit impulse at the center of frame 0 has |X_k| = 1 in every
         bin (the DFT of a shifted delta is a pure phase ramp)."""
@@ -339,6 +362,17 @@ class TestMel:
 
 
 class TestLoudnessVad:
+    @pytest.mark.parametrize("frame,hop", [(512, 160), (400, 100), (256, 64), (300, 77)])
+    def test_level_equals_gather_framing(self, frame, hop):
+        """Column 0 is bit for bit the RMS over index-gathered frames."""
+        x = 0.3 * np.random.default_rng(75).normal(size=4001)
+        n_frames = 1 + (x.size - frame) // hop
+        idx = np.arange(frame) + hop * np.arange(n_frames)[:, None]
+        rms = np.sqrt(np.mean(x[idx] ** 2, axis=1))
+        out = loudness_vad(Signal(samples=x), frame=frame, hop=hop)
+        assert out.shape == (n_frames, 2)
+        assert np.array_equal(out[:, 0], 20.0 * np.log10(np.maximum(rms, 1e-6)))
+
     def test_full_scale_sine_loudness(self):
         """RMS of a full-scale sine is 1/sqrt(2): -3.0103 dBFS per frame
         (frames span whole periods, so the figure is exact)."""
