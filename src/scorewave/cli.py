@@ -379,8 +379,8 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int) -> int:
         rng_state_path = Path(args.resume).with_suffix(Path(args.resume).suffix + ".rng.json")
         try:
             rng.bit_generator.state = json.loads(rng_state_path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"missing rng sidecar for resume: {exc}") from exc
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"missing or malformed rng sidecar for resume: {exc!r}") from exc
     else:
         net = ScoreNet(
             ScoreNetConfig(

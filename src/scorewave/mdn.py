@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .scorenet import OptimizerConfig, adam_step, init_optimizer
+from .scorenet import OptimizerConfig, adam_step, flatten, init_optimizer, pack
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -36,8 +36,8 @@ class MdnParams:
     means: (k, d); a 1-D array of length k is promoted to d = 1.
     log_scales: (k, d), exponentiated to per-dimension scales s > 0.
 
-    The arrays stay writable: heads are trained in place through the same
-    flat name -> array dicts the score network uses.
+    The arrays stay writable: :func:`fit_mdn` trains a head in place through
+    views into one parameter vector, with the score network's Adam.
     """
 
     logits: np.ndarray
@@ -248,20 +248,19 @@ def fit_mdn(
         y = y[:, None]
     if y.ndim != 2 or y.shape[0] < k:
         raise ConfigError(f"need at least k={k} rows of data, got shape {y.shape}")
-    d = y.shape[1]
     spread = np.log(np.maximum(y.std(axis=0), 1e-6))
-    params = MdnParams(
-        logits=np.zeros(k),
-        means=y[rng.choice(y.shape[0], size=k, replace=False)].copy(),
-        log_scales=np.broadcast_to(spread, (k, d)).copy(),
-    )
-    arrays = {"logits": params.logits, "means": params.means, "log_scales": params.log_scales}
-    state = init_optimizer(arrays, OptimizerConfig(total_steps=n_iters, peak_lr=peak_lr))
+    flat, views = flatten({
+        "logits": np.zeros(k),
+        "means": y[rng.choice(y.shape[0], size=k, replace=False)],
+        "log_scales": np.broadcast_to(spread, (k, y.shape[1])),
+    })
+    params = MdnParams(**views)
+    state = init_optimizer(views, OptimizerConfig(total_steps=n_iters, peak_lr=peak_lr))
     trace = np.empty(n_iters)
     for it in range(n_iters):
         loss, grads = mdn_nll_grads(params, y)
         if not np.isfinite(loss):
             raise ConfigError(f"non-finite NLL at iteration {it}")
-        adam_step(state, arrays, grads)
+        adam_step(state, flat, pack(grads))
         trace[it] = loss
     return params, trace

@@ -24,15 +24,15 @@ matrices only — biases and PReLU slopes are excluded — under a linear
 warm-up (first 5% of iterations, starting at peak/125) followed by cosine
 decay from the peak learning rate of 2e-4.
 
-Parameters live in flat name -> array dicts and are updated in place, so
-views held by the layer objects stay valid.
+Parameters live in one float64 vector, ``ScoreNet.flat``, in sorted-name
+order; layers hold views into it, and one in-place Adam update trains all.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .oracle import sample as sample_prior
 from .schedule import NoiseSchedule
 
 _CKPT_MAGIC = b"SWCKPT01"
+_ADAM_BLOCK = 32768  # elements per Adam slice: 256 KB per vector, six vectors fit in L2
 
 
 def _prelu(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -53,6 +54,20 @@ def _prelu_backward(x: np.ndarray, a: np.ndarray, dout: np.ndarray):
     neg = np.where(x > 0, 0.0, x)
     da = (dout * neg).reshape(-1, x.shape[-1]).sum(axis=0)
     return dx, da
+
+
+def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The named arrays copied into one float64 vector, laid out by sorted name."""
+    return np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)], dtype=np.float64)
+
+
+def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """:func:`pack` the arrays and return (vector, name -> view): each view
+    has its array's shape and shares memory with the vector."""
+    flat, names = pack(arrays), sorted(arrays)
+    ends = np.cumsum([np.size(arrays[k]) for k in names]).tolist()
+    pieces = (flat[end - np.size(arrays[k]):end] for k, end in zip(names, ends))
+    return flat, {k: v.reshape(np.shape(arrays[k])) for k, v in zip(names, pieces)}
 
 
 def _affine_init(n_in: int, n_out: int, rng: np.random.Generator):
@@ -239,21 +254,21 @@ class ScoreNet:
         self.config = config
         self.embedding = SigmaEmbedding(config.n_pairs, config.embed_dim, rng)
         self.mlp = FilmMlp(config, rng)
+        layers = {"emb": self.embedding.params, "mlp": self.mlp.params}
+        named = {f"{p}.{k}": v for p, ps in layers.items() for k, v in ps.items()}
+        self.flat, self._views = flatten(named)
+        for p, ps in layers.items():
+            ps.update({k: self._views[f"{p}.{k}"] for k in ps})
         self.opt_state: OptimizerState | None = None
         self._cache: dict | None = None
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Flat view of every trainable array (frozen frequencies excluded).
-
-        The arrays are the live ones used in forward passes; in-place
-        updates through this dict train the network.
-        """
-        out = {f"emb.{k}": v for k, v in self.embedding.params.items()}
-        out.update({f"mlp.{k}": v for k, v in self.mlp.params.items()})
-        return out
+        """Named views of every trainable array (frozen frequencies excluded);
+        they share memory with :attr:`flat` and the layers' own arrays."""
+        return self._views
 
     def n_parameters(self) -> int:
-        return sum(v.size for v in self.parameters().values())
+        return self.flat.size
 
     def forward(self, x, c, sigma, train: bool = False) -> np.ndarray:
         """Score estimate S(x, c, sigma); x may be (dim_x,) or batched
@@ -286,9 +301,8 @@ class ScoreNet:
             d_out = d_out[None, :]
         mlp_grads, d_e = self.mlp.backward(self._cache["mlp"], d_out)
         emb_grads = self.embedding.backward(self._cache["emb"], d_e)
-        grads = {f"emb.{k}": v for k, v in emb_grads.items()}
-        grads.update({f"mlp.{k}": v for k, v in mlp_grads.items()})
-        return grads
+        layers = {"emb": emb_grads, "mlp": mlp_grads}
+        return {f"{p}.{k}": v for p, grads in layers.items() for k, v in grads.items()}
 
 
 @dataclass(frozen=True)
@@ -347,45 +361,48 @@ def decay_mask(params: dict[str, np.ndarray]) -> dict[str, bool]:
 
 @dataclass
 class OptimizerState:
+    """Adam moments and weight-decay mask, laid out like the parameter vector."""
+
     config: OptimizerConfig
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    mask: dict[str, bool]
+    m: np.ndarray
+    v: np.ndarray
+    mask: np.ndarray
     step: int = 0
 
 
 def init_optimizer(params: dict[str, np.ndarray], config: OptimizerConfig) -> OptimizerState:
-    return OptimizerState(
-        config=config,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        mask=decay_mask(params),
-    )
+    names, decays = sorted(params), decay_mask(params)
+    mask = np.repeat([decays[k] for k in names], [params[k].size for k in names])
+    return OptimizerState(config=config, m=np.zeros(mask.size), v=np.zeros(mask.size), mask=mask)
 
 
-def adam_step(state: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
-    """One in-place Adam update with masked decoupled weight decay.
+def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> float:
+    """One in-place Adam update of a parameter vector, with decoupled weight
+    decay where ``state.mask`` is set; returns the learning rate used.
 
-    Returns the learning rate used. Parameter arrays are mutated in place
-    so live views inside the network stay valid.
+    The vector is updated in slices of ``_ADAM_BLOCK`` elements, each through
+    two scratch buffers with ``out=`` ufuncs: one slice of all six vectors
+    stays in cache, and no whole-vector temporary is allocated.
     """
     cfg = state.config
     lr = lr_at(cfg, state.step)
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+    buffers = np.empty((2, min(_ADAM_BLOCK, params.size)))
+    for lo in range(0, params.size, _ADAM_BLOCK):
+        p, g, m, v, mask = (a[lo:lo + _ADAM_BLOCK]
+                            for a in (params, grads, state.m, state.v, state.mask))
+        update, scratch = buffers[:, : p.size]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=scratch)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        if state.mask[name] and cfg.weight_decay:
-            update = update + cfg.weight_decay * p
-        p -= lr * update
+        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=scratch), g, out=scratch)
+        np.divide(m, bc1, out=update)
+        np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+        update /= np.add(scratch, cfg.eps, out=scratch)
+        if cfg.weight_decay:
+            np.add(update, np.multiply(cfg.weight_decay, p, out=scratch), out=update, where=mask)
+        p -= np.multiply(lr, update, out=update)
     state.step = t
     return float(lr)
 
@@ -440,15 +457,14 @@ def train(
     else:
         raise ConfigError(f"data must be a GmmPrior or a callable batch sampler, got {type(data)!r}")
 
-    params = net.parameters()
-    state = opt_state if opt_state is not None else init_optimizer(params, opt_config)
+    state = opt_state if opt_state is not None else init_optimizer(net.parameters(), opt_config)
     trace = np.empty(n_iters)
     for it in range(n_iters):
         x0, c = draw(rng, batch_size)
         loss, grads = dsm_loss_and_grads(net, x0, c, schedule, rng)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        adam_step(state, params, grads)
+        adam_step(state, net.flat, pack(grads))
         trace[it] = loss
     net.opt_state = state
     return trace
@@ -459,61 +475,37 @@ def save_checkpoint(path, net: ScoreNet, opt_state: OptimizerState | None = None
 
     Layout: 8-byte magic "SWCKPT01"; uint32 little-endian JSON header
     length; UTF-8 JSON header (config echo, optimizer config/step, ordered
-    array names and shapes); then raw little-endian float64 data for each
-    array in header order — frozen frequencies first, parameters next,
-    then (if present) optimizer first and second moments in parameter
-    order.
+    array names and shapes); then raw little-endian float64 data: the
+    frozen frequencies, the parameter vector (arrays in header order) and,
+    if present, the optimizer's first and second moment vectors.
     """
     params = net.parameters()
-    names = sorted(params)
-    cfg = net.config
     header = {
-        "config": {
-            "dim_x": cfg.dim_x,
-            "dim_c": cfg.dim_c,
-            "hidden": list(cfg.hidden),
-            "n_pairs": cfg.n_pairs,
-            "embed_dim": cfg.embed_dim,
-        },
-        "param_names": names,
-        "param_shapes": {k: list(params[k].shape) for k in names},
+        "config": asdict(net.config),
+        "param_names": list(params),
+        "param_shapes": {k: list(p.shape) for k, p in params.items()},
         "has_opt": opt_state is not None,
     }
+    payload = [net.embedding.frequencies, net.flat]
     if opt_state is not None:
-        oc = opt_state.config
-        header["opt"] = {
-            "total_steps": oc.total_steps,
-            "peak_lr": oc.peak_lr,
-            "warmup_frac": oc.warmup_frac,
-            "warmup_start_factor": oc.warmup_start_factor,
-            "weight_decay": oc.weight_decay,
-            "beta1": oc.beta1,
-            "beta2": oc.beta2,
-            "eps": oc.eps,
-            "step": opt_state.step,
-        }
+        header["opt"] = asdict(opt_state.config) | {"step": opt_state.step}
+        payload += [opt_state.m, opt_state.v]
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(net.embedding.frequencies, dtype="<f8").tobytes())
-        for k in names:
-            fh.write(np.ascontiguousarray(params[k], dtype="<f8").tobytes())
-        if opt_state is not None:
-            for k in names:
-                fh.write(np.ascontiguousarray(opt_state.m[k], dtype="<f8").tobytes())
-            for k in names:
-                fh.write(np.ascontiguousarray(opt_state.v[k], dtype="<f8").tobytes())
+        for arr in payload:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path):
     """Rebuild (net, opt_state or None) from a checkpoint file.
 
     A file that does not match the layout :func:`save_checkpoint` writes
-    (bad magic, short or undecodable header, parameter shapes other than
-    the header's config implies, payload longer or shorter than the header
-    implies) raises :class:`ConfigError`.
+    (bad magic, short or undecodable header, parameter names or shapes
+    other than the header's config implies, payload longer or shorter than
+    the header implies) raises :class:`ConfigError`.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -523,8 +515,7 @@ def load_checkpoint(path):
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen).decode("utf-8"))
             cfg = ScoreNetConfig(**header["config"])
-            names = header["param_names"]
-            shapes = {k: tuple(header["param_shapes"][k]) for k in names}
+            layout = [(k, tuple(header["param_shapes"][k])) for k in header["param_names"]]
             opt_config, step = None, 0
             if header["has_opt"]:
                 oh = dict(header["opt"])
@@ -536,34 +527,21 @@ def load_checkpoint(path):
 
     net = ScoreNet(cfg, np.random.default_rng(0))
     params = net.parameters()
-    if set(names) != set(params) or any(shapes[k] != params[k].shape for k in names):
+    if layout != [(k, p.shape) for k, p in params.items()]:
         raise ConfigError("checkpoint parameters do not match the rebuilt network")
     n_copies = 1 if opt_config is None else 3  # parameters, then Adam's m and v
-    expected = 8 * (cfg.n_pairs + n_copies * sum(params[k].size for k in names))
+    expected = 8 * (cfg.n_pairs + n_copies * net.flat.size)
     if len(raw) != expected:
         raise ConfigError(f"{path}: checkpoint payload is {len(raw)} bytes, "
                           f"its header implies {expected}")
 
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += 8 * n
-        return arr
-
-    freq = take((cfg.n_pairs,))
-    freq.flags.writeable = False
-    net.embedding.frequencies = freq
-    for k in names:
-        params[k][...] = take(shapes[k])
-    opt_state = None
-    if opt_config is not None:
-        opt_state = init_optimizer(params, opt_config)
+    freq, *vectors = np.split(np.frombuffer(raw, dtype="<f8"),
+                              cfg.n_pairs + net.flat.size * np.arange(n_copies))
+    net.embedding.frequencies = freq.copy()
+    net.embedding.frequencies.flags.writeable = False
+    net.flat[...] = vectors[0]
+    opt_state = None if opt_config is None else init_optimizer(params, opt_config)
+    if opt_state is not None:
         opt_state.step = step
-        for k in names:
-            opt_state.m[k][...] = take(shapes[k])
-        for k in names:
-            opt_state.v[k][...] = take(shapes[k])
+        opt_state.m[...], opt_state.v[...] = vectors[1:]
     return net, opt_state

@@ -460,15 +460,21 @@ def write_features(path, array: np.ndarray, meta: dict | None = None) -> None:
 
 
 def read_features(path):
-    """Load a feature dump; returns (float32 array, meta dict)."""
+    """Load a feature dump; returns (float32 array, meta dict).
+
+    A dump whose header is cut short or undecodable, or whose payload does
+    not hold exactly the header's shape, raises :class:`AudioError`.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _FEAT_MAGIC:
             raise AudioError(f"{path}: not a feature dump (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        raw = fh.read()
-    shape = tuple(header["shape"])
-    n = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(raw, dtype="<f4", count=n).reshape(shape).copy()
-    return arr, header["meta"]
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            shape = tuple(header["shape"])
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative shape {shape}")
+            return np.frombuffer(fh.read(), dtype="<f4").reshape(shape).copy(), header["meta"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise AudioError(f"{path}: malformed feature dump: {exc!r}") from exc

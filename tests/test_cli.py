@@ -364,6 +364,20 @@ class TestTrain:
                      "--resume", str(ckpt), "--config", cfg, "--seed", "1"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sidecar", [b"{bad", b'{"a": 1}', b"[1, 2]", b"\xff\xfe"],
+                             ids=["not_json", "not_pcg64", "not_a_dict", "not_utf8"])
+    def test_resume_with_malformed_rng_sidecar_is_config_error(self, tmp_path, sidecar):
+        cfg = self.write_cfg(tmp_path)
+        leg1 = tmp_path / "leg1.bin"
+        assert main(["train", "--out", str(leg1), "--iterations", "2",
+                     "--config", cfg, "--seed", "3"]) == EXIT_OK
+        (tmp_path / "leg1.bin.rng.json").write_bytes(sidecar)
+        out = tmp_path / "leg2.bin"
+        code = main(["train", "--out", str(out), "--iterations", "2",
+                     "--resume", str(leg1), "--config", cfg, "--seed", "3"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
     def test_corpus_manifest_training_runs(self, tmp_path):
         write_tone(tmp_path / "c.wav", seed=6, n=2000)
         manifest = tmp_path / "m.txt"

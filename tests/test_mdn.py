@@ -4,6 +4,8 @@ density recovery by gradient-descent fitting."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,17 @@ class TestFit:
         b, _ = fit_mdn(y, k=2, n_iters=100, rng=np.random.default_rng(61))
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.logits, b.logits)
+
+    def test_fit_matches_recorded_digest(self):
+        """Fitted head and loss trace pinned to a sha256 digest recorded
+        before the fit moved onto one parameter vector (numpy 2.x, x86-64)."""
+        prior = GmmPrior(weights=[0.3, 0.7], means=[-1.0, 0.5], variances=[0.09, 0.04])
+        y = sample_prior(prior, 300, np.random.default_rng(42))
+        params, trace = fit_mdn(y, k=2, n_iters=150, rng=np.random.default_rng(43))
+        blob = b"".join(a.tobytes() for a in (params.logits, params.means,
+                                              params.log_scales, trace))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "57a49b2f283a01d21c27c594fcc792255d9fa28d14949c3b995067b174636f57")
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ differences of the full batched DSM objective with the randomness frozen
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -348,8 +349,7 @@ class TestOptimizer:
         params = net.parameters()
         before = {k: v.copy() for k, v in params.items()}
         state = init_optimizer(params, OptimizerConfig(total_steps=10, weight_decay=0.1))
-        zero = {k: np.zeros_like(v) for k, v in params.items()}
-        adam_step(state, params, zero)
+        adam_step(state, net.flat, np.zeros_like(net.flat))
         for name, p in params.items():
             if name.endswith((".b", ".a", ".gb", ".hb")):
                 np.testing.assert_array_equal(p, before[name])
@@ -365,7 +365,7 @@ class TestOptimizer:
                               weight_decay=0.0)
         state = init_optimizer(p, cfg)
         g1 = np.array([0.3])
-        adam_step(state, p, {"x.w": g1})
+        adam_step(state, p["x.w"], g1)
         m = 0.1 * 0.3
         v = 0.001 * 0.09
         expect = 1.0 - 1e-2 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
@@ -435,6 +435,26 @@ class TestTraining:
                   n_iters=10, batch_size=4, rng=np.random.default_rng(31))
 
 
+class TestParameterStore:
+    def test_views_share_memory_with_flat(self):
+        """Every named parameter, and every layer's own array, is a view of
+        the one parameter vector; a write through the vector moves forward()."""
+        net = ScoreNet(ScoreNetConfig(dim_x=2, dim_c=1, hidden=(5, 4), n_pairs=3, embed_dim=6),
+                       np.random.default_rng(37))
+        params = net.parameters()
+        assert params is net.parameters()
+        assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+        assert net.n_parameters() == net.flat.size == sum(p.size for p in params.values())
+        layers = list(net.embedding.params.values()) + list(net.mlp.params.values())
+        assert len(layers) == len(params)
+        for arr in list(params.values()) + layers:
+            assert np.shares_memory(arr, net.flat)
+        x, c = np.array([[0.3, -0.2]]), np.array([0.5])
+        before = net.forward(x, c, 0.7)
+        net.flat += 0.1
+        assert not np.array_equal(net.forward(x, c, 0.7), before)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitexact(self, tmp_path):
         net = ScoreNet(ScoreNetConfig(dim_x=2, dim_c=1, hidden=(6, 5), n_pairs=4, embed_dim=7),
@@ -442,9 +462,8 @@ class TestCheckpoint:
         randomize(net, np.random.default_rng(33))
         state = init_optimizer(net.parameters(), OptimizerConfig(total_steps=500))
         state.step = 123
-        for k in state.m:
-            state.m[k] += 0.1
-            state.v[k] += 0.2
+        state.m += 0.1
+        state.v += 0.2
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net, state)
         net2, state2 = load_checkpoint(path)
@@ -452,9 +471,8 @@ class TestCheckpoint:
         for name, p in net.parameters().items():
             np.testing.assert_array_equal(net2.parameters()[name], p)
         assert state2.step == 123
-        for k in state.m:
-            np.testing.assert_array_equal(state2.m[k], state.m[k])
-            np.testing.assert_array_equal(state2.v[k], state.v[k])
+        np.testing.assert_array_equal(state2.m, state.m)
+        np.testing.assert_array_equal(state2.v, state.v)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         """Train 60 iters straight vs 30 + checkpoint + restore + 30 with the
@@ -479,6 +497,38 @@ class TestCheckpoint:
 
         for name, p in net_a.parameters().items():
             np.testing.assert_array_equal(net_c.parameters()[name], p)
+
+    def test_bytes_match_recorded_digests(self, tmp_path):
+        """Checkpoint bytes after 30 steps (with and without optimizer
+        state) and after 30 resumed steps, pinned to sha256 digests recorded
+        before the parameters moved into one vector (numpy 2.x, OpenBLAS,
+        x86-64): the layout and the Adam arithmetic are unchanged."""
+        from scorewave import GmmPrior, sample_prior
+
+        prior = GmmPrior(weights=[0.3, 0.7], means=[-1.0, 0.5], variances=[0.09, 0.04])
+
+        def draw(r, b):
+            x0 = sample_prior(prior, b, r)
+            return x0, x0 + 0.5 * r.standard_normal(x0.shape)
+
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=(8, 8), n_pairs=4, embed_dim=8),
+                       np.random.default_rng(40))
+        rng = np.random.default_rng(41)
+        train(net, draw, NoiseSchedule(), OptimizerConfig(total_steps=60, peak_lr=1e-3),
+              n_iters=30, batch_size=16, rng=rng)
+        save_checkpoint(tmp_path / "opt.ckpt", net, net.opt_state)
+        save_checkpoint(tmp_path / "bare.ckpt", net)
+        net2, state = load_checkpoint(tmp_path / "opt.ckpt")
+        train(net2, draw, NoiseSchedule(), state.config, n_iters=30, batch_size=16, rng=rng,
+              opt_state=state)
+        save_checkpoint(tmp_path / "resumed.ckpt", net2, net2.opt_state)
+        digests = {name: hashlib.sha256((tmp_path / f"{name}.ckpt").read_bytes()).hexdigest()
+                   for name in ("opt", "bare", "resumed")}
+        assert digests == {
+            "opt": "f36022325dbf821d56b1cd3f2294e54df9d09169e19f54a675dde510c9c888a1",
+            "bare": "a78af53871ea386aadf5ed583d2a6fd828775c5f0db0b2b687dd2bc214d14179",
+            "resumed": "fb0bae45bfe8960f4e31fd21d733e1c039e73135efce2a85e97c0ace5d74e6ea",
+        }
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

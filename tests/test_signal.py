@@ -438,6 +438,30 @@ class TestFeatureDump:
         np.testing.assert_array_equal(back, arr)
         assert got_meta == meta
 
+    @pytest.mark.parametrize("case", ["no_length", "short_payload", "long_payload",
+                                      "not_utf8", "not_json", "no_shape", "negative_shape"])
+    def test_malformed_dump_is_audio_error(self, tmp_path, case):
+        path = tmp_path / "f.feat"
+        write_features(path, np.ones((3, 2), dtype=np.float32), {"kind": "mel"})
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        head, payload = blob[:12], blob[12 + hlen:]
+
+        def with_header(text):
+            return blob[:8] + struct.pack("<I", len(text)) + text + payload
+
+        path.write_bytes({
+            "no_length": blob[:10],
+            "short_payload": blob[:-4],
+            "long_payload": blob + b"\x00" * 4,
+            "not_utf8": head + b"\xff" * hlen + payload,
+            "not_json": head + b"{" * hlen + payload,
+            "no_shape": with_header(b'{"meta": {}}'),
+            "negative_shape": with_header(b'{"shape": [-3, -2], "meta": {}}'),
+        }[case])
+        with pytest.raises(AudioError):
+            read_features(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.feat"
         path.write_bytes(b"NOTFEAT0" + b"\x00" * 8)
