@@ -6,28 +6,16 @@ analytic Gaussian-mixture score oracles, a small FiLM-conditioned score
 network with hand-written gradients, mixture-density auxiliary losses,
 waveform/spectrogram utilities, a programmatic distortion engine, and
 enhancement metrics. The ``scorewave`` CLI fronts the lot.
+
+The package re-exports the names the README's examples import from it,
+the error classes and ``__version__``; every other name is imported from
+its module (``scorewave.signal``, ``scorewave.mdn``, ...).
 """
 
 from __future__ import annotations
 
-from .diffusion import (
-    denoise_final,
-    dsm_loss,
-    dsm_loss_batch,
-    enhance_expectation,
-    langevin_sample,
-    perturb,
-)
-from .distort import (
-    ChainConfig,
-    DistortedPair,
-    DistortionSpec,
-    SoftClipWarning,
-    apply_chain,
-    chain_from_json,
-    chain_to_json,
-    sample_chain,
-)
+from .diffusion import langevin_sample
+from .distort import ChainConfig, apply_chain, sample_chain
 from .errors import (
     AudioError,
     ConfigError,
@@ -37,56 +25,9 @@ from .errors import (
     ScorewaveError,
     TrainingError,
 )
-from .mdn import (
-    MdnParams,
-    TargetGroup,
-    auxiliary_loss,
-    fit_mdn,
-    group_loss,
-    mdn_density,
-    mdn_mean,
-    mdn_nll,
-    mdn_nll_grads,
-    mdn_sample,
-)
-from .metrics import MetricReport, evaluate_pair, lsd, mrstft, si_snr, snr
-from .oracle import GmmPrior, log_density, perturbed_score, posterior_prior, score_function
-from .oracle import sample as sample_prior
-from .schedule import (
-    DEFAULT_SIGMA_MAX,
-    DEFAULT_SIGMA_MIN,
-    NoiseSchedule,
-    SamplingPlan,
-    denoise_only_plan,
-    make_plan,
-)
-from .scorenet import (
-    OptimizerConfig,
-    OptimizerState,
-    ScoreNet,
-    ScoreNetConfig,
-    SigmaEmbedding,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
-from .signal import (
-    MelFeatures,
-    Signal,
-    Spectrogram,
-    append_deltas,
-    deltas,
-    istft,
-    log_mel,
-    loudness_vad,
-    mel_filterbank,
-    read_features,
-    read_wav,
-    resample,
-    stft,
-    write_features,
-    write_wav,
-)
+from .oracle import GmmPrior, score_function
+from .schedule import NoiseSchedule, make_plan
+from .scorenet import OptimizerConfig, ScoreNet, ScoreNetConfig, train
 
 __version__ = "0.1.0"
 
@@ -94,73 +35,20 @@ __all__ = [
     "AudioError",
     "ChainConfig",
     "ConfigError",
-    "DEFAULT_SIGMA_MAX",
-    "DEFAULT_SIGMA_MIN",
-    "DistortedPair",
-    "DistortionSpec",
     "GmmPrior",
-    "MdnParams",
-    "MelFeatures",
     "MetricError",
-    "MetricReport",
     "NoiseSchedule",
     "NumericError",
     "OptimizerConfig",
-    "OptimizerState",
     "SamplingError",
-    "SamplingPlan",
     "ScoreNet",
     "ScoreNetConfig",
     "ScorewaveError",
-    "SigmaEmbedding",
-    "Signal",
-    "SoftClipWarning",
-    "Spectrogram",
-    "TargetGroup",
     "TrainingError",
-    "append_deltas",
     "apply_chain",
-    "auxiliary_loss",
-    "chain_from_json",
-    "chain_to_json",
-    "deltas",
-    "denoise_final",
-    "denoise_only_plan",
-    "dsm_loss",
-    "dsm_loss_batch",
-    "enhance_expectation",
-    "evaluate_pair",
-    "fit_mdn",
-    "group_loss",
-    "istft",
     "langevin_sample",
-    "load_checkpoint",
-    "log_density",
-    "log_mel",
-    "loudness_vad",
-    "lsd",
     "make_plan",
-    "mdn_density",
-    "mdn_mean",
-    "mdn_nll",
-    "mdn_nll_grads",
-    "mdn_sample",
-    "mel_filterbank",
-    "mrstft",
-    "perturb",
-    "perturbed_score",
-    "posterior_prior",
-    "read_features",
-    "read_wav",
-    "resample",
     "sample_chain",
-    "sample_prior",
-    "save_checkpoint",
     "score_function",
-    "si_snr",
-    "snr",
-    "stft",
     "train",
-    "write_features",
-    "write_wav",
 ]

@@ -315,10 +315,7 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
             chain_cfg = chain_cfg_at(signal.sample_rate)
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             chain = sample_chain(chain_cfg, rng)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                pair = apply_chain(signal, chain, chain_cfg)
-            clipped = any(issubclass(w.category, SoftClipWarning) for w in caught)
+            pair = apply_chain(signal, chain, chain_cfg)
             stem = f"{index:05d}_{Path(path).stem}"
             clean_path = out_dir / f"{stem}.clean.wav"
             dist_path = out_dir / f"{stem}.distorted.wav"
@@ -330,7 +327,7 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
                 "distorted": str(dist_path),
                 "file_index": index,
                 "offset": pair.offset,
-                "clipped": clipped,
+                "clipped": pair.clipped,
                 "engine_version": ENGINE_VERSION,
                 "chain": [spec.to_dict() for spec in chain],
             }
@@ -338,11 +335,11 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
             return {"input": str(path), "file_index": index, "engine_version": ENGINE_VERSION,
                     "error": str(exc)}
 
-    if jobs > 1 and manifest:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, enumerate(manifest)))
-    else:
-        results = [process(item) for item in enumerate(manifest)]
+    # The log's clipped flag comes from each pair; the warning itself is
+    # silenced once here, since warning filters are process-global.
+    with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=jobs) as pool:
+        warnings.simplefilter("ignore", SoftClipWarning)
+        results = list(pool.map(process, enumerate(manifest)))
 
     _write_jsonl(log_path, [_header("distort", cfg, seed), *results])
     failures = [r for r in results if "error" in r]
@@ -366,7 +363,7 @@ def _corpus_sampler(manifest_path: str):
     return draw
 
 
-def cmd_train(args, cfg: ToolkitConfig, seed: int) -> int:
+def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     iterations = cfg["train.iterations"] if args.iterations is None else args.iterations
     schedule = _schedule_from(cfg)
     rng = np.random.default_rng(seed)
@@ -421,7 +418,7 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_enhance(args, cfg: ToolkitConfig, seed: int) -> int:
+def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
     ref = None
     if args.reference:  # checked before sampling, so a mismatch writes nothing
@@ -488,11 +485,8 @@ def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
         report = evaluate_pair(ref.samples[:n], est.samples[:n], resolutions=resolutions)
         return {"reference": ref_path, "estimate": est_path, **report.to_dict()}
 
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(process, pairs))
-    else:
-        rows = [process(pair) for pair in pairs]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(process, pairs))
 
     columns = ("snr", "si_snr", "lsd", "mrstft")
     print(f"{'reference':30s} {'estimate':30s} " + " ".join(f"{c:>8s}" for c in columns))
@@ -504,7 +498,7 @@ def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg: ToolkitConfig, seed: int) -> int:
+def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
     reference = read_wav(args.reference, downmix=True) if args.reference else None
     duration = len(noisy) / noisy.sample_rate
@@ -541,7 +535,7 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int) -> int:
+def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     prior = _prior_from(cfg)
@@ -561,6 +555,18 @@ def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int) -> int:
                             {"n": args.n, "method": args.method, "out": str(out)}])
     print(f"sample-prior: {args.n} draw(s) ({args.method}) -> {out}")
     return EXIT_OK
+
+
+# Every command runs as COMMANDS[name](args, cfg, seed, jobs); only distort
+# and eval fan out, the others leave jobs unused.
+COMMANDS = {
+    "distort": cmd_distort,
+    "train": cmd_train,
+    "enhance": cmd_enhance,
+    "eval": cmd_eval,
+    "sweep": cmd_sweep,
+    "sample-prior": cmd_sample_prior,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -645,19 +651,7 @@ def main(argv=None) -> int:
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-        if args.command == "distort":
-            return cmd_distort(args, cfg, seed, jobs)
-        if args.command == "train":
-            return cmd_train(args, cfg, seed)
-        if args.command == "enhance":
-            return cmd_enhance(args, cfg, seed)
-        if args.command == "eval":
-            return cmd_eval(args, cfg, seed, jobs)
-        if args.command == "sweep":
-            return cmd_sweep(args, cfg, seed)
-        if args.command == "sample-prior":
-            return cmd_sample_prior(args, cfg, seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args, cfg, seed, jobs)
     except ConfigError as exc:
         print(f"scorewave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

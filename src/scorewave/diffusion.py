@@ -32,32 +32,37 @@ from .errors import NumericError, SamplingError
 from .schedule import NoiseSchedule, SamplingPlan
 
 
-def perturb(x0, sigma: float, rng: np.random.Generator):
-    """Draw z ~ N(0, I) and return (x0 + sigma * z, z).
+def perturb(x0, sigma, rng: np.random.Generator):
+    """Draw z ~ N(0, I) and return (x0 + sigma * z, z); sigma may be a
+    (B, 1) column, one level per row.
 
     The noise is returned alongside the perturbed point so the loss can
     reuse the exact draw as its regression target.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     z = rng.standard_normal(x0.shape)
-    return x0 + float(sigma) * z, z
+    return x0 + sigma * z, z
+
+
+def dsm_draw(x0, schedule: NoiseSchedule, rng: np.random.Generator):
+    """Per row of a (B, d) batch draw t ~ U(0, 1), then z through
+    :func:`perturb`; returns (t, sigma_t, x_t, z). Every DSM loss draws
+    here, so this fixes the rng order that seeded checkpoints depend on.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    t = rng.uniform(size=x0.shape[0])
+    sig = schedule.sigma_at(t)
+    x_t, z = perturb(x0, sig[:, None], rng)
+    return t, sig, x_t, z
 
 
 def dsm_loss(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Generator) -> float:
     """Single-sample denoising score-matching loss 1/2 ||sigma_t S + z||^2.
 
-    Draws one t ~ U(0, 1) and one z per call; batching is the caller's job
-    (average over calls, or use :func:`dsm_loss_batch`).
+    :func:`dsm_loss_batch` on the one row x0 (the score function sees a
+    (1, d) point and a (1,) sigma): one t ~ U(0, 1) and one z per call.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    t = rng.uniform()
-    sig = schedule.sigma_at(t)
-    x_t, z = perturb(x0, sig, rng)
-    s = np.asarray(score_fn(x_t, c, sig), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise NumericError(f"score function returned non-finite values at t={t:.6f}, sigma={sig:.6g}")
-    resid = sig * s + z
-    return float(0.5 * np.sum(resid * resid))
+    return float(dsm_loss_batch(score_fn, x0, c, schedule, rng)[0])
 
 
 def dsm_loss_batch(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Generator) -> np.ndarray:
@@ -67,11 +72,7 @@ def dsm_loss_batch(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Gene
     score function is evaluated once with a per-example sigma vector, so
     Monte-Carlo averages over 1e6 draws stay cheap.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    t = rng.uniform(size=x0.shape[0])
-    sig = schedule.sigma_at(t)
-    z = rng.standard_normal(x0.shape)
-    x_t = x0 + sig[:, None] * z
+    t, sig, x_t, z = dsm_draw(x0, schedule, rng)
     s = np.asarray(score_fn(x_t, c, sig), dtype=np.float64)
     if not np.all(np.isfinite(s)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(s), axis=-1))[0])

@@ -122,10 +122,6 @@ def two_pole(f0: float, r: float, rate: int):
     return np.array([1.0 / peak]), a
 
 
-def apply_biquad(x: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return scipy.signal.lfilter(b, a, x)
-
-
 def magnitude_at(b: np.ndarray, a: np.ndarray, f0: float, rate: int) -> float:
     """|H(e^{j w0})| — the transfer-function oracle the tests evaluate."""
     _, h = scipy.signal.freqz(b, a, worN=[2.0 * np.pi * f0 / rate])

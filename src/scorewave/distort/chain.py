@@ -119,12 +119,14 @@ class DistortionSpec:
 
 @dataclass(frozen=True)
 class DistortedPair:
-    """Aligned (clean, distorted) signals plus the chain that produced them."""
+    """Aligned (clean, distorted) signals plus the chain that produced them;
+    ``clipped`` says whether the output hit the soft-clip guard."""
 
     clean: Signal
     distorted: Signal
     chain: tuple
     offset: int
+    clipped: bool = False
 
     def __post_init__(self):
         if not self.chain:
@@ -168,7 +170,8 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
     """Apply the chain's steps in order. Every applier draws from a fresh
     generator seeded with its spec's sub-seed, so the result depends only
     on (x, chain, asset pools). Failures propagate with the chain index.
-    Output exceeding ±clip_level is soft-clipped with a warning."""
+    Output exceeding ±clip_level is soft-clipped with a SoftClipWarning and
+    comes back with ``clipped=True``."""
     cfg = cfg if cfg is not None else ChainConfig()
     chain = tuple(chain)
     if not chain:
@@ -186,7 +189,8 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
             raise NumericError(f"chain step {i} ({spec.kind}) produced non-finite samples")
 
     peak = float(np.max(np.abs(y))) if y.size else 0.0
-    if peak > cfg.clip_level:
+    clipped = peak > cfg.clip_level
+    if clipped:
         warnings.warn(
             f"chain output peaked at {peak:.3g}; soft-clipped to ±{cfg.clip_level}",
             SoftClipWarning,
@@ -207,6 +211,7 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
         distorted=Signal(samples=y[start_d : start_d + length], sample_rate=x.sample_rate),
         chain=chain,
         offset=offset,
+        clipped=clipped,
     )
 
 

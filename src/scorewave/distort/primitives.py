@@ -201,7 +201,7 @@ def _biquad(design, *keys):
 
     def apply(x, rate, p, rng, assets):
         b, a = design(*(p[key] for key in keys), rate)
-        return biquad.apply_biquad(x, b, a)
+        return scipy.signal.lfilter(b, a, x)
 
     return apply
 
@@ -298,7 +298,7 @@ def _apply_random_eq(x, rate, p, rng, assets):
         gain = rng.uniform(p["gain_db_lo"], p["gain_db_hi"])
         q = rng.uniform(p["q_lo"], p["q_hi"])
         b, a = biquad.peaking(f0, q, gain, rate)
-        y = biquad.apply_biquad(y, b, a)
+        y = scipy.signal.lfilter(b, a, y)
     return y
 
 
@@ -508,9 +508,9 @@ def _apply_telephone(x, rate, p, rng, assets):
     y = x
     for _ in range(2):
         b, a = biquad.high_pass(p["low_hz"], 1.0 / np.sqrt(2.0), rate)
-        y = biquad.apply_biquad(y, b, a)
+        y = scipy.signal.lfilter(b, a, y)
         b, a = biquad.low_pass(p["high_hz"], 1.0 / np.sqrt(2.0), rate)
-        y = biquad.apply_biquad(y, b, a)
+        y = scipy.signal.lfilter(b, a, y)
     return _apply_simple_compressor(y, rate, {"ratio": p["ratio"]}, rng, assets)
 
 

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .diffusion import dsm_draw
 from .errors import ConfigError, TrainingError
 from .oracle import GmmPrior
 from .oracle import sample as sample_prior
@@ -98,6 +99,13 @@ class ScoreNetConfig:
                 f"invalid embedding sizes: n_pairs={self.n_pairs}, embed_dim={self.embed_dim}"
             )
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+
+    def n_parameters(self) -> int:
+        """:meth:`ScoreNet.n_parameters` from the sizes alone, no arrays built:
+        the embedding MLP, then per FiLM layer w, b, a, gw, gb, hw, hb, then out."""
+        e, widths = self.embed_dim, (self.dim_x + self.dim_c, *self.hidden)
+        film = sum(w * (n_in + 2 * e + 4) for n_in, w in zip(widths, widths[1:]))
+        return 2 * self.n_pairs * e + 2 * e * e + 6 * e + film + (widths[-1] + 1) * self.dim_x
 
 
 class SigmaEmbedding:
@@ -410,16 +418,13 @@ def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> f
 def dsm_loss_and_grads(net: ScoreNet, x0: np.ndarray, c, schedule: NoiseSchedule, rng: np.random.Generator):
     """Batch-mean DSM loss and its parameter gradients.
 
-    Per example: draw t ~ U(0,1) and z ~ N(0,I), form x_t = x0 + sigma_t z,
-    and accumulate 1/2 ||sigma_t S(x_t, c, sigma_t) + z||^2; the upstream
-    gradient into the network is sigma_t (sigma_t S + z) / B.
+    Per example: draw (t, z) through :func:`~scorewave.diffusion.dsm_draw`,
+    form x_t = x0 + sigma_t z, and accumulate 1/2 ||sigma_t S(x_t, c,
+    sigma_t) + z||^2; the upstream gradient into the network is
+    sigma_t (sigma_t S + z) / B.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    batch = x0.shape[0]
-    t = rng.uniform(size=batch)
-    sig = schedule.sigma_at(t)
-    z = rng.standard_normal(x0.shape)
-    x_t = x0 + sig[:, None] * z
+    _, sig, x_t, z = dsm_draw(x0, schedule, rng)
+    batch = x_t.shape[0]
     s = net.forward(x_t, c, sig, train=True)
     resid = sig[:, None] * s + z
     loss = float(0.5 * np.sum(resid * resid) / batch)
@@ -525,15 +530,17 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         raw = fh.read()
 
+    # Sized from the config before any array is built, so a header that
+    # declares a huge network cannot allocate past the file's own size.
+    n_copies = 1 if opt_config is None else 3  # parameters, then Adam's m and v
+    expected = 8 * (cfg.n_pairs + n_copies * cfg.n_parameters())
+    if len(raw) != expected:
+        raise ConfigError(f"{path}: checkpoint payload is {len(raw)} bytes, "
+                          f"its header implies {expected}")
     net = ScoreNet(cfg, np.random.default_rng(0))
     params = net.parameters()
     if layout != [(k, p.shape) for k, p in params.items()]:
         raise ConfigError("checkpoint parameters do not match the rebuilt network")
-    n_copies = 1 if opt_config is None else 3  # parameters, then Adam's m and v
-    expected = 8 * (cfg.n_pairs + n_copies * net.flat.size)
-    if len(raw) != expected:
-        raise ConfigError(f"{path}: checkpoint payload is {len(raw)} bytes, "
-                          f"its header implies {expected}")
 
     freq, *vectors = np.split(np.frombuffer(raw, dtype="<f8"),
                               cfg.n_pairs + net.flat.size * np.arange(n_copies))

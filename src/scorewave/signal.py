@@ -153,8 +153,9 @@ def read_wav(path, downmix: bool = False) -> Signal:
 
     Unknown chunks are skipped (with RIFF word padding). Multichannel
     input raises unless downmix=True, in which case channels are averaged.
-    A data chunk cut short by the end of the file, or not a whole number
-    of samples, raises AudioError.
+    A fmt chunk whose block align is not channels * bits / 8, or whose byte
+    rate is not rate * block align, raises AudioError, and so does a data
+    chunk cut short by the end of the file or not a whole number of samples.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -179,11 +180,14 @@ def read_wav(path, downmix: bool = False) -> Signal:
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise AudioError(f"{path}: missing fmt or data chunk")
-    fmt_code, channels, rate, _, _, bits = fmt
+    fmt_code, channels, rate, byte_rate, block_align, bits = fmt
     if channels < 1:
         raise AudioError(f"{path}: invalid channel count {channels}")
     if (fmt_code, bits) not in ((1, 16), (3, 32)):
         raise AudioError(f"{path}: unsupported encoding (format {fmt_code}, {bits}-bit)")
+    if block_align != channels * bits // 8 or byte_rate != rate * block_align:
+        raise AudioError(f"{path}: inconsistent fmt chunk: {channels} channel(s) of {bits} bits "
+                         f"at {rate} Hz, block align {block_align}, byte rate {byte_rate}")
     if len(data) % (bits // 8):
         raise AudioError(f"{path}: data chunk of {len(data)} bytes is not a whole "
                          f"number of {bits}-bit samples")

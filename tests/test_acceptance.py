@@ -21,14 +21,14 @@ from scipy import stats
 from scorewave.diffusion import langevin_sample
 from scorewave.distort import (
     PRIMITIVES,
-    DEFAULT_BOUNDS,
     ChainConfig,
     DistortionSpec,
     apply_chain,
     chain_from_json,
-    chain_to_json,
     sample_chain,
 )
+from scorewave.distort.chain import chain_to_json
+from scorewave.distort.primitives import DEFAULT_BOUNDS
 from scorewave.mdn import MdnParams, fit_mdn, mdn_density, mdn_nll, mdn_nll_grads
 from scorewave.oracle import GmmPrior, log_density, perturbed_score, sample, score_function
 from scorewave.schedule import NoiseSchedule, denoise_only_plan, make_plan

@@ -288,6 +288,60 @@ class TestDistort:
         assert sorted(calls) == sorted([(str(pools["noise"]), 16000),
                                         (str(pools["rir"]), 16000)])
 
+    def test_clipped_flags_belong_to_their_own_chains_under_jobs(self, tmp_path, monkeypatch):
+        """One loud file (its chain hits the soft-clip guard) and one quiet
+        one: with --jobs 2 and both workers held at a barrier until each is
+        about to apply its chain, every record still carries its own
+        clipped flag, rerun after rerun."""
+        import threading
+
+        from scorewave import cli
+
+        write_tone(tmp_path / "loud.wav", seed=1, scale=8.0)
+        write_tone(tmp_path / "quiet.wav", seed=2)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/loud.wav\n{tmp_path}/quiet.wav\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("distort.count_probs = 1\ndistort.weights = tremolo:1\n")
+
+        def clipped_flags(out, *jobs):
+            assert main(["--config", str(cfg), "distort", str(manifest), str(out),
+                         "--seed", "3", *jobs]) == EXIT_OK
+            return [r["clipped"] for r in read_lines(out / "distort_log.jsonl")[1:]]
+
+        assert clipped_flags(tmp_path / "seq") == [True, False]
+        apply_chain = cli.apply_chain
+        for rerun in range(8):
+            barrier = threading.Barrier(2, timeout=30)
+
+            def gated(*args, barrier=barrier):
+                barrier.wait()
+                return apply_chain(*args)
+
+            monkeypatch.setattr(cli, "apply_chain", gated)
+            assert clipped_flags(tmp_path / f"par{rerun}", "--jobs", "2") == [True, False]
+
+    def test_jobs_one_is_a_pool_of_one(self, tmp_path, monkeypatch):
+        """distort and eval fan out through one path: --jobs 1 runs the
+        same thread pool with a single worker."""
+        from scorewave import cli
+
+        sizes = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        write_tone(tmp_path / "x.wav", seed=4)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        assert main(["distort", str(manifest), str(tmp_path / "out")]) == EXIT_OK
+        assert main(["eval", "--reference", str(tmp_path / "x.wav"),
+                     "--estimate", str(tmp_path / "x.wav"), "--jobs", "1"]) == EXIT_OK
+        assert sizes == [1, 1]
+
     def test_jobs_fanout_matches_sequential(self, tmp_path):
         for i in range(3):
             write_tone(tmp_path / f"f{i}.wav", seed=20 + i)
@@ -519,6 +573,20 @@ class TestMalformedInputs:
         code = main(["eval", "--reference", str(tmp_path / "clean.wav"),
                      "--estimate", str(est)])
         assert code == EXIT_IO
+
+    def test_inconsistent_wav_header_is_io_error(self, tmp_path, capsys):
+        """A PCM16 input whose sample-rate field has one byte flipped (it
+        reads 2,164,276,864 Hz against a byte rate of 32,000) exits 3 before
+        any sampling, and writes no output."""
+        noisy = tmp_path / "noisy.wav"
+        write_wav(noisy, Signal(samples=np.zeros(100), sample_rate=16000), encoding="pcm16")
+        blob = bytearray(noisy.read_bytes())
+        blob[27] = 0x81
+        noisy.write_bytes(bytes(blob))
+        code = main(["enhance", "--input", str(noisy), "--output", str(tmp_path / "o.wav")])
+        assert code == EXIT_IO
+        assert "inconsistent fmt chunk" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
 
     @pytest.mark.parametrize("command", ["distort", "train"])
     @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["missing", "binary"])

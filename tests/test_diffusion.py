@@ -16,20 +16,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from scorewave import (
-    GmmPrior,
-    NoiseSchedule,
-    NumericError,
-    SamplingError,
+from scorewave import GmmPrior, NoiseSchedule, NumericError, SamplingError, langevin_sample, make_plan
+from scorewave.diffusion import (
     denoise_final,
     dsm_loss,
     dsm_loss_batch,
     enhance_expectation,
-    langevin_sample,
-    make_plan,
     perturb,
-    sample_prior,
 )
+from scorewave.oracle import sample as sample_prior
 from scorewave.oracle import score_function
 
 
@@ -72,6 +67,21 @@ class TestDsmLoss:
         seen["z"] = probe.standard_normal(4)
         loss = dsm_loss(cheat, np.ones(4), None, NoiseSchedule(), rng)
         assert loss == pytest.approx(0.0, abs=1e-30)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_single_loss_is_the_written_out_draw(self, seed):
+        """dsm_loss draws t, then z, and returns 1/2 ||sigma_t S + z||^2 bit
+        for bit as written out here for one 3-dimensional example."""
+        sched = NoiseSchedule()
+        fn = score_function(GmmPrior(weights=[0.4, 0.6], means=[-1.0, 1.0], variances=[0.3, 0.3]))
+        x0 = np.random.default_rng(100 + seed).standard_normal(3)
+        rng = np.random.default_rng(seed)
+        t = rng.uniform()
+        sig = sched.sigma_at(t)
+        z = rng.standard_normal(3)
+        resid = sig * fn(x0 + sig * z, None, sig) + z
+        expected = float(0.5 * np.sum(resid * resid))
+        assert dsm_loss(fn, x0, None, sched, np.random.default_rng(seed)) == expected
 
     def test_zero_score_chi_square_mean(self):
         """With S = 0 the loss is ||z||^2 / 2, expectation d/2."""

@@ -9,22 +9,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from scorewave import (
-    ConfigError,
-    GmmPrior,
+from scorewave import ConfigError, GmmPrior
+from scorewave.mdn import (
     MdnParams,
     TargetGroup,
     auxiliary_loss,
     fit_mdn,
     group_loss,
-    log_density,
     mdn_density,
     mdn_mean,
     mdn_nll,
     mdn_nll_grads,
     mdn_sample,
-    sample_prior,
 )
+from scorewave.oracle import log_density
+from scorewave.oracle import sample as sample_prior
 
 
 def naive_nll(params, y):

@@ -11,15 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scorewave import ConfigError, GmmPrior, log_density, perturbed_score, sample_prior
+from scorewave import ConfigError, GmmPrior
 from scorewave.oracle import (
     _conjugate_update,
     _log_terms,
     _mixture_score,
+    log_density,
+    perturbed_score,
     posterior_prior,
     posterior_score,
     score_function,
 )
+from scorewave.oracle import sample as sample_prior
 
 
 def fd_score(prior, x, sigma, h=1e-5):

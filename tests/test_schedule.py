@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scorewave import ConfigError, NoiseSchedule, denoise_only_plan, make_plan
+from scorewave import ConfigError, NoiseSchedule, make_plan
+from scorewave.schedule import denoise_only_plan
 
 
 class TestSigmaAt:

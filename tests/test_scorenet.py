@@ -19,15 +19,21 @@ from scorewave import (
     OptimizerConfig,
     ScoreNet,
     ScoreNetConfig,
-    SigmaEmbedding,
     TrainingError,
     langevin_sample,
-    load_checkpoint,
     make_plan,
-    save_checkpoint,
     train,
 )
-from scorewave.scorenet import adam_step, decay_mask, dsm_loss_and_grads, init_optimizer, lr_at
+from scorewave.scorenet import (
+    SigmaEmbedding,
+    adam_step,
+    decay_mask,
+    dsm_loss_and_grads,
+    init_optimizer,
+    load_checkpoint,
+    lr_at,
+    save_checkpoint,
+)
 
 
 def frozen_dsm_loss(net, x_t, z, sig, c):
@@ -428,6 +434,21 @@ class TestTraining:
             train(net, prior, NoiseSchedule(), OptimizerConfig(total_steps=10),
                   n_iters=10, batch_size=4, rng=np.random.default_rng(29))
 
+    def test_loss_draws_like_dsm_loss_batch(self):
+        """dsm_loss_and_grads and diffusion.dsm_loss_batch share one (t, z)
+        draw: from equal generators they see the same perturbed batch, and
+        leave the generators in the same state."""
+        from scorewave.diffusion import dsm_loss_batch
+
+        net = ScoreNet(ScoreNetConfig(dim_x=2, hidden=(6,), n_pairs=3, embed_dim=5),
+                       np.random.default_rng(40))
+        x0 = np.random.default_rng(41).standard_normal((16, 2))
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        loss, _ = dsm_loss_and_grads(net, x0, None, NoiseSchedule(), rng_a)
+        losses = dsm_loss_batch(net.forward, x0, None, NoiseSchedule(), rng_b)
+        assert loss == pytest.approx(losses.mean(), rel=1e-12)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_rejects_bad_data_argument(self):
         net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=(4,)), np.random.default_rng(30))
         with pytest.raises(ConfigError):
@@ -453,6 +474,14 @@ class TestParameterStore:
         before = net.forward(x, c, 0.7)
         net.flat += 0.1
         assert not np.array_equal(net.forward(x, c, 0.7), before)
+
+    @pytest.mark.parametrize("cfg", [
+        ScoreNetConfig(dim_x=1),
+        ScoreNetConfig(dim_x=1, dim_c=1),
+        ScoreNetConfig(dim_x=3, dim_c=2, hidden=(5, 7, 2), n_pairs=3, embed_dim=6),
+    ])
+    def test_config_counts_parameters_without_building(self, cfg):
+        assert cfg.n_parameters() == ScoreNet(cfg, np.random.default_rng(0)).n_parameters()
 
 
 class TestCheckpoint:
@@ -503,7 +532,8 @@ class TestCheckpoint:
         state) and after 30 resumed steps, pinned to sha256 digests recorded
         before the parameters moved into one vector (numpy 2.x, OpenBLAS,
         x86-64): the layout and the Adam arithmetic are unchanged."""
-        from scorewave import GmmPrior, sample_prior
+        from scorewave import GmmPrior
+        from scorewave.oracle import sample as sample_prior
 
         prior = GmmPrior(weights=[0.3, 0.7], means=[-1.0, 0.5], variances=[0.09, 0.04])
 
@@ -557,6 +587,18 @@ class TestCheckpoint:
     def test_rejects_trailing_bytes(self, tmp_path, with_opt):
         path = tmp_path / "long.ckpt"
         path.write_bytes(self._saved(tmp_path, with_opt) + b"\x00" * 8)
+        with pytest.raises(ConfigError, match="payload"):
+            load_checkpoint(path)
+
+    def test_header_declaring_a_huge_network_is_rejected_before_building(self, tmp_path):
+        """Two bytes turn "hidden": [4, 4] into [4e14]: the payload check runs
+        on the config's parameter count before any array is allocated, so
+        this is a ConfigError, not a numpy MemoryError."""
+        net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=(4, 4), n_pairs=2, embed_dim=4),
+                       np.random.default_rng(43))
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(path, net)
+        path.write_bytes(path.read_bytes().replace(b'"hidden": [4, 4]', b'"hidden": [4e14]'))
         with pytest.raises(ConfigError, match="payload"):
             load_checkpoint(path)
 

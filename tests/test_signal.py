@@ -9,9 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scorewave import (
-    AudioError,
-    ConfigError,
+from scorewave import AudioError, ConfigError
+from scorewave.signal import (
     Signal,
     append_deltas,
     deltas,
@@ -159,6 +158,22 @@ class TestWav:
             fh.write(b"data" + struct.pack("<I", 2) + b"\x00\x00")
         with pytest.raises(AudioError, match="unsupported"):
             read_wav(bad_fmt)
+
+    @pytest.mark.parametrize("field, offset, value", [
+        ("rate", 27, 0x81),          # 16000 Hz becomes 2,164,276,864 Hz
+        ("byte_rate", 28, 0x81),     # 32000 becomes 32129
+        ("block_align", 32, 4),      # 2 bytes per mono PCM16 frame becomes 4
+    ])
+    def test_inconsistent_fmt_rejected(self, tmp_path, field, offset, value):
+        """block_align must be channels * bits / 8 and byte_rate must be
+        rate * block_align; a header that breaks either is rejected."""
+        path = tmp_path / f"{field}.wav"
+        write_wav(path, Signal(samples=np.zeros(100), sample_rate=16000), encoding="pcm16")
+        blob = bytearray(path.read_bytes())
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AudioError, match="inconsistent fmt chunk"):
+            read_wav(path)
 
     def test_partial_sample_rejected(self, tmp_path):
         """A PCM16 data chunk with an odd byte count holds half a sample."""
