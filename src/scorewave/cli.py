@@ -536,8 +536,8 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
 
 
 def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= np.iinfo(np.intp).max:  # numpy sizes are C integers
+        raise ConfigError(f"--n must be in 1..{np.iinfo(np.intp).max}, got {args.n}")
     prior = _prior_from(cfg)
     rng = np.random.default_rng(seed)
     if args.method == "direct":
@@ -648,6 +648,8 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = cfg["seed"]
+        if seed < 0:  # numpy seeds only from non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")

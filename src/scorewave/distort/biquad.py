@@ -2,8 +2,9 @@
 
 Each design function returns (b, a) coefficient arrays (a normalized so
 a[0] = 1) for the standard second-order recursion; poles stay inside the
-unit circle for every parameter the samplers draw (q > 0, 0 < f0 <
-Nyquist, |r| < 1), which the stability tests sweep.
+unit circle for every parameter a design accepts (q > 0, 0 < f0 <
+Nyquist, |r| < 1), which the stability tests sweep. The appliers in
+:mod:`.primitives` do not design a section at or above Nyquist.
 """
 
 from __future__ import annotations

@@ -25,6 +25,16 @@ user-supplied material (noise recordings, room impulse responses).
 Appliers return float64 arrays; most preserve length, the delaying ones
 (short delay, impulse-response convolution) are flagged so the chain
 runner knows to re-align against the clean reference afterwards.
+
+Frequency bounds are in Hz whatever the input's rate, so below 14.4 kHz a
+filter can be drawn at or above the Nyquist frequency. There it has no band
+of the input to shape, and no section is designed: `low_pass`,
+`sibilance_boost`, `band_reject`, `two_pole` and each such `random_eq` band
+leave the input unchanged (`random_eq` still draws the skipped band's
+values, so later bands are the same); `high_pass` and `band_pass`, whose
+pass band lies above the input's band, return silence; `plosive_boost`,
+whose shelf then covers the whole band, applies its gain to the whole
+input; `telephone` combines its high and low pass by the same rules.
 """
 
 from __future__ import annotations
@@ -196,14 +206,38 @@ def _from_spec(spec, data):
 # -- appliers ---------------------------------------------------------------
 
 
-def _biquad(design, *keys):
-    """Applier for one biquad section: design(*params[keys], rate)."""
+def _unchanged(x, p):
+    return x
+
+
+def _silence(x, p):
+    return np.zeros_like(x)
+
+
+def _shelf_gain(x, p):
+    return x * 10.0 ** (p["gain_db"] / 20.0)
+
+
+def _biquad(design, *keys, above_nyquist=_unchanged):
+    """Applier for one biquad section: design(*params[keys], rate).
+
+    The first key is the design frequency. At or above the Nyquist frequency
+    of ``rate`` the section has no band of the input to shape, and the
+    applier returns ``above_nyquist(x, params)`` instead: the input itself
+    unless the type says otherwise (see PRIMITIVES).
+    """
 
     def apply(x, rate, p, rng, assets):
+        if p[keys[0]] >= rate / 2.0:
+            return above_nyquist(x, p)
         b, a = design(*(p[key] for key in keys), rate)
         return scipy.signal.lfilter(b, a, x)
 
     return apply
+
+
+_low_pass = _biquad(biquad.low_pass, "freq", "q")
+_high_pass = _biquad(biquad.high_pass, "freq", "q", above_nyquist=_silence)
 
 
 def _apply_down_sample(x, rate, p, rng, assets):
@@ -297,8 +331,9 @@ def _apply_random_eq(x, rate, p, rng, assets):
         f0 = float(np.exp(rng.uniform(np.log(lo_f), np.log(hi_f))))
         gain = rng.uniform(p["gain_db_lo"], p["gain_db_hi"])
         q = rng.uniform(p["q_lo"], p["q_hi"])
-        b, a = biquad.peaking(f0, q, gain, rate)
-        y = scipy.signal.lfilter(b, a, y)
+        if f0 < rate / 2.0:  # a band at or above Nyquist has nothing to shape
+            b, a = biquad.peaking(f0, q, gain, rate)
+            y = scipy.signal.lfilter(b, a, y)
     return y
 
 
@@ -505,12 +540,11 @@ def _apply_silent_gap(x, rate, p, rng, assets):
 
 
 def _apply_telephone(x, rate, p, rng, assets):
+    q = 1.0 / np.sqrt(2.0)
     y = x
     for _ in range(2):
-        b, a = biquad.high_pass(p["low_hz"], 1.0 / np.sqrt(2.0), rate)
-        y = scipy.signal.lfilter(b, a, y)
-        b, a = biquad.low_pass(p["high_hz"], 1.0 / np.sqrt(2.0), rate)
-        y = scipy.signal.lfilter(b, a, y)
+        y = _high_pass(y, rate, {"freq": p["low_hz"], "q": q}, rng, assets)
+        y = _low_pass(y, rate, {"freq": p["high_hz"], "q": q}, rng, assets)
     return _apply_simple_compressor(y, rate, {"ratio": p["ratio"]}, rng, assets)
 
 
@@ -586,16 +620,18 @@ class Primitive:
 PRIMITIVES: dict[str, Primitive] = {
     p.name: p
     for p in [
-        Primitive("band_pass", "band_limiting", 5, _biquad(biquad.band_pass, "freq", "q"),
+        Primitive("band_pass", "band_limiting", 5,
+                  _biquad(biquad.band_pass, "freq", "q", above_nyquist=_silence),
                   log=("freq",)),
-        Primitive("high_pass", "band_limiting", 5, _biquad(biquad.high_pass, "freq", "q"),
+        Primitive("high_pass", "band_limiting", 5, _high_pass,
                   log=("freq",)),
-        Primitive("low_pass", "band_limiting", 20, _biquad(biquad.low_pass, "freq", "q"),
+        Primitive("low_pass", "band_limiting", 20, _low_pass,
                   log=("freq",)),
         Primitive("down_sample", "band_limiting", 30, _apply_down_sample),
         Primitive("mu_law", "codec", 3, _apply_mu_law),
         Primitive("plosive_boost", "distortion", 10,
-                  _biquad(biquad.low_shelf, "freq", "gain_db"), log=("freq",)),
+                  _biquad(biquad.low_shelf, "freq", "gain_db", above_nyquist=_shelf_gain),
+                  log=("freq",)),
         Primitive("sibilance_boost", "distortion", 10,
                   _biquad(biquad.high_shelf, "freq", "gain_db"), log=("freq",)),
         Primitive("overdrive", "distortion", 5, _apply_overdrive, log=("gain",)),

@@ -26,11 +26,17 @@ decay from the peak learning rate of 2e-4.
 
 Parameters live in one float64 vector, ``ScoreNet.flat``, in sorted-name
 order; layers hold views into it, and one in-place Adam update trains all.
+Each backward pass writes its gradients into one fresh vector of the same
+layout (:class:`Gradients`), which Adam takes as it is. PReLU multiplies by
+a cached slope array (exactly 1 or a) instead of selecting with
+``np.where``: a select on a random sign pattern costs its branch
+mispredictions, the multiply gives the same bits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -46,15 +52,28 @@ _CKPT_MAGIC = b"SWCKPT01"
 _ADAM_BLOCK = 32768  # elements per Adam slice: 256 KB per vector, six vectors fit in L2
 
 
-def _prelu(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, a * x)
+def _rows(arr: np.ndarray) -> np.ndarray:
+    return arr.reshape(-1, arr.shape[-1])
 
 
-def _prelu_backward(x: np.ndarray, a: np.ndarray, dout: np.ndarray):
-    dx = np.where(x > 0, dout, a * dout)
-    neg = np.where(x > 0, 0.0, x)
-    da = (dout * neg).reshape(-1, x.shape[-1]).sum(axis=0)
-    return dx, da
+def _prelu(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(PReLU(x), slope): slope is exactly 1 where x > 0 and a elsewhere, so
+    x * slope has the bits of ``np.where(x > 0, x, a * x)``."""
+    pos = (x > 0).astype(np.float64)
+    slope = np.subtract(1.0, pos)
+    slope *= a
+    slope += pos
+    return x * slope, slope
+
+
+def _prelu_backward(x: np.ndarray, slope: np.ndarray, dout: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x; the slope gradient sum(dout * min(0, x)) goes into
+    ``da``. ``np.minimum(0.0, x)`` keeps the sign of a zero x, as the select
+    ``np.where(x > 0, 0.0, x)`` did."""
+    neg = np.minimum(0.0, x)
+    neg *= dout
+    _rows(neg).sum(axis=0, out=da)
+    return dout * slope
 
 
 def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -62,13 +81,21 @@ def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)], dtype=np.float64)
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """name -> view of ``flat`` with that shape, consecutive in the order of ``shapes``."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        views[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    return views
+
+
 def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """:func:`pack` the arrays and return (vector, name -> view): each view
     has its array's shape and shares memory with the vector."""
-    flat, names = pack(arrays), sorted(arrays)
-    ends = np.cumsum([np.size(arrays[k]) for k in names]).tolist()
-    pieces = (flat[end - np.size(arrays[k]):end] for k, end in zip(names, ends))
-    return flat, {k: v.reshape(np.shape(arrays[k])) for k, v in zip(names, pieces)}
+    flat = pack(arrays)
+    return flat, _views(flat, {k: np.shape(arrays[k]) for k in sorted(arrays)})
 
 
 def _affine_init(n_in: int, n_out: int, rng: np.random.Generator):
@@ -98,34 +125,51 @@ class ScoreNetConfig:
             raise ConfigError(
                 f"invalid embedding sizes: n_pairs={self.n_pairs}, embed_dim={self.embed_dim}"
             )
+        for name in ("dim_x", "dim_c", "n_pairs", "embed_dim"):  # a JSON header may hold 2.0
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every trainable array in sorted-name order: the
+        layout of :attr:`ScoreNet.flat` and of the checkpoint payload."""
+        named = {f"emb.{k}": s for k, s in SigmaEmbedding.shapes(self.n_pairs, self.embed_dim).items()}
+        named |= {f"mlp.{k}": s for k, s in FilmMlp.shapes(self).items()}
+        return {k: named[k] for k in sorted(named)}
+
     def n_parameters(self) -> int:
-        """:meth:`ScoreNet.n_parameters` from the sizes alone, no arrays built:
-        the embedding MLP, then per FiLM layer w, b, a, gw, gb, hw, hb, then out."""
-        e, widths = self.embed_dim, (self.dim_x + self.dim_c, *self.hidden)
-        film = sum(w * (n_in + 2 * e + 4) for n_in, w in zip(widths, widths[1:]))
-        return 2 * self.n_pairs * e + 2 * e * e + 6 * e + film + (widths[-1] + 1) * self.dim_x
+        """:meth:`ScoreNet.n_parameters` from the sizes alone, no arrays built."""
+        return sum(math.prod(s) for s in self.shapes().values())
 
 
 class SigmaEmbedding:
     """Frozen random Fourier features of log sigma plus a 3-layer PReLU MLP.
 
     The frequency vector is drawn once at construction and never trained.
+    Initial parameters are drawn from ``rng`` into ``params`` when given
+    (name -> array of the :meth:`shapes` shape), else into new arrays. With
+    ``rng`` None nothing is drawn: ``params`` is kept as it is and the caller
+    sets ``frequencies``.
     """
 
-    def __init__(self, n_pairs: int, embed_dim: int, rng: np.random.Generator):
-        self.n_pairs = n_pairs
-        self.embed_dim = embed_dim
+    def __init__(self, n_pairs: int, embed_dim: int, rng: np.random.Generator | None,
+                 params: dict[str, np.ndarray] | None = None):
+        shapes = self.shapes(n_pairs, embed_dim)
+        self.params = params if params is not None else {k: np.empty(s) for k, s in shapes.items()}
+        if rng is None:
+            return
         self.frequencies = rng.standard_normal(n_pairs)
         self.frequencies.flags.writeable = False
-        self.params: dict[str, np.ndarray] = {}
+        for i in range(3):
+            self.params[f"l{i}.w"][...], self.params[f"l{i}.b"][...] = _affine_init(*shapes[f"l{i}.w"], rng)
+            self.params[f"l{i}.a"][...] = 0.25
+
+    @staticmethod
+    def shapes(n_pairs: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
         sizes = [2 * n_pairs, embed_dim, embed_dim, embed_dim]
+        shapes = {}
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w, b = _affine_init(n_in, n_out, rng)
-            self.params[f"l{i}.w"] = w
-            self.params[f"l{i}.b"] = b
-            self.params[f"l{i}.a"] = np.full(n_out, 0.25)
+            shapes |= {f"l{i}.w": (n_in, n_out), f"l{i}.b": (n_out,), f"l{i}.a": (n_out,)}
+        return shapes
 
     def features(self, sigma) -> np.ndarray:
         """[sin(f_i log sigma), cos(f_i log sigma)] — shape (..., 2*n_pairs)."""
@@ -138,28 +182,32 @@ class SigmaEmbedding:
     def forward(self, sigma, cache: dict | None = None) -> np.ndarray:
         h = self.features(sigma)
         if cache is not None:
-            cache["inputs"] = [h]
-            cache["pres"] = []
+            cache.update(inputs=[h], pres=[], slopes=[])
         for i in range(3):
-            pre = h @ self.params[f"l{i}.w"] + self.params[f"l{i}.b"]
-            h = _prelu(pre, self.params[f"l{i}.a"])
+            pre = h @ self.params[f"l{i}.w"]
+            pre += self.params[f"l{i}.b"]
+            h, slope = _prelu(pre, self.params[f"l{i}.a"])
             if cache is not None:
                 cache["pres"].append(pre)
+                cache["slopes"].append(slope)
                 cache["inputs"].append(h)
         return h
 
-    def backward(self, cache: dict, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: dict, d_out: np.ndarray,
+                 grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. the MLP parameters, given the
-        gradient w.r.t. the embedding output. Frequencies receive none."""
-        grads: dict[str, np.ndarray] = {}
+        gradient w.r.t. the embedding output, written into ``grads`` (new
+        arrays when None). Frequencies receive none, and neither does the
+        input of the first layer."""
+        if grads is None:
+            grads = {k: np.empty_like(p) for k, p in self.params.items()}
         d_h = d_out
         for i in reversed(range(3)):
-            pre = cache["pres"][i]
-            inp = cache["inputs"][i]
-            d_pre, grads[f"l{i}.a"] = _prelu_backward(pre, self.params[f"l{i}.a"], d_h)
-            grads[f"l{i}.w"] = inp.reshape(-1, inp.shape[-1]).T @ d_pre.reshape(-1, d_pre.shape[-1])
-            grads[f"l{i}.b"] = d_pre.reshape(-1, d_pre.shape[-1]).sum(axis=0)
-            d_h = d_pre @ self.params[f"l{i}.w"].T
+            d_pre = _prelu_backward(cache["pres"][i], cache["slopes"][i], d_h, grads[f"l{i}.a"])
+            np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
+            _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
+            if i:
+                d_h = d_pre @ self.params[f"l{i}.w"].T
         return grads
 
 
@@ -170,28 +218,39 @@ class FilmMlp:
     gamma = e @ Gw + gb and shift = e @ Hw + hb computed from the sigma
     embedding e. FiLM starts at identity (Gw = Hw = 0, gb = 1, hb = 0) and
     the output layer starts at zero, so the freshly built network is the
-    zero score.
+    zero score. ``rng`` and ``params`` work as for :class:`SigmaEmbedding`.
     """
 
-    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator):
+    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator | None,
+                 params: dict[str, np.ndarray] | None = None):
         self.config = config
-        self.params: dict[str, np.ndarray] = {}
-        n_in = config.dim_x + config.dim_c
+        shapes = self.shapes(config)
+        self.params = params if params is not None else {k: np.empty(s) for k, s in shapes.items()}
+        if rng is None:
+            return
+        p = self.params
+        for i in range(len(config.hidden)):
+            p[f"l{i}.w"][...], p[f"l{i}.b"][...] = _affine_init(*shapes[f"l{i}.w"], rng)
+            p[f"l{i}.a"][...] = 0.25
+            p[f"l{i}.gw"][...] = 0.0
+            p[f"l{i}.gb"][...] = 1.0
+            p[f"l{i}.hw"][...] = 0.0
+            p[f"l{i}.hb"][...] = 0.0
+        p["out.w"][...] = 0.0
+        p["out.b"][...] = 0.0
+
+    @staticmethod
+    def shapes(config: ScoreNetConfig) -> dict[str, tuple[int, ...]]:
+        shapes, n_in, e = {}, config.dim_x + config.dim_c, config.embed_dim
         for i, width in enumerate(config.hidden):
-            w, b = _affine_init(n_in, width, rng)
-            self.params[f"l{i}.w"] = w
-            self.params[f"l{i}.b"] = b
-            self.params[f"l{i}.a"] = np.full(width, 0.25)
-            self.params[f"l{i}.gw"] = np.zeros((config.embed_dim, width))
-            self.params[f"l{i}.gb"] = np.ones(width)
-            self.params[f"l{i}.hw"] = np.zeros((config.embed_dim, width))
-            self.params[f"l{i}.hb"] = np.zeros(width)
+            shapes |= {f"l{i}.w": (n_in, width), f"l{i}.b": (width,), f"l{i}.a": (width,),
+                       f"l{i}.gw": (e, width), f"l{i}.gb": (width,),
+                       f"l{i}.hw": (e, width), f"l{i}.hb": (width,)}
             n_in = width
-        self.params["out.w"] = np.zeros((n_in, config.dim_x))
-        self.params["out.b"] = np.zeros(config.dim_x)
+        return shapes | {"out.w": (n_in, config.dim_x), "out.b": (config.dim_x,)}
 
     def forward(self, x: np.ndarray, c, sigma_emb: np.ndarray, cache: dict | None = None):
-        cfg = self.config
+        cfg, p = self.config, self.params
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != cfg.dim_x:
             raise ConfigError(f"x last axis must be {cfg.dim_x}, got shape {x.shape}")
@@ -206,69 +265,96 @@ class FilmMlp:
             h = x
         e = sigma_emb
         if cache is not None:
-            cache.update(inputs=[h], pres=[], filmed=[], gammas=[], e=e)
+            cache.update(inputs=[h], pres=[], filmed=[], slopes=[], gammas=[], e=e)
         for i in range(len(cfg.hidden)):
-            pre = h @ self.params[f"l{i}.w"] + self.params[f"l{i}.b"]
-            gamma = e @ self.params[f"l{i}.gw"] + self.params[f"l{i}.gb"]
-            shift = e @ self.params[f"l{i}.hw"] + self.params[f"l{i}.hb"]
-            filmed = gamma * pre + shift
-            h = _prelu(filmed, self.params[f"l{i}.a"])
+            pre = h @ p[f"l{i}.w"]
+            pre += p[f"l{i}.b"]
+            gamma = e @ p[f"l{i}.gw"]
+            gamma += p[f"l{i}.gb"]
+            shift = e @ p[f"l{i}.hw"]
+            shift += p[f"l{i}.hb"]
+            filmed = gamma * pre
+            filmed += shift
+            h, slope = _prelu(filmed, p[f"l{i}.a"])
             if cache is not None:
                 cache["pres"].append(pre)
                 cache["gammas"].append(gamma)
                 cache["filmed"].append(filmed)
+                cache["slopes"].append(slope)
                 cache["inputs"].append(h)
-        return h @ self.params["out.w"] + self.params["out.b"]
+        out = h @ p["out.w"]
+        out += p["out.b"]
+        return out
 
-    def backward(self, cache: dict, d_out: np.ndarray):
-        """Returns (parameter gradients, gradient w.r.t. the sigma embedding)."""
-
-        def flat(arr):
-            return arr.reshape(-1, arr.shape[-1])
-
-        grads: dict[str, np.ndarray] = {}
-        h_last = cache["inputs"][-1]
-        grads["out.w"] = flat(h_last).T @ flat(d_out)
-        grads["out.b"] = flat(d_out).sum(axis=0)
-        d_h = d_out @ self.params["out.w"].T
+    def backward(self, cache: dict, d_out: np.ndarray, grads: dict[str, np.ndarray] | None = None):
+        """Returns (parameter gradients, gradient w.r.t. the sigma embedding);
+        the parameter gradients are written into ``grads`` (new arrays when
+        None). The input of the first layer gets no gradient."""
+        p = self.params
+        if grads is None:
+            grads = {k: np.empty_like(v) for k, v in p.items()}
+        e = _rows(cache["e"])
+        np.matmul(_rows(cache["inputs"][-1]).T, _rows(d_out), out=grads["out.w"])
+        _rows(d_out).sum(axis=0, out=grads["out.b"])
+        d_h = d_out @ p["out.w"].T
         d_e = np.zeros_like(cache["e"])
         for i in reversed(range(len(self.config.hidden))):
-            filmed = cache["filmed"][i]
-            d_filmed, grads[f"l{i}.a"] = _prelu_backward(filmed, self.params[f"l{i}.a"], d_h)
-            pre = cache["pres"][i]
-            gamma = cache["gammas"][i]
-            d_gamma = d_filmed * pre
-            d_shift = d_filmed
-            d_pre = d_filmed * gamma
-            e = cache["e"]
-            grads[f"l{i}.gw"] = flat(e).T @ flat(d_gamma)
-            grads[f"l{i}.gb"] = flat(d_gamma).sum(axis=0)
-            grads[f"l{i}.hw"] = flat(e).T @ flat(d_shift)
-            grads[f"l{i}.hb"] = flat(d_shift).sum(axis=0)
-            d_e = d_e + d_gamma @ self.params[f"l{i}.gw"].T + d_shift @ self.params[f"l{i}.hw"].T
-            inp = cache["inputs"][i]
-            grads[f"l{i}.w"] = flat(inp).T @ flat(d_pre)
-            grads[f"l{i}.b"] = flat(d_pre).sum(axis=0)
-            d_h = d_pre @ self.params[f"l{i}.w"].T
-            if self.config.dim_c and i == 0:
-                d_h = d_h[..., : self.config.dim_x]
+            # d_filmed is also the gradient w.r.t. shift
+            d_filmed = _prelu_backward(cache["filmed"][i], cache["slopes"][i], d_h, grads[f"l{i}.a"])
+            d_gamma = d_filmed * cache["pres"][i]
+            d_pre = d_filmed * cache["gammas"][i]
+            np.matmul(e.T, _rows(d_gamma), out=grads[f"l{i}.gw"])
+            _rows(d_gamma).sum(axis=0, out=grads[f"l{i}.gb"])
+            np.matmul(e.T, _rows(d_filmed), out=grads[f"l{i}.hw"])
+            _rows(d_filmed).sum(axis=0, out=grads[f"l{i}.hb"])
+            d_e += d_gamma @ p[f"l{i}.gw"].T
+            d_e += d_filmed @ p[f"l{i}.hw"].T
+            np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
+            _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
+            if i:
+                d_h = d_pre @ p[f"l{i}.w"].T
         return grads, d_e
 
 
-class ScoreNet:
-    """Sigma embedding + FiLM MLP, presenting the sampler's score interface."""
+class Gradients(dict):
+    """name -> gradient array, every one a view of the vector :attr:`flat`,
+    which is laid out like :attr:`ScoreNet.flat`."""
 
-    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator):
+    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        super().__init__(views)
+        self.flat = flat
+
+
+class ScoreNet:
+    """Sigma embedding + FiLM MLP, presenting the sampler's score interface.
+
+    The frozen frequencies and initial parameters are drawn from ``rng``.
+    Given ``flat`` (a float64 vector of ``config.n_parameters()``), the
+    network wraps it as its parameter vector instead and draws nothing;
+    ``rng`` is then unused and the caller sets ``embedding.frequencies``.
+    """
+
+    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator | None,
+                 flat: np.ndarray | None = None):
         self.config = config
-        self.embedding = SigmaEmbedding(config.n_pairs, config.embed_dim, rng)
-        self.mlp = FilmMlp(config, rng)
-        layers = {"emb": self.embedding.params, "mlp": self.mlp.params}
-        named = {f"{p}.{k}": v for p, ps in layers.items() for k, v in ps.items()}
-        self.flat, self._views = flatten(named)
-        for p, ps in layers.items():
-            ps.update({k: self._views[f"{p}.{k}"] for k in ps})
+        self._shapes = config.shapes()
+        draw = rng if flat is None else None
+        self.flat = np.empty(config.n_parameters()) if flat is None else flat
+        self._views = _views(self.flat, self._shapes)
+        layer = self._by_layer(self._views)
+        self.embedding = SigmaEmbedding(config.n_pairs, config.embed_dim, draw, layer["emb"])
+        self.mlp = FilmMlp(config, draw, layer["mlp"])
         self.opt_state: OptimizerState | None = None
         self._cache: dict | None = None
+
+    @staticmethod
+    def _by_layer(named: dict[str, np.ndarray]) -> dict[str, dict[str, np.ndarray]]:
+        """{"emb": {...}, "mlp": {...}} from "emb."/"mlp."-prefixed names."""
+        layers: dict[str, dict[str, np.ndarray]] = {"emb": {}, "mlp": {}}
+        for name, arr in named.items():
+            prefix, key = name.split(".", 1)
+            layers[prefix][key] = arr
+        return layers
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (frozen frequencies excluded);
@@ -300,17 +386,20 @@ class ScoreNet:
             self._cache = {"emb": emb_cache, "mlp": mlp_cache}
         return out[0] if squeeze else out
 
-    def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the last forward(train=True) call."""
+    def backward(self, d_out: np.ndarray) -> Gradients:
+        """Parameter gradients for the last forward(train=True) call, written
+        into one new vector per call."""
         if self._cache is None:
             raise TrainingError("backward called without a cached forward pass (train=True)")
         d_out = np.asarray(d_out, dtype=np.float64)
         if d_out.ndim == 1:
             d_out = d_out[None, :]
-        mlp_grads, d_e = self.mlp.backward(self._cache["mlp"], d_out)
-        emb_grads = self.embedding.backward(self._cache["emb"], d_e)
-        layers = {"emb": emb_grads, "mlp": mlp_grads}
-        return {f"{p}.{k}": v for p, grads in layers.items() for k, v in grads.items()}
+        flat = np.empty_like(self.flat)
+        grads = Gradients(flat, _views(flat, self._shapes))
+        layer = self._by_layer(grads)
+        _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"])
+        self.embedding.backward(self._cache["emb"], d_e, layer["emb"])
+        return grads
 
 
 @dataclass(frozen=True)
@@ -469,7 +558,7 @@ def train(
         loss, grads = dsm_loss_and_grads(net, x0, c, schedule, rng)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        adam_step(state, net.flat, pack(grads))
+        adam_step(state, net.flat, grads.flat)
         trace[it] = loss
     net.opt_state = state
     return trace
@@ -526,28 +615,27 @@ def load_checkpoint(path):
                 oh = dict(header["opt"])
                 step = oh.pop("step")
                 opt_config = OptimizerConfig(**oh)
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
+        except (struct.error, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         raw = fh.read()
 
     # Sized from the config before any array is built, so a header that
     # declares a huge network cannot allocate past the file's own size.
     n_copies = 1 if opt_config is None else 3  # parameters, then Adam's m and v
-    expected = 8 * (cfg.n_pairs + n_copies * cfg.n_parameters())
+    n_params = cfg.n_parameters()
+    expected = 8 * (cfg.n_pairs + n_copies * n_params)
     if len(raw) != expected:
         raise ConfigError(f"{path}: checkpoint payload is {len(raw)} bytes, "
                           f"its header implies {expected}")
-    net = ScoreNet(cfg, np.random.default_rng(0))
-    params = net.parameters()
-    if layout != [(k, p.shape) for k, p in params.items()]:
-        raise ConfigError("checkpoint parameters do not match the rebuilt network")
+    if layout != list(cfg.shapes().items()):
+        raise ConfigError(f"{path}: checkpoint parameter names or shapes do not match its config")
 
     freq, *vectors = np.split(np.frombuffer(raw, dtype="<f8"),
-                              cfg.n_pairs + net.flat.size * np.arange(n_copies))
-    net.embedding.frequencies = freq.copy()
+                              cfg.n_pairs + n_params * np.arange(n_copies))
+    net = ScoreNet(cfg, None, flat=vectors[0].astype(np.float64))
+    net.embedding.frequencies = freq.astype(np.float64)
     net.embedding.frequencies.flags.writeable = False
-    net.flat[...] = vectors[0]
-    opt_state = None if opt_config is None else init_optimizer(params, opt_config)
+    opt_state = None if opt_config is None else init_optimizer(net.parameters(), opt_config)
     if opt_state is not None:
         opt_state.step = step
         opt_state.m[...], opt_state.v[...] = vectors[1:]

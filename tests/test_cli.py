@@ -183,6 +183,26 @@ class TestDistort:
             np.asarray(pair.distorted.samples, dtype=np.float32), written_dist.samples)
         assert pair.offset == record["offset"]
 
+    def test_filters_above_nyquist_of_8khz_inputs_do_not_fail(self, tmp_path):
+        """Bounds reach 7.5 kHz whatever the rate: at 8 kHz a low pass, a
+        sibilance boost or a random_eq band can be drawn at or above Nyquist,
+        where it leaves the input unchanged instead of failing the file."""
+        paths = []
+        for i in range(4):
+            paths.append(tmp_path / f"in{i}.wav")
+            write_tone(paths[-1], rate=8000, seed=40 + i)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("".join(f"{p}\n" for p in paths))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("distort.count_probs = 0, 0, 1\n"
+                       "distort.weights = low_pass:1,sibilance_boost:1,random_eq:1\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "distort", str(manifest), str(out), "--seed", "3"])
+        assert code == EXIT_OK
+        records = read_lines(out / "distort_log.jsonl")[1:]
+        assert [r["input"] for r in records] == [str(p) for p in paths]
+        assert all("error" not in r and Path(r["distorted"]).exists() for r in records)
+
     def test_missing_file_logged_and_exit_io(self, tmp_path):
         write_tone(tmp_path / "good.wav", seed=5)
         manifest = tmp_path / "m.txt"

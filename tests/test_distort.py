@@ -524,6 +524,64 @@ class TestPrimitiveResponses:
         assert 10.0 ** (-12.0 / 20.0) < ratio < 10.0 ** (12.0 / 20.0)
 
 
+class TestAboveNyquist:
+    """Frequency bounds are in Hz whatever the rate, so at 8 kHz a filter can
+    be drawn at or above Nyquist; there no section is designed and each type
+    does what the primitives module docstring says."""
+
+    LOW_RATE = 8000
+
+    def apply_low(self, kind, params, x, rate=LOW_RATE):
+        return PRIMITIVES[kind].apply(x, rate, params, np.random.default_rng(5), {})
+
+    @pytest.mark.parametrize("kind, params, expect", [
+        ("low_pass", {"freq": 4000.0, "q": 0.7}, "unchanged"),
+        ("low_pass", {"freq": 7200.0, "q": 5.0}, "unchanged"),
+        ("sibilance_boost", {"freq": 4000.0, "gain_db": 12.0}, "unchanged"),
+        ("band_reject", {"freq": 4000.0, "q": 1.0}, "unchanged"),
+        ("two_pole", {"freq": 5000.0, "radius": 0.95}, "unchanged"),
+        ("high_pass", {"freq": 4000.0, "q": 0.7}, "silence"),
+        ("band_pass", {"freq": 4500.0, "q": 1.0}, "silence"),
+        ("plosive_boost", {"freq": 4000.0, "gain_db": 6.0}, "shelf_gain"),
+    ])
+    def test_biquad_types(self, kind, params, expect):
+        x = noise_signal(n=4000, seed=3)
+        want = {"unchanged": x, "silence": np.zeros_like(x),
+                "shelf_gain": x * 10.0 ** (6.0 / 20.0)}[expect]
+        np.testing.assert_array_equal(self.apply_low(kind, params, x), want)
+
+    def test_just_below_nyquist_still_filters(self):
+        x = noise_signal(n=4000, seed=3)
+        b, a = biquad.low_pass(3999.0, 0.7, self.LOW_RATE)
+        np.testing.assert_array_equal(self.apply_low("low_pass", {"freq": 3999.0, "q": 0.7}, x),
+                                      scipy.signal.lfilter(b, a, x))
+
+    def test_random_eq_skips_out_of_band_bands_and_keeps_their_draws(self):
+        params = {"n_bands": 10, "freq_lo": 100.0, "freq_hi": 7000.0,
+                  "gain_db_lo": -12.0, "gain_db_hi": 12.0, "q_lo": 0.5, "q_hi": 5.0}
+        x = noise_signal(n=4000, seed=4)
+        rng = np.random.default_rng(5)
+        want, skipped = x, 0
+        for _ in range(10):
+            f0 = float(np.exp(rng.uniform(np.log(100.0), np.log(7000.0))))
+            gain, q = rng.uniform(-12.0, 12.0), rng.uniform(0.5, 5.0)
+            if f0 >= self.LOW_RATE / 2:
+                skipped += 1
+                continue
+            want = scipy.signal.lfilter(*biquad.peaking(f0, q, gain, self.LOW_RATE), want)
+        assert 0 < skipped < 10
+        np.testing.assert_array_equal(self.apply_low("random_eq", params, x), want)
+
+    def test_telephone_below_7200_hz_keeps_its_high_pass(self):
+        params = {"low_hz": 300.0, "high_hz": 3300.0, "ratio": 2.0}
+        x = noise_signal(n=4000, seed=6)
+        want = x
+        for _ in range(2):
+            want = scipy.signal.lfilter(*biquad.high_pass(300.0, 1.0 / np.sqrt(2.0), 6000), want)
+        want = PRIMITIVES["simple_compressor"].apply(want, 6000, {"ratio": 2.0}, None, {})
+        np.testing.assert_array_equal(self.apply_low("telephone", params, x, rate=6000), want)
+
+
 # -- reference kernels: the straightforward forms the engine's kernels replaced
 
 
@@ -860,7 +918,7 @@ class TestChainApplication:
         x = noise_signal(seed=45)
         chain = [
             DistortionSpec(kind="clip", params={"threshold": 0.5}, seed=0),
-            DistortionSpec(kind="low_pass", params={"freq": 9000.0, "q": 1.0}, seed=1),
+            DistortionSpec(kind="low_pass", params={"freq": 1000.0, "q": 0.0}, seed=1),
         ]
         with pytest.raises(ConfigError, match=r"chain step 1 \(low_pass\)"):
             apply_chain(sig(x), chain)

@@ -24,8 +24,11 @@ from scorewave import (
     make_plan,
     train,
 )
+from scorewave import scorenet
 from scorewave.scorenet import (
     SigmaEmbedding,
+    _prelu,
+    _prelu_backward,
     adam_step,
     decay_mask,
     dsm_loss_and_grads,
@@ -99,6 +102,39 @@ def randomize(net, rng, scale=0.3):
         p += scale * rng.standard_normal(p.shape)
 
 
+def reference_prelu(x, a):
+    return np.where(x > 0, x, a * x)
+
+
+def reference_prelu_backward(x, a, dout):
+    dx = np.where(x > 0, dout, a * dout)
+    neg = np.where(x > 0, 0.0, x)
+    return dx, (dout * neg).reshape(-1, x.shape[-1]).sum(axis=0)
+
+
+class TestPrelu:
+    """The slope-multiply PReLU against the np.where form it replaced, bit
+    for bit (signed zeros included)."""
+
+    @pytest.mark.parametrize("slope", [0.25, 0.0, -0.3, 1.7])
+    def test_matches_where_form_bit_for_bit(self, slope):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((64, 5))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[:, 0] = -0.0  # a column whose slope gradient is a sum of signed zeros
+        x[:, 1] = np.abs(x[:, 1])
+        a = np.full(5, slope)
+        dout = rng.standard_normal(x.shape)
+        out, slopes = _prelu(x, a)
+        assert out.tobytes() == reference_prelu(x, a).tobytes()
+        da = np.empty(5)
+        dx = _prelu_backward(x, slopes, dout, da)
+        ref_dx, ref_da = reference_prelu_backward(x, a, dout)
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert da.tobytes() == ref_da.tobytes()
+
+
 class TestGradients:
     def test_random_configs(self):
         """>= 20 random small configs, every parameter kind, rel err < 1e-4."""
@@ -165,6 +201,24 @@ class TestGradients:
         g2 = net.backward(s2[:, None] * (s2[:, None] * s + z2) / 2)
         for name in g1:
             np.testing.assert_allclose(g2[name], g1[name], rtol=1e-12, atol=1e-15)
+
+    def test_successive_backward_calls_share_no_memory(self):
+        """Each backward writes a fresh gradient vector: the arrays of one
+        call survive the next."""
+        net = ScoreNet(ScoreNetConfig(dim_x=2, dim_c=1, hidden=(5, 4), n_pairs=3, embed_dim=6),
+                       np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        grads = []
+        for _ in range(2):
+            net.forward(rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), np.full(3, 0.4), train=True)
+            grads.append(net.backward(rng.normal(size=(3, 2))))
+        first, second = grads
+        assert not np.shares_memory(first.flat, second.flat)
+        for name in first:
+            assert not np.shares_memory(first[name], second[name])
+            assert np.shares_memory(first[name], first.flat)
+        np.testing.assert_array_equal(first.flat, np.concatenate(
+            [first[k].ravel() for k in sorted(first)]))
 
     def test_zero_upstream_gives_zero_grads(self):
         net = ScoreNet(ScoreNetConfig(dim_x=2, hidden=(4,), n_pairs=2, embed_dim=3),
@@ -560,6 +614,47 @@ class TestCheckpoint:
             "resumed": "fb0bae45bfe8960f4e31fd21d733e1c039e73135efce2a85e97c0ace5d74e6ea",
         }
 
+    @pytest.mark.parametrize("dim_c", [0, 1])
+    def test_default_size_bytes_match_recorded_digests(self, tmp_path, dim_c):
+        """The default-size nets (256-wide embedding, so other BLAS kernels
+        than the 8-wide digest test above), 20 steps at batch 128, saved with
+        optimizer state; digests recorded with the np.where PReLU and a
+        per-array backward (numpy 2.x, OpenBLAS, x86-64)."""
+        from scorewave import GmmPrior
+        from scorewave.oracle import sample as sample_prior
+
+        prior = GmmPrior(weights=[0.3, 0.7], means=[-1.0, 0.5], variances=[0.09, 0.04])
+
+        def draw(r, b):
+            x0 = sample_prior(prior, b, r)
+            return x0, x0 + 0.5 * r.standard_normal(x0.shape)
+
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=dim_c), np.random.default_rng(44))
+        train(net, draw if dim_c else prior, NoiseSchedule(),
+              OptimizerConfig(total_steps=20, peak_lr=1e-3), n_iters=20, batch_size=128,
+              rng=np.random.default_rng(45))
+        save_checkpoint(tmp_path / "net.ckpt", net, net.opt_state)
+        assert hashlib.sha256((tmp_path / "net.ckpt").read_bytes()).hexdigest() == {
+            0: "eeaf50373575eca98ec9c939a85e2337dc1b03f6f7ecd13491c68f8db4698d83",
+            1: "83acafdcf150e669cfb5d19da7db200f4c32ce5ddce310dbd61b9ddd51311f30",
+        }[dim_c]
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        """The loaded network wraps the payload: no random initialisation is
+        drawn and thrown away."""
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=(6, 5), n_pairs=3, embed_dim=4),
+                       np.random.default_rng(46))
+        save_checkpoint(tmp_path / "net.ckpt", net)
+        calls = []
+        affine_init = scorenet._affine_init
+        monkeypatch.setattr(scorenet, "_affine_init", lambda *a: calls.append(a) or affine_init(*a))
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a))
+        loaded, _ = load_checkpoint(tmp_path / "net.ckpt")
+        assert calls == []
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+        for arr in list(loaded.embedding.params.values()) + list(loaded.mlp.params.values()):
+            assert np.shares_memory(arr, loaded.flat)
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
@@ -601,6 +696,25 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes().replace(b'"hidden": [4, 4]', b'"hidden": [4e14]'))
         with pytest.raises(ConfigError, match="payload"):
             load_checkpoint(path)
+
+    def test_header_sizes_written_as_floats(self, tmp_path):
+        """JSON sizes such as 2.0 are read as integers; an infinite one
+        ("Infinity", which Python's json accepts) is a ConfigError."""
+        blob = self._saved(tmp_path, False)
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header, payload = blob[12:12 + hlen], blob[12 + hlen:]
+
+        def with_header(name, text):
+            path = tmp_path / name
+            path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + payload)
+            return path
+
+        net, _ = load_checkpoint(with_header("float.ckpt", header.replace(b'"n_pairs": 2',
+                                                                          b'"n_pairs": 2.0')))
+        assert net.config.n_pairs == 2 and isinstance(net.config.n_pairs, int)
+        with pytest.raises(ConfigError):
+            load_checkpoint(with_header("inf.ckpt", header.replace(b'"hidden": [4]',
+                                                                   b'"hidden": [Infinity]')))
 
     def test_rejects_short_or_undecodable_header(self, tmp_path):
         blob = self._saved(tmp_path, True)
