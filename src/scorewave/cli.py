@@ -52,6 +52,7 @@ from .distort import (
     sample_chain,
 )
 from .errors import AudioError, ConfigError, NumericError
+from .files import replacing
 from .metrics import evaluate_pair, snr
 from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
@@ -243,8 +244,19 @@ def _header(command: str, cfg: ToolkitConfig, seed: int) -> dict:
     return {"command": command, "seed": seed, "config": cfg.to_dict()}
 
 
+def _distort_header(cfg: ToolkitConfig, seed: int) -> dict:
+    """The distort log's header: the common one plus what replay depends on,
+    the engine version and the numpy and scipy builds (FFT and filter code
+    can move the last bits of an output). The versions come from package
+    metadata, which imports neither package."""
+    from importlib import metadata
+
+    versions = {name: metadata.version(name) for name in ("numpy", "scipy")}
+    return {**_header("distort", cfg, seed), "engine_version": ENGINE_VERSION, **versions}
+
+
 def _write_jsonl(path, lines) -> None:
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         for line in lines:
             fh.write(json.dumps(line) + "\n")
 
@@ -341,7 +353,7 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
         warnings.simplefilter("ignore", SoftClipWarning)
         results = list(pool.map(process, enumerate(manifest)))
 
-    _write_jsonl(log_path, [_header("distort", cfg, seed), *results])
+    _write_jsonl(log_path, [_distort_header(cfg, seed), *results])
     failures = [r for r in results if "error" in r]
     print(f"distort: {len(results) - len(failures)} pair(s) written to {out_dir}, "
           f"{len(failures)} failure(s); log: {log_path}")
@@ -411,7 +423,8 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net, net.opt_state)
     rng_sidecar = out.with_suffix(out.suffix + ".rng.json")
-    rng_sidecar.write_text(json.dumps(rng.bit_generator.state))
+    with replacing(rng_sidecar, "w") as fh:
+        fh.write(json.dumps(rng.bit_generator.state))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace.jsonl")
     _write_jsonl(trace_path, lines)
     print(f"train: {iterations} iteration(s); checkpoint: {out}; trace: {trace_path}")
@@ -549,7 +562,8 @@ def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
                                 n_samples=args.n)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out, draws, fmt="%.17g")
+    with replacing(out, "w") as fh:
+        np.savetxt(fh, draws, fmt="%.17g")
     log_path = args.log or str(out) + ".log.jsonl"
     _write_jsonl(log_path, [_header("sample-prior", cfg, seed),
                             {"n": args.n, "method": args.method, "out": str(out)}])

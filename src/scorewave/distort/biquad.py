@@ -10,7 +10,6 @@ Nyquist, |r| < 1), which the stability tests sweep. The appliers in
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from ..errors import ConfigError
 
@@ -125,5 +124,7 @@ def two_pole(f0: float, r: float, rate: int):
 
 def magnitude_at(b: np.ndarray, a: np.ndarray, f0: float, rate: int) -> float:
     """|H(e^{j w0})| — the transfer-function oracle the tests evaluate."""
+    import scipy.signal
+
     _, h = scipy.signal.freqz(b, a, worN=[2.0 * np.pi * f0 / rate])
     return float(np.abs(h[0]))

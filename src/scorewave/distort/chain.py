@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from ..errors import ConfigError, NumericError, ScorewaveError
 from ..signal import Signal
@@ -157,6 +156,8 @@ def sample_chain(cfg: ChainConfig, rng) -> tuple:
 def _align_offset(clean: np.ndarray, distorted: np.ndarray) -> int:
     """Lag of the normalized full cross-correlation peak (positive = the
     distorted signal is delayed); exact ties go to the smaller |lag|."""
+    import scipy.signal
+
     corr = scipy.signal.correlate(distorted, clean, mode="full", method="fft")
     norm = np.linalg.norm(clean) * np.linalg.norm(distorted)
     if norm > 0:

@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.signal
 
 from ..errors import ConfigError
 from ..signal import Signal, istft, resample, stft
@@ -174,6 +173,8 @@ def _envelope(x: np.ndarray, rate: int, attack_ms: float, release_ms: float) -> 
 
 
 def _tone(waveform: str, freq: float, n: int, rate: int, phase: float) -> np.ndarray:
+    import scipy.signal
+
     arg = 2.0 * np.pi * freq * np.arange(n) / rate + phase
     if waveform == "sine":
         return np.sin(arg)
@@ -230,6 +231,8 @@ def _biquad(design, *keys, above_nyquist=_unchanged):
     def apply(x, rate, p, rng, assets):
         if p[keys[0]] >= rate / 2.0:
             return above_nyquist(x, p)
+        import scipy.signal
+
         b, a = design(*(p[key] for key in keys), rate)
         return scipy.signal.lfilter(b, a, x)
 
@@ -325,6 +328,8 @@ def _apply_tremolo(x, rate, p, rng, assets):
 
 
 def _apply_random_eq(x, rate, p, rng, assets):
+    import scipy.signal
+
     y = x.copy()
     lo_f, hi_f = p["freq_lo"], p["freq_hi"]
     for _ in range(int(p["n_bands"])):
@@ -384,6 +389,8 @@ def _apply_algorithmic_reverb(x, rate, p, rng, assets):
 
 
 def _apply_rir_convolution(x, rate, p, rng, assets):
+    import scipy.signal
+
     pool = assets.get("rir_pool") or ()
     if pool:
         ir = np.asarray(pool[int(rng.integers(len(pool)))], dtype=np.float64)

@@ -155,6 +155,8 @@ def _conjugate_update(prior: GmmPrior, observed, noise_std: float):
     (n, k) and the shared variances (k,)."""
     if prior.dim != 1:
         raise ConfigError("the conjugate posterior supports d = 1 priors only")
+    if not (np.isfinite(noise_std) and noise_std >= 0.0):
+        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
     y = np.asarray(observed, dtype=np.float64).reshape(-1, 1)
     v, s2, mu = prior.variances, float(noise_std) ** 2, prior.means[:, 0]
     log_w = prior.log_weights - 0.5 * np.log(2.0 * np.pi * (v + s2)) - 0.5 * (y - mu) ** 2 / (v + s2)

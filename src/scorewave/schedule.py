@@ -92,8 +92,8 @@ def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> Sampling
     """
     if n_steps < 2:
         raise ConfigError(f"n_steps must be >= 2, got {n_steps}")
-    if epsilon < 1.0:
-        raise ConfigError(f"epsilon must be >= 1, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 1.0):
+        raise ConfigError(f"epsilon must be finite and >= 1, got {epsilon}")
 
     t = np.arange(n_steps, dtype=np.float64) / (n_steps - 1)
     sigmas = schedule.sigma_at(t)

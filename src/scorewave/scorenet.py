@@ -44,6 +44,7 @@ import numpy as np
 
 from .diffusion import dsm_draw
 from .errors import ConfigError, TrainingError
+from .files import replacing
 from .oracle import GmmPrior
 from .oracle import sample as sample_prior
 from .schedule import NoiseSchedule
@@ -585,7 +586,7 @@ def save_checkpoint(path, net: ScoreNet, opt_state: OptimizerState | None = None
         header["opt"] = asdict(opt_state.config) | {"step": opt_state.step}
         payload += [opt_state.m, opt_state.v]
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

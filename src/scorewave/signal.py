@@ -5,7 +5,11 @@ Everything here is deterministic plumbing for the enhancement pipeline:
 * :class:`Signal` — mono waveform + sample rate (16 kHz default).
 * WAV reader/writer — hand-rolled RIFF parsing, PCM16 and IEEE float32,
   mono only (multichannel readable with an explicit down-mix flag).
-* :func:`resample` — windowed-sinc polyphase via scipy.
+* :func:`resample` — windowed-sinc polyphase via ``scipy.signal``, which
+  it imports on its first call: importing ``scorewave`` loads no scipy
+  module, and only the code that calls scipy (resampling here, filters,
+  tones, convolution and alignment in :mod:`scorewave.distort`) pays the
+  ~2 s import.
 * :func:`stft` / :func:`istft` — centered frames, Hann analysis window,
   weighted-overlap-add synthesis dividing by the accumulated squared
   window, so the round trip is exact (to float precision) for any hop
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-import scipy.signal
 
 from .errors import AudioError, ConfigError
+from .files import replacing
 
 DEFAULT_RATE = 16_000
 MEL_BANDS = 80
@@ -143,7 +147,7 @@ def write_wav(path, sig: Signal, encoding: str = "pcm16") -> None:
             struct.pack("<I", len(raw)),
         ]
     )
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(header)
         fh.write(raw)
 
@@ -218,6 +222,8 @@ def resample(sig: Signal, target_rate: int) -> Signal:
     target_rate = int(target_rate)
     if target_rate == sig.sample_rate:
         return sig
+    import scipy.signal
+
     g = gcd(target_rate, sig.sample_rate)
     up, down = target_rate // g, sig.sample_rate // g
     y = scipy.signal.resample_poly(sig.samples, up, down, window=("kaiser", 12.0))
@@ -456,7 +462,7 @@ def write_features(path, array: np.ndarray, meta: dict | None = None) -> None:
     arr = np.ascontiguousarray(array, dtype="<f4")
     header = {"shape": list(arr.shape), "dtype": "<f4", "meta": meta or {}}
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_FEAT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -137,6 +137,19 @@ class TestDistort:
         assert lines[0]["seed"] == 5
         assert "distort.count_probs" in lines[0]["config"]
 
+    def test_header_names_engine_version_and_numeric_builds(self, tmp_path):
+        """Replay is bit-exact for one engine version on one numpy/scipy build;
+        the header says which."""
+        from importlib import metadata
+
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("")
+        main(["distort", str(manifest), str(tmp_path / "out")])
+        header = read_lines(tmp_path / "out" / "distort_log.jsonl")[0]
+        assert header["engine_version"] == ENGINE_VERSION
+        assert header["numpy"] == metadata.version("numpy") == np.__version__
+        assert header["scipy"] == metadata.version("scipy")
+
     def test_pairs_written_and_log_complete(self, tmp_path):
         write_tone(tmp_path / "x.wav", seed=1)
         write_tone(tmp_path / "y.wav", seed=2)
@@ -546,6 +559,26 @@ class TestEnhance:
                      "--output", str(out), "--reference", str(tmp_path / "ref.wav"),
                      "--seed", "1"])
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["sampling.epsilon = nan", "sampling.epsilon = inf",
+                                         "enhance.noise_std = nan", "enhance.noise_std = inf",
+                                         "enhance.noise_std = -1"])
+    def test_bad_sampling_setting_is_config_error_before_sampling(self, tmp_path, monkeypatch,
+                                                                  setting):
+        """A non-finite epsilon, or a negative or non-finite noise level, exits
+        2 before the sampler draws anything and writes no output."""
+        from scorewave import cli
+
+        make_noisy_pair(tmp_path, n=64, seed=3)
+        draws = []
+        monkeypatch.setattr(cli, "langevin_sample", lambda *a, **k: draws.append(a))
+        (tmp_path / "bad.cfg").write_text(setting + "\n")
+        out = tmp_path / "o.wav"
+        code = main(["--config", str(tmp_path / "bad.cfg"), "enhance",
+                     "--input", str(tmp_path / "noisy.wav"), "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert draws == []
         assert not out.exists()
 
     def test_nan_checkpoint_is_numeric_error(self, tmp_path):

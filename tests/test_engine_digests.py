@@ -1,0 +1,414 @@
+"""Per-type applier output digests: ``ENGINE_VERSION`` made enforceable.
+
+A logged chain replays bit for bit only while every applier computes
+exactly what it computed when the chain was written, and the engine
+promises to bump ``ENGINE_VERSION`` whenever any applier's output moves by
+even the last bit. This test makes that promise mechanical. Each of the 43
+types is applied to a frozen seeded clip with two frozen specs and
+synthetic noise and room-impulse pools, and the sha256 of every float64
+output is compared with the table recorded for the current
+``ENGINE_VERSION``. Changing an applier's arithmetic fails here until the
+version is bumped and the new version's table recorded (older tables
+stay). The specs were drawn once from the default bounds, keeping per type
+the first two draws whose outputs differ from the clip and from each
+other, and are written out below, so a change to the parameter sampler
+cannot move them.
+
+FFT and filter code in numpy and scipy can move last bits too, which is
+why the ``distort`` log header names both versions. ``RECORDED_ON`` lists
+the builds a table was recorded on. On any other build the test does not
+skip: it runs the same comparison. If the digests match, the build computes
+the recorded bits and can be added to ``RECORDED_ON``. If they do not, the
+test fails and its message names the build as unrecorded: bits that move
+with the build break the replay of logs written on a recorded build just
+as an applier change does.
+"""
+
+import hashlib
+from importlib import metadata
+
+import numpy as np
+
+from scorewave.distort import ENGINE_VERSION, PRIMITIVES
+
+RATE = 16_000
+
+# (type, params, applier seed): two per type, in registry order.
+SPECS = [('band_pass', {'freq': 530.3313712683922, 'q': 0.9184552775396888}, 404743789),
+     ('band_pass', {'freq': 1088.7460046888948, 'q': 2.8877574537131667}, 1195967771),
+     ('high_pass', {'freq': 1281.3976098491373, 'q': 1.7606584004494719}, 1787579136),
+     ('high_pass', {'freq': 507.68425259967336, 'q': 1.9234442574797974}, 2140636123),
+     ('low_pass', {'freq': 1232.385711248768, 'q': 1.491798500965176}, 436207415),
+     ('low_pass', {'freq': 885.597924617973, 'q': 1.815073371986784}, 703227066),
+     ('down_sample', {'factor': 8, 'method': 'hold'}, 1727352695),
+     ('down_sample', {'factor': 2, 'method': 'hold'}, 238620757),
+     ('mu_law', {'bits': 8, 'mu': 255.0}, 1029795634),
+     ('mu_law', {'bits': 4, 'mu': 255.0}, 1331499564),
+     ('plosive_boost', {'freq': 176.98633446886817, 'gain_db': 15.170887695775306}, 2103284178),
+     ('plosive_boost', {'freq': 174.4840724456411, 'gain_db': 6.70654254243971}, 1065291436),
+     ('sibilance_boost', {'freq': 6855.711554343238, 'gain_db': 14.08199559350119}, 1107598113),
+     ('sibilance_boost', {'freq': 6828.017317420508, 'gain_db': 8.331701937385589}, 1368264542),
+     ('overdrive', {'gain': 11.379642277048324, 'mix': 0.769238315163993}, 339076755),
+     ('overdrive', {'gain': 8.821560308404562, 'mix': 0.7647151620872428}, 775746263),
+     ('clip', {'threshold': 0.8098792905423334}, 698052969),
+     ('clip', {'threshold': 0.32076038683194086}, 1733847527),
+     ('compressor',
+      {'threshold_db': -14.152042501373796,
+       'ratio': 5.817840477952598,
+       'attack_ms': 2.2331992155850546,
+       'release_ms': 269.36446835010776},
+      1769783972),
+     ('compressor',
+      {'threshold_db': -10.447807249763688,
+       'ratio': 5.862283504935286,
+       'attack_ms': 2.375149852449887,
+       'release_ms': 118.27719272714707},
+      835000937),
+     ('destroy_levels',
+      {'segment_ms': 462.7214515690324,
+       'prob': 0.6923892344400988,
+       'gain_db_lo': -35.0,
+       'gain_db_hi': -5.0},
+      1601258069),
+     ('destroy_levels',
+      {'segment_ms': 267.1399369198709,
+       'prob': 0.46675939075009404,
+       'gain_db_lo': -35.0,
+       'gain_db_hi': -5.0},
+      1404113350),
+     ('noise_gate',
+      {'threshold_db': -59.695352523869424,
+       'attack_ms': 4.197904490746586,
+       'release_ms': 34.17687300732532},
+      1583918220),
+     ('noise_gate',
+      {'threshold_db': -34.12483771479181,
+       'attack_ms': 6.583532831535615,
+       'release_ms': 62.6307860457419},
+      541979823),
+     ('simple_compressor', {'ratio': 2.1284710740478925}, 17800855),
+     ('simple_compressor', {'ratio': 3.647371329735612}, 974526664),
+     ('simple_expander', {'ratio': 1.923300359845956}, 1234219885),
+     ('simple_expander', {'ratio': 2.357993315687415}, 872716270),
+     ('tremolo', {'rate_hz': 4.6460273558544705, 'depth': 0.3924788940436642}, 1719897572),
+     ('tremolo', {'rate_hz': 0.8320306534455746, 'depth': 0.3599894362210013}, 2033282116),
+     ('band_reject', {'freq': 3003.7820694043826, 'q': 1.7527364576807445}, 1631639995),
+     ('band_reject', {'freq': 829.7094271411455, 'q': 1.2191154037402492}, 117402872),
+     ('random_eq',
+      {'n_bands': 5,
+       'freq_lo': 100.0,
+       'freq_hi': 7000.0,
+       'gain_db_lo': -12.0,
+       'gain_db_hi': 12.0,
+       'q_lo': 0.5,
+       'q_hi': 5.0},
+      1283809626),
+     ('random_eq',
+      {'n_bands': 9,
+       'freq_lo': 100.0,
+       'freq_hi': 7000.0,
+       'gain_db_lo': -12.0,
+       'gain_db_hi': 12.0,
+       'q_lo': 0.5,
+       'q_hi': 5.0},
+      453560339),
+     ('two_pole', {'freq': 349.1596779023844, 'radius': 0.9497277386032632}, 1321788725),
+     ('two_pole', {'freq': 521.8840560346986, 'radius': 0.9686895235528419}, 370653146),
+     ('additive_noise', {'snr_db': 1.9479225116824512}, 191506956),
+     ('additive_noise', {'snr_db': 19.95728960922278}, 1323178870),
+     ('impulsive_noise',
+      {'snr_db': 4.006523371378243, 'rate_hz': 0.7583012024152852, 'burst_ms': 48.05057788087425},
+      1902186736),
+     ('impulsive_noise',
+      {'snr_db': 18.447857306303607, 'rate_hz': 0.9187803398893377, 'burst_ms': 6.001517519183616},
+      1789045545),
+     ('algorithmic_reverb', {'t60': 0.7309007891240888, 'wet': 0.550453674255843}, 2125352594),
+     ('algorithmic_reverb', {'t60': 0.676570801448278, 'wet': 0.49268369775392246}, 1382740396),
+     ('rir_convolution',
+      {'t60': 0.8133127550338081,
+       'ir_ms': 337.2376493275994,
+       'predelay_ms': 7.853249331674135,
+       'wet': 0.7771291525794546},
+      1389946673),
+     ('rir_convolution',
+      {'t60': 0.8777589187904146,
+       'ir_ms': 281.3291781194307,
+       'predelay_ms': 13.631440507176825,
+       'wet': 0.5167088984051915},
+      1296865685),
+     ('short_delay', {'delay_ms': 1.0750336500518165, 'gain': 0.971007342431601}, 1955965626),
+     ('short_delay', {'delay_ms': 5.358002544833941, 'gain': 0.7166013628260777}, 59158017),
+     ('griffin_lim', {'window': 512, 'iterations': 22}, 37673672),
+     ('griffin_lim', {'window': 512, 'iterations': 19}, 1896151621),
+     ('phase_randomization', {'window': 512, 'amount': 0.3803744210985497}, 1477270116),
+     ('phase_randomization', {'window': 1024, 'amount': 0.9938580851812195}, 920840773),
+     ('phase_shuffle', {'window': 1024, 'amount': 0.623590905812504}, 1857665234),
+     ('phase_shuffle', {'window': 512, 'amount': 0.39086763487493015}, 474700605),
+     ('spectral_holes',
+      {'window': 1024, 'n_holes': 4, 'max_bins': 40, 'max_frames': 20},
+      1366246954),
+     ('spectral_holes',
+      {'window': 256, 'n_holes': 15, 'max_bins': 40, 'max_frames': 20},
+      1819134285),
+     ('spectral_noise', {'window': 1024, 'amount': 0.4682746660941037}, 1453051889),
+     ('spectral_noise', {'window': 256, 'amount': 0.21774468819050985}, 454603393),
+     ('colored_noise',
+      {'snr_db': 17.970868293709326, 'slope_db_oct': -2.561897135084019},
+      1148482225),
+     ('colored_noise',
+      {'snr_db': -4.474536176827638, 'slope_db_oct': 3.20954142833469},
+      1381244715),
+     ('dc_component', {'amplitude': 0.05942018464711466}, 836585155),
+     ('dc_component', {'amplitude': 0.07210189317513394}, 858811297),
+     ('electricity_tone',
+      {'snr_db': 4.369700101698115, 'freq': 50.0, 'waveform': 'sawtooth'},
+      433838155),
+     ('electricity_tone',
+      {'snr_db': 11.4915766900107, 'freq': 60.0, 'waveform': 'square'},
+      1103000959),
+     ('nonstat_colored_noise',
+      {'snr_db': 12.70454527900338,
+       'slope_db_oct': 2.1058739708287817,
+       'segment_ms': 969.4928385453902,
+       'prob': 0.5950593256491812},
+      1944690738),
+     ('nonstat_colored_noise',
+      {'snr_db': 14.554163269281233,
+       'slope_db_oct': 5.6853150629016245,
+       'segment_ms': 241.89359806947604,
+       'prob': 0.4540719818346672},
+      922325264),
+     ('nonstat_dc_component',
+      {'amplitude': 0.057269037924797164,
+       'segment_ms': 872.8840539721707,
+       'prob': 0.6529225423947546},
+      1161905459),
+     ('nonstat_dc_component',
+      {'amplitude': 0.03173643455216931,
+       'segment_ms': 322.5069615044328,
+       'prob': 0.3580908968075468},
+      27652923),
+     ('nonstat_electricity_tone',
+      {'snr_db': 13.893816929788297,
+       'freq': 50.0,
+       'waveform': 'sine',
+       'segment_ms': 301.9415276126605,
+       'prob': 0.21837550985053295},
+      526157755),
+     ('nonstat_electricity_tone',
+      {'snr_db': 0.5233058780993343,
+       'freq': 50.0,
+       'waveform': 'square',
+       'segment_ms': 958.378532993645,
+       'prob': 0.5377637804638885},
+      670029781),
+     ('nonstat_random_tone',
+      {'snr_db': 14.638914558323144,
+       'freq': 282.93453477142833,
+       'waveform': 'square',
+       'segment_ms': 582.7598887973505,
+       'prob': 0.27466942407163925},
+      1133053395),
+     ('nonstat_random_tone',
+      {'snr_db': 1.706835932027083,
+       'freq': 3933.1017806864897,
+       'waveform': 'square',
+       'segment_ms': 205.77740464763477,
+       'prob': 0.6070022185288184},
+      268742421),
+     ('random_tone',
+      {'snr_db': 5.294526905885322, 'freq': 3121.3491577720356, 'waveform': 'sine'},
+      236148951),
+     ('random_tone',
+      {'snr_db': 4.278529146540665, 'freq': 1849.0808054664192, 'waveform': 'sine'},
+      1154844616),
+     ('frame_shuffle', {'frame_ms': 27.4436178797419, 'prob': 0.3812211359054407}, 1223146148),
+     ('frame_shuffle', {'frame_ms': 75.37851642541224, 'prob': 0.5905364855397063}, 510716193),
+     ('insert_attenuation',
+      {'segment_ms': 49.05634827338709,
+       'prob': 0.42942517131283897,
+       'gain_db': -22.045739454778822},
+      448456766),
+     ('insert_attenuation',
+      {'segment_ms': 116.87765275803943,
+       'prob': 0.31239438347520054,
+       'gain_db': -23.82165388496925},
+      70110936),
+     ('insert_noise',
+      {'segment_ms': 48.24733456810333, 'prob': 0.40015291772432793, 'snr_db': 10.642547883042413},
+      324928924),
+     ('insert_noise',
+      {'segment_ms': 37.16897739559509, 'prob': 0.32950399510743333, 'snr_db': 8.761035684812189},
+      523418050),
+     ('perturb_amplitude',
+      {'segment_ms': 59.047787878824174,
+       'prob': 0.6218106002245526,
+       'gain_db_lo': -8.0,
+       'gain_db_hi': 8.0},
+      229718486),
+     ('perturb_amplitude',
+      {'segment_ms': 372.569578580098,
+       'prob': 0.4484114573783535,
+       'gain_db_lo': -8.0,
+       'gain_db_hi': 8.0},
+      1726249574),
+     ('sample_duplicate', {'block_ms': 14.953214609121067, 'prob': 0.29831759880835096}, 974240850),
+     ('sample_duplicate', {'block_ms': 2.4224882000485253, 'prob': 0.2218619316481105}, 2117329648),
+     ('silent_gap', {'gap_ms': 104.62182174215884, 'prob': 0.1414328361537654}, 1616894008),
+     ('silent_gap', {'gap_ms': 41.84566824570598, 'prob': 0.1982593411140655}, 1078184933),
+     ('telephone',
+      {'low_hz': 300.7805051785597, 'high_hz': 3105.5848306484854, 'ratio': 2.7495102351614618},
+      1682922040),
+     ('telephone',
+      {'low_hz': 256.1029494379248, 'high_hz': 3299.3115831658665, 'ratio': 3.3395578305567195},
+      1304464902)]
+
+# ENGINE_VERSION -> type -> sha256 of the two specs' float64 outputs.
+DIGESTS = {
+    2: {
+        'band_pass': ('f30788c46e69826231f5d4ad1a6d6763adfb852f3b6aeb8f1d0c9f5790280f02',
+                     'e286ab2284cbb2b2edaa76473b50c1609dc0ca37852c1e76fc5824f20a7888f9'),
+        'high_pass': ('d8104701f5da26b9915af78b5c191794ba309d07071f328abd66fbff2da283cc',
+                     'c40b235e8d927761dd06519940a6478fcb9c8aa01a2d3305216fb9f379f6edac'),
+        'low_pass': ('f9ecd12ce5624dff5c8cdb5ac7cfc15a471e11bad1fe3082240157cc3eae60f6',
+                    'f5e63a1ae1957775671a1fd6e732f294539150028861744af1ac11008a40a07b'),
+        'down_sample': ('a8e8116f3ffbc913b3486c09c84218db9fa1c70397434805cf0ffce9d12dd67d',
+                       '045203f11f32edcbfcaaca7ef6786b5e164a090a939aca2c6415f009f1ca3434'),
+        'mu_law': ('f08efd1abd81febd209a600242cc9b687306d09f2228b664e9d7a936f326a2d4',
+                  '0ef58a4846c178e344f999eea70559dc31a0348110d4fd7ececa1fa79dc9b315'),
+        'plosive_boost': ('752885e7a589ea4e557b71f7ab250768d14da770a4f9f446ec3c27846b95b41b',
+                         '7108e247f1a63ba2dbdef4f92789a29729031f615f8d65fdac79b2b9c09c3441'),
+        'sibilance_boost': ('231368b595eed07726596b2e589d9ce10769dae13da40e63224e4ca2e974754e',
+                           '8f1f0c44e32809dd349acd03e682ace145881b90fa7eae5a810e497e8c9f6b9e'),
+        'overdrive': ('62de9f170f1a578b680749f40f18bb76510b3d5fe7461239d5fc9efb568b4c9d',
+                     '41beeef1791abf1f9ea3e7a9a6666ba651af31d82a7053a38aa42a5a6f7ca13d'),
+        'clip': ('1afc0bf30bef6832fed431e3acc69d6e40a075fd68c7c4ac0cc6c9342310a366',
+                '6b22c5bcf87a4fe77222001068a62792312de12897a5ed8858338fea38170e8e'),
+        'compressor': ('b7ab1629fdc23a15e0bc309da35bc6053e2fbc048c95cd2897d0e1440bf92b67',
+                      '8fddd215af032de97a816947b2c0cafd031b0cb69439b63e71f88ec44c5e3c7d'),
+        'destroy_levels': ('b28ed940575b8d816874c5bacbcf56ec1f5e876074a2120b861270f46cf05a21',
+                          'e0c36928323a10749d0647bc436f2ed095f7a233099e9c6a42fa6fa943cfe4c8'),
+        'noise_gate': ('9839cedc31bc06c1f0937a0ca20aed656b5ffd0c14b84f8fafb52646a34c6b34',
+                      'ebf014a3a187d2590d1e95c83ba42279fd9c3b7d53ca7c586af70455e5e27eeb'),
+        'simple_compressor': ('7b2f02e74f7c16ef7f8c0f9f3de2faa3efa5bdcd183d3dbf4a26f76cb2523553',
+                             '0cbad3f3fcae5f152acb5d8af9f36c2daa389d5fbf87ef995e8027cbe0cbef3a'),
+        'simple_expander': ('f314acaee56e524fffee304f68e8a9fc7a43fcb9ef0af163e582fbb653ee0dba',
+                           '3d75c15d59c9cf9d1d30604bc174349c20ec98ed23fa17728f2fcebbaf38ea52'),
+        'tremolo': ('37ea4f57ff038a012dfd875a60524336346b2a4b6a92081f4ac1a95f5980c72e',
+                   '4add2b7f25452cb507ae8e1459e21c4bb29a91c22edc3d7384ed75f8ff6162a5'),
+        'band_reject': ('7376f3521c8a6ea3194569271334d58e92c7e915210b508bcc9383c190ee03bd',
+                       '993cd8ee379ce31e417deec120f6ed0d9a16009f56ad1414a172f32932497925'),
+        'random_eq': ('fe83af75f2aa3d5e259f37f7fa201fd2e65b957cb9100d2267ede21889a40f25',
+                     '9d380cdd65c6d12d30a684bf5062bccd235a347e87a93c9fb1d962174ee10bea'),
+        'two_pole': ('db53f4bd851f7a4b094317fd66443fb06518120d212688dc50470e86719d683e',
+                    '2a3c1a16e79dcf7c6bdc741d8061ec66374e9b60365b4e76f6ae6c089f3db48d'),
+        'additive_noise': ('41327a48dfe5ff592243ecf167a654094e3d6530c0aed0ff5c113bd1ba159615',
+                          '3a7791d2b09ba9cb3374ff35c97d15d75e8b476ced011717a58a55b4d7cd126f'),
+        'impulsive_noise': ('1e4eda65726f5cb4cdc7112abab79c354444fccd9c2a4dfe8280343c8813dd21',
+                           '25e718fe98fbf44494e1b27d9a82087c5f9124b9eedf710b6056ddfdf3fb189f'),
+        'algorithmic_reverb': ('1c1034479c444b472d24033e85dbfd040f3fda8c53d33fc9540addd8847fad05',
+                              '3d5b5b2b0baf5c788ae8a44d250ab74cdfbc3d921faccbdffbbe1cae4370475b'),
+        'rir_convolution': ('c949f38d9ea26e035be31fe0bdac67caadf2b5416e9c88afa57006ccd6379240',
+                           '28550f33539ba1ff1809443c6e42569a8e6ef49fb111928d4688310241a50708'),
+        'short_delay': ('70f13a5658773e1dd19f9820b8b9c2a79edf78993a7dac696a344778c555cfde',
+                       'd65c98212af52113faa908b65f6334ab771583eb6a8f650edafa7a079b03f795'),
+        'griffin_lim': ('a861434c22488b37e50b70ae78009695dc3ef9a2eba0ed2566ab19836fc8406b',
+                       'c572c2eee117c2273b602bdecd2acde6a5a2e122b6d48785e1813222e1bc0f99'),
+        'phase_randomization': ('2d7122c1ecb0182efbc5ce83a2696ef8ded7d77eaa578c00ba39d85d8896eebc',
+                               '86673bc948bbc4d7669d24d2bdd259cea871b51ea8bfe3fbd1ff7cf8b6576536'),
+        'phase_shuffle': ('3c7871589c745530db61ac4c5ade39366d382855293406eb00493610727d201c',
+                         'db58458ddc5cbca6d9e85d34de0f4f2290ba796f16d2b096d7bf996a5e6d9305'),
+        'spectral_holes': ('1c33778625144f350cf6c73a7496c79f95f4fb1423005c2696ea61a38521d7d8',
+                          '3350562c655f95b86e01d185d034454c2655bf78880e8177ad0b6b613a1c0ccf'),
+        'spectral_noise': ('a896d21563446da4152268c22413210eea9afab0a1649196d73a643ea188c67c',
+                          '9f1875d87eaa4c7cbc10e3745b3beaac188060b938dd49cdaf39fa71dc0f7431'),
+        'colored_noise': ('b81cfc7bb1a21b10ed62a9381d843eaee1257a742faa8e12ae675f109b973da3',
+                         'd37ad6528f4aaa5f7224bb4b8b44974b252d98d6ed2fb7e0ed439ea86a002998'),
+        'dc_component': ('0c8d646e0f74214c1798858f11f8940d09c1afe64cd2f1a612b645c9e350efab',
+                        '97cb98faea902ec8bb503c562ca7a6a83f513e04e46abae35672642c054d5d69'),
+        'electricity_tone': ('6047983c3a753eb4d24ea524eb63aee4074adf8f5573cf53960f56f8a89ebd89',
+                            'b449457b12828b7209537833bbcfd4048696dc5b3a2922bef87ea39d43f7501a'),
+        'nonstat_colored_noise': ('6e8fef6588a421fc0cd6720a7531f37c7e2bd7562dad42076e63230f42375c57',
+                                 '9d1abb29d119abe1c0aed8ded57cddf270ef8d0c184747ba21520d7b06848cd1'),
+        'nonstat_dc_component': ('7c848cc3fcff892fc93fcebd5b60c1a49ec8c791250eda32b6befff9df8b0f32',
+                                'c349074707889b719eafd813abcea7cb40915758f6216f7931db7704ce2df382'),
+        'nonstat_electricity_tone': ('3daab50438a69e2c7a91cac3ff85b615e7513217fc26f2fd5494c930ea8aab2f',
+                                    '96aeec5b7af43196fe75a39807de4a71610936798381e4e82bdc61010f95731a'),
+        'nonstat_random_tone': ('a268a280c8a77e9134429244e173c9add64438dac0644aa3bf7cec25b7959ffc',
+                               '4513c1f80ef6e3d6c599a9eabf88e713c569f9aeafcf78c249dca3b79751842b'),
+        'random_tone': ('5da4ed3060a69824c7c49572e2f5b8ca5fe325230ab5d8b879a2f5fbc46f37b1',
+                       '2c49cdb8b0b0eca1cc6686606cf43f93b7370e9234178d5f71cfdc7498bde7ad'),
+        'frame_shuffle': ('8df05499ee70ace5b17dbd9bc09f942eddfc90f07b16a26f01af57862da291a8',
+                         'caacf612505f87dc9ffd715a6bf41e8dfdda2456a55d76b8e410d31991878cfa'),
+        'insert_attenuation': ('2ca2123d4986d37b89adfc71e4b746ca5dfe41d217ab42ae1ef98d255d67a5cf',
+                              'd01dccc718dd579ffc448dcd2192a90f3208366f6ab13626eb365af65af09d05'),
+        'insert_noise': ('0574796efe6ce94f6d422a8d348df4012e010b6b4987aa155f44f7ab169f4ea8',
+                        'c5d18fcd5ee8ab3bd9897ceb9356b4bcc4d732fcc18c808be9eefccd87ea067b'),
+        'perturb_amplitude': ('0d82e220d74f8de5a969d09be9b7a27a22fc25641da2934dc2faecbae943fcb0',
+                             '239e2028f9d6965608e42b8794e3cb5c28401fd897c5c09e57aee67964db360d'),
+        'sample_duplicate': ('77792e542429620c3fe9c2bacffcef47a533e7cbdb00ae107f0e0f6174632a5a',
+                            'bf935ba7cbda335dd25b16c6a84e6c609a3d6abc8c80bacbe7e6cebe88e7f80c'),
+        'silent_gap': ('67ae9239377250cd5656948342d4fbe71e2ff3bebbaa4965f792e3793b521c2a',
+                      '42661329e243568a1c535f0460e881672864c1e9bdb07f80cd7a798c05e2a058'),
+        'telephone': ('0e433ee543ab9d23e7be52a524ef461b3fd03fe78099892741b81bfc24d4c420',
+                     '09810903d3dde0c21525433d2c8b120a709403a807c70f21e28846ec602f3357'),
+    },
+}
+RECORDED_ON = {2: [{"numpy": "2.4.6", "scipy": "1.17.1"}]}
+
+
+def frozen_clip() -> np.ndarray:
+    """1 s at 16 kHz: a vibrato-modulated harmonic voice with a syllable
+    envelope, a quiet gap and a little noise, all from one seed."""
+    rng = np.random.default_rng(20_220_607)
+    t = np.arange(RATE) / RATE
+    f0 = 140.0 * (1.0 + 0.05 * np.sin(2.0 * np.pi * 5.0 * t))
+    phase = 2.0 * np.pi * np.cumsum(f0) / RATE
+    voice = sum(np.sin(h * phase) / h for h in range(1, 9))
+    envelope = np.clip(np.sin(2.0 * np.pi * 2.5 * t), 0.0, None) ** 0.5
+    envelope[int(0.6 * RATE) : int(0.7 * RATE)] = 0.0
+    return 0.3 * envelope * voice + 0.01 * rng.standard_normal(RATE)
+
+
+def frozen_assets() -> dict:
+    """A long and a short noise recording (crop and tile paths) and two
+    decaying room impulse responses, at the clip's rate."""
+    rng = np.random.default_rng(20_220_608)
+    noise = (0.1 * rng.standard_normal(2 * RATE), 0.1 * rng.standard_normal(RATE // 4))
+    rirs = tuple(np.concatenate([[1.0], 0.5 * rng.standard_normal(n) * np.exp(-np.arange(n) / (n / 6))])
+                 for n in (1600, 4000))
+    return {"noise_pool": noise, "rir_pool": rirs}
+
+
+def output_digests() -> dict:
+    """type -> (digest of spec 0, digest of spec 1), applied as apply_chain
+    applies one step: a generator seeded with the spec's seed, the output
+    cast to float64."""
+    x, assets = frozen_clip(), frozen_assets()
+    out: dict = {}
+    for kind, params, seed in SPECS:
+        y = PRIMITIVES[kind].apply(x.copy(), RATE, params, np.random.default_rng(seed), assets)
+        y = np.ascontiguousarray(y, dtype="<f8")
+        out.setdefault(kind, []).append(hashlib.sha256(y.tobytes()).hexdigest())
+    return {kind: tuple(pair) for kind, pair in out.items()}
+
+
+def test_specs_cover_every_type_twice():
+    kinds = [kind for kind, _, _ in SPECS]
+    assert sorted(set(kinds)) == sorted(PRIMITIVES)
+    assert all(kinds.count(kind) == 2 for kind in PRIMITIVES)
+
+
+def test_outputs_match_the_table_of_this_engine_version():
+    assert ENGINE_VERSION in DIGESTS, (
+        f"no digests recorded for ENGINE_VERSION {ENGINE_VERSION}; record this "
+        "version's table in DIGESTS")
+    build = {name: metadata.version(name) for name in ("numpy", "scipy")}
+    moved = sorted(kind for kind, pair in output_digests().items()
+                   if pair != DIGESTS[ENGINE_VERSION][kind])
+    recorded = build in RECORDED_ON[ENGINE_VERSION]
+    assert not moved, (
+        f"applier output moved without an ENGINE_VERSION bump: {moved}"
+        + ("" if recorded else
+           f" (on the unrecorded build {build}; the table was recorded on "
+           f"{RECORDED_ON[ENGINE_VERSION]}, see the module docstring)"))

@@ -182,6 +182,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GmmPrior(weights=[0.5, 0.5], means=[0.0, 1.0], variances=[1.0])
 
+    @pytest.mark.parametrize("noise_std", [-1.0, np.nan, np.inf])
+    def test_posterior_rejects_bad_noise_std(self, noise_std):
+        """A negative noise level used to be squared into a positive one, and
+        a NaN one to surface only as a non-finite sampler iterate."""
+        prior = GmmPrior(weights=[0.3, 0.7], means=[-2.0, 2.0], variances=[0.1, 0.1])
+        with pytest.raises(ConfigError, match="noise_std"):
+            posterior_score(prior, np.zeros(3), noise_std)
+        with pytest.raises(ConfigError, match="noise_std"):
+            posterior_prior(prior, 0.0, noise_std)
+
     def test_fields_read_only(self):
         prior = GmmPrior(weights=[1.0], means=[0.0], variances=[1.0])
         with pytest.raises(ValueError):

@@ -129,6 +129,13 @@ class TestMakePlan:
         with pytest.raises(ConfigError):
             make_plan(NoiseSchedule(), n_steps, eps)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        """NaN passes an ``epsilon < 1`` test, and an infinite epsilon would
+        make every step a full jump; both are configuration errors."""
+        with pytest.raises(ConfigError, match="epsilon"):
+            make_plan(NoiseSchedule(), 8, eps)
+
     def test_denoise_only_plan(self):
         """The single-evaluation plan holds exactly one sigma: sigma_max."""
         sched = NoiseSchedule()
