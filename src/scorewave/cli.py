@@ -244,17 +244,6 @@ def _header(command: str, cfg: ToolkitConfig, seed: int) -> dict:
     return {"command": command, "seed": seed, "config": cfg.to_dict()}
 
 
-def _distort_header(cfg: ToolkitConfig, seed: int) -> dict:
-    """The distort log's header: the common one plus what replay depends on,
-    the engine version and the numpy and scipy builds (FFT and filter code
-    can move the last bits of an output). The versions come from package
-    metadata, which imports neither package."""
-    from importlib import metadata
-
-    versions = {name: metadata.version(name) for name in ("numpy", "scipy")}
-    return {**_header("distort", cfg, seed), "engine_version": ENGINE_VERSION, **versions}
-
-
 def _write_jsonl(path, lines) -> None:
     with replacing(path, "w") as fh:
         for line in lines:
@@ -353,7 +342,14 @@ def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
         warnings.simplefilter("ignore", SoftClipWarning)
         results = list(pool.map(process, enumerate(manifest)))
 
-    _write_jsonl(log_path, [_distort_header(cfg, seed), *results])
+    # Replay also depends on the engine version and on the numpy and scipy
+    # builds (FFT and filter code can move the last bits of an output); the
+    # versions come from package metadata, which imports neither package.
+    from importlib import metadata
+
+    header = {**_header("distort", cfg, seed), "engine_version": ENGINE_VERSION,
+              **{name: metadata.version(name) for name in ("numpy", "scipy")}}
+    _write_jsonl(log_path, [header, *results])
     failures = [r for r in results if "error" in r]
     print(f"distort: {len(results) - len(failures)} pair(s) written to {out_dir}, "
           f"{len(failures)} failure(s); log: {log_path}")

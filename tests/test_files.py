@@ -11,6 +11,7 @@ its temporary file.
 from __future__ import annotations
 
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import scorewave
+from scorewave import cli
 from scorewave.files import replacing
 
 SRC = Path(scorewave.__file__).resolve().parents[1]
@@ -129,3 +131,29 @@ def test_error_names_the_target_not_the_temporary_file(tmp_path):
         with replacing(target, "w"):
             pass
     assert info.value.filename == str(target)
+
+
+def test_fifo_target_is_written_through_not_replaced(tmp_path):
+    # /dev/null, /dev/stdout and named pipes are written through in place;
+    # renaming over them would leave a regular file where the node was.
+    fifo = tmp_path / "log.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a writer's open needs a reader
+    try:
+        cli._write_jsonl(fifo, [{"line": 1}])
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 4096) == b'{"line": 1}\n'
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.fifo"]
+
+
+def test_symlink_target_is_written_through(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    with replacing(link, "w") as fh:
+        fh.write("new")
+    assert link.is_symlink() and real.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
