@@ -20,7 +20,9 @@ files; commands that measure wall time stay sequential).
 
 Every command echoes its fully-resolved configuration and seed as the
 first line of its JSON-lines log, so any output can be replayed from its
-log alone.
+log alone. Every command creates the parent directory of each output it
+names before any work, so an output that cannot be placed exits 3 with
+nothing written.
 
 Exit codes: 0 success; 2 configuration error; 3 I/O error (including
 per-file distortion failures); 4 numeric failure (non-finite loss or
@@ -244,6 +246,15 @@ def _header(command: str, cfg: ToolkitConfig, seed: int) -> dict:
     return {"command": command, "seed": seed, "config": cfg.to_dict()}
 
 
+def _make_parents(paths) -> None:
+    """Create the parent directory of every output path given (None skipped).
+    Run before a command does any work, so an output that cannot be placed
+    (its parent is a regular file, say) exits 3 with nothing written."""
+    for path in paths:
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _write_jsonl(path, lines) -> None:
     with replacing(path, "w") as fh:
         for line in lines:
@@ -416,7 +427,6 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
         lines.append({"final_loss": float(trace[-1]), "iterations": iterations})
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net, net.opt_state)
     rng_sidecar = out.with_suffix(out.suffix + ".rng.json")
     with replacing(rng_sidecar, "w") as fh:
@@ -441,7 +451,6 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     enhanced = _enhance_samples(noisy.samples, cfg, score, cfg["sampling.n_steps"],
                                 cfg["sampling.epsilon"], np.random.default_rng(seed))
     out_sig = Signal(samples=enhanced, sample_rate=noisy.sample_rate)
-    Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     write_wav(args.output, out_sig, encoding="float32")
 
     lines = [_header("enhance", cfg, seed)]
@@ -557,7 +566,6 @@ def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
         draws = langevin_sample(score_function(prior), None, plan, dim=prior.dim, rng=rng,
                                 n_samples=args.n)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     with replacing(out, "w") as fh:
         np.savetxt(fh, draws, fmt="%.17g")
     log_path = args.log or str(out) + ".log.jsonl"
@@ -608,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="text file: one input WAV path per line")
     p.add_argument("out_dir", help="directory for paired WAVs and the chain log")
     p.add_argument("--log", default=None, help="chain log path (default: out_dir/distort_log.jsonl)")
+    p.set_defaults(outputs=("log",))
 
     p = sub.add_parser("train", parents=[common], help="train the toy score network")
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -617,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override train.iterations")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--trace", default=None, help="loss trace path")
+    p.set_defaults(outputs=("out", "trace"))
 
     p = sub.add_parser("enhance", parents=[common], help="denoise a WAV's samples")
     p.add_argument("--input", required=True)
@@ -625,12 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trained checkpoint (default: analytic posterior oracle)")
     p.add_argument("--reference", default=None, help="clean WAV for metrics")
     p.add_argument("--log", default=None, help="JSON-lines log path")
+    p.set_defaults(outputs=("output", "log"))
 
     p = sub.add_parser("eval", parents=[common], help="objective metrics for WAV pairs")
     p.add_argument("--pairs", default=None, help="manifest: 'reference estimate' per line")
     p.add_argument("--reference", default=None)
     p.add_argument("--estimate", default=None)
     p.add_argument("--out", default=None, help="JSON-lines output path")
+    p.set_defaults(outputs=("out",))
 
     p = sub.add_parser("sweep", parents=[common], help="quality vs real-time factor over (N, epsilon)")
     p.add_argument("--input", required=True)
@@ -639,12 +651,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="1,2,4,8,16,32,64")
     p.add_argument("--eps-list", default="1.5,2.3,3.0")
     p.add_argument("--out", default=None, help="JSON-lines output path")
+    p.set_defaults(outputs=("out",))
 
     p = sub.add_parser("sample-prior", parents=[common], help="draw from the configured mixture prior")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--method", choices=("direct", "langevin"), default="direct")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
+    p.set_defaults(outputs=("out", "log"))
 
     return parser
 
@@ -663,6 +677,7 @@ def main(argv=None) -> int:
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        _make_parents(getattr(args, name) for name in args.outputs)
         return COMMANDS[args.command](args, cfg, seed, jobs)
     except ConfigError as exc:
         print(f"scorewave: config error: {exc}", file=sys.stderr)

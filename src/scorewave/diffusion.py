@@ -106,16 +106,23 @@ def langevin_sample(
     independent samples sharing c (vectorized, not sequential). When the
     plan's beta is exactly zero the per-step noise draw is skipped, so the
     deterministic path consumes no extra RNG state.
+
+    The iterate is updated in place and the noise is drawn into one reused
+    buffer (the same stream and the same bits as fresh arrays), so a score
+    function must not keep a reference to the x it is given between calls.
     """
     shape = (dim,) if n_samples is None else (int(n_samples), dim)
     sigmas = plan.sigmas
     x = sigmas[-1] * rng.standard_normal(shape)
+    z = np.empty(shape) if plan.beta != 0.0 else None
     for i in range(len(sigmas) - 1, 0, -1):
         sig_n = sigmas[i]
         s = np.asarray(score_fn(x, c, sig_n), dtype=np.float64)
-        x = x + plan.eta * sig_n**2 * s
-        if plan.beta != 0.0:
-            x = x + plan.beta * sigmas[i - 1] * rng.standard_normal(shape)
+        x += plan.eta * sig_n**2 * s
+        if z is not None:
+            rng.standard_normal(out=z)
+            z *= plan.beta * sigmas[i - 1]
+            x += z
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite iterate at step n={i + 1} (sigma={sig_n:.6g})")
     out = denoise_final(score_fn, x, c, sigmas[0])

@@ -11,6 +11,13 @@ ground-truth score function used to validate the sampler, the loss, and
 trained networks. Only diagonal (isotropic per component), low-dimensional
 mixtures are supported; that is enough to exercise every sampler and loss
 path while keeping quadrature oracles exact.
+
+It is also the score of oracle-mode enhancement, called once per sigma step
+on every sample of a clip. For d = 1 the shared helpers :func:`_log_terms`
+and :func:`_mixture_score` therefore write into their own temporaries
+instead of a new array per operation, with the same floating-point
+operations in the same order and so the same bits; ``tests/test_oracle.py``
+keeps the out-of-place expressions as the reference.
 """
 
 from __future__ import annotations
@@ -83,7 +90,10 @@ def _log_terms(log_weights, means, variances, x, sigma):
 
     log_weights (..., k), means (..., k, d) and variances (..., k) broadcast
     against x (..., d), whose last axis may be omitted for d = 1; sigma is a
-    scalar or per-example. Returns (log_terms, diff, pvar).
+    scalar or per-example. Returns (log_terms, diff, pvar), diff = x - mu
+    shaped (..., k, d). log_terms is a new array, which :func:`_mixture_score`
+    consumes. For d = 1, sq = diff^2 needs no sum over d, and the terms are
+    formed in place in the order of the general expression.
     """
     x = np.asarray(x, dtype=np.float64)
     d = means.shape[-1]
@@ -92,19 +102,40 @@ def _log_terms(log_weights, means, variances, x, sigma):
             raise ConfigError(f"x last axis must be {d}, got shape {x.shape}")
         x = x[..., None]
     pvar = variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
+    norm = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar)
+    if d == 1:
+        diff = x - means[..., 0]
+        sq = np.square(diff)
+        sq *= 0.5
+        # In place for a scalar sigma (pvar is (k,)). A sigma vector can
+        # outgrow diff's shape and set the quotient's memory order, which
+        # fixes the order of the sums over k, so numpy allocates it then.
+        terms = np.divide(sq, pvar, out=sq if pvar.ndim == 1 else None)
+        return np.subtract(norm, terms, out=terms), diff[..., None], pvar
     diff = x[..., None, :] - means
     sq = np.sum(diff**2, axis=-1)
-    log_terms = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar) - 0.5 * sq / pvar
-    return log_terms, diff, pvar
+    return norm - 0.5 * sq / pvar, diff, pvar
 
 
 def _mixture_score(log_terms, diff, pvar):
     """sum_i r_i (mu_i - x) / pvar_i, r = softmax(log_terms), max-subtracted:
-    sigma spans several orders of magnitude, so naive exponentials overflow."""
-    m = np.max(log_terms, axis=-1, keepdims=True)
-    resp = np.exp(log_terms - m)
+    sigma spans several orders of magnitude, so naive exponentials overflow.
+
+    Works in place in log_terms, which it consumes. For d = 1 the products
+    fit that buffer too; r (-diff) / pvar is formed as (r diff) / (-pvar),
+    which moves the sign and rounds the same, bit for bit.
+    """
+    resp = log_terms
+    resp -= np.max(resp, axis=-1, keepdims=True)
+    np.exp(resp, out=resp)
     resp /= np.sum(resp, axis=-1, keepdims=True)
-    return np.sum(resp[..., None] * (-diff) / pvar[..., None], axis=-2)
+    if diff.shape[-1] == 1:
+        terms = resp[..., None]
+        terms *= diff
+        terms /= -pvar[..., None]
+    else:
+        terms = resp[..., None] * (-diff) / pvar[..., None]
+    return np.sum(terms, axis=-2)
 
 
 def log_density(prior: GmmPrior, x, sigma=0.0):
@@ -185,6 +216,9 @@ def posterior_score(prior: GmmPrior, observed: np.ndarray, noise_std: float):
     and every call reduces over the k components; with each component's
     rows contiguous those reductions run as k whole-row passes instead of
     n length-k ones, with bit-identical results.
+
+    Each call returns a new (n, 1) array and keeps no reference to x, which
+    the sampler updates in place between calls.
     """
     log_w, mean, var = _conjugate_update(prior, observed, noise_std)
     log_w = np.asfortranarray(log_w)

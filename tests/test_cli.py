@@ -790,3 +790,59 @@ class TestSamplePrior:
         # every draw should sit within a few prior standard deviations of
         # one of the mixture means at +-2
         assert np.all(np.minimum(np.abs(draws - 2.0), np.abs(draws + 2.0)) < 2.0)
+
+
+# command -> (argv given the inputs' directory d and the parent p of the
+# output under test, the cli-level function that does the command's work)
+OUTPUT_PARENT_CASES = {
+    "distort": (lambda d, p: ["distort", f"{d}/m.txt", f"{d}/pairs", "--log", f"{p}/o.jsonl"],
+                "apply_chain"),
+    "train": (lambda d, p: ["train", "--iterations", "2", "--out", f"{d}/ck.bin",
+                            "--trace", f"{p}/t.jsonl"], "train"),
+    "enhance": (lambda d, p: ["enhance", "--input", f"{d}/noisy.wav", "--output", f"{d}/e.wav",
+                              "--log", f"{p}/o.jsonl"], "langevin_sample"),
+    "eval": (lambda d, p: ["eval", "--reference", f"{d}/clean.wav", "--estimate",
+                           f"{d}/noisy.wav", "--out", f"{p}/s.jsonl"], "evaluate_pair"),
+    "sweep": (lambda d, p: ["sweep", "--input", f"{d}/noisy.wav", "--n-list", "2",
+                            "--eps-list", "1.5", "--out", f"{p}/s.jsonl"], "langevin_sample"),
+    "sample-prior": (lambda d, p: ["sample-prior", "--n", "8", "--out", f"{d}/draws.txt",
+                                   "--log", f"{p}/l.jsonl"], "sample_prior"),
+}
+
+
+class TestOutputParents:
+    """Every command creates the parent directory of each output before any
+    work. eval, enhance --log, sweep, distort --log, train --trace and
+    sample-prior --log used to do all their work first and then exit 3 on a
+    missing directory, enhance leaving its WAV without a log."""
+
+    def setup_inputs(self, tmp_path):
+        make_noisy_pair(tmp_path, n=256, seed=5)
+        (tmp_path / "m.txt").write_text(f"{tmp_path}/clean.wav\n")
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_PARENT_CASES))
+    def test_missing_parent_is_created(self, tmp_path, command):
+        self.setup_inputs(tmp_path)
+        argv, _ = OUTPUT_PARENT_CASES[command]
+        parent = tmp_path / "missing" / "deeper"
+        assert main(argv(tmp_path, parent)) == EXIT_OK
+        assert len(list(parent.iterdir())) == 1
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_PARENT_CASES))
+    def test_unplaceable_output_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                        command):
+        """A parent that is a regular file cannot be created: exit 3, with
+        the work never started and nothing written."""
+        from scorewave import cli
+
+        self.setup_inputs(tmp_path)
+        argv, work = OUTPUT_PARENT_CASES[command]
+        calls = []
+        real = getattr(cli, work)
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a) or real(*a, **k))
+        (tmp_path / "blocked").write_text("a regular file\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv(tmp_path, tmp_path / "blocked")) == EXIT_IO
+        assert "blocked" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before

@@ -24,8 +24,9 @@ from scorewave.diffusion import (
     enhance_expectation,
     perturb,
 )
+from scorewave.oracle import posterior_prior, posterior_score, score_function
 from scorewave.oracle import sample as sample_prior
-from scorewave.oracle import score_function
+from scorewave.scorenet import ScoreNet, ScoreNetConfig
 
 
 def zero_score(x, c, sigma):
@@ -279,3 +280,57 @@ class TestEnhanceExpectation:
         with pytest.raises(SamplingError):
             enhance_expectation(self.fn, None, self.plan, 1, n_realizations=0,
                                 rng=np.random.default_rng(0))
+
+
+def reference_langevin_sample(score_fn, c, plan, dim, rng, n_samples=None):
+    """The sampler's recursion as first written, a new iterate and a new
+    noise array per step: the reference the in-place step must equal bit
+    for bit."""
+    shape = (dim,) if n_samples is None else (int(n_samples), dim)
+    sigmas = plan.sigmas
+    x = sigmas[-1] * rng.standard_normal(shape)
+    for i in range(len(sigmas) - 1, 0, -1):
+        sig_n = sigmas[i]
+        s = np.asarray(score_fn(x, c, sig_n), dtype=np.float64)
+        x = x + plan.eta * sig_n**2 * s
+        if plan.beta != 0.0:
+            x = x + plan.beta * sigmas[i - 1] * rng.standard_normal(shape)
+    return denoise_final(score_fn, x, c, sigmas[0])
+
+
+def sampler_score(kind, n_samples):
+    """(score_fn, c) for langevin_sample's n_samples: the oracle posterior,
+    a dim_c = 1 network with seeded non-zero parameters, or a score that
+    returns the iterate itself (so the step reads the array it updates). A
+    single (dim,) sample gets the posterior of its one observation as a
+    mixture, since posterior_score scores (rows, 1) iterates."""
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal(n_samples or 1) * 2.0
+    if kind == "posterior":
+        prior = GmmPrior(weights=[0.2, 0.3, 0.5], means=[-2.0, 0.5, 2.0],
+                         variances=[0.1, 0.4, 0.05])
+        if n_samples is None:
+            return score_function(posterior_prior(prior, y[0], 1.0)), None
+        return posterior_score(prior, y, noise_std=1.0), None
+    if kind == "network":
+        net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=(16, 16), n_pairs=4,
+                                      embed_dim=16), rng)
+        net.flat[...] = 0.3 * rng.standard_normal(net.flat.size)
+        return net.forward, (y if n_samples is None else y[:, None])
+    return (lambda x, c, sigma: x), None
+
+
+class TestInPlaceStepBits:
+    @pytest.mark.parametrize("kind", ["posterior", "network", "aliasing"])
+    @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
+    @pytest.mark.parametrize("n_samples", [None, 4096])
+    def test_matches_out_of_place_recursion(self, kind, epsilon, n_samples):
+        plan = make_plan(NoiseSchedule(), 24, epsilon)
+        assert (plan.beta == 0.0) == (epsilon == 1.0)
+        score_fn, c = sampler_score(kind, n_samples)
+        got = langevin_sample(score_fn, c, plan, 1, np.random.default_rng(7), n_samples)
+        want = reference_langevin_sample(score_fn, c, plan, 1, np.random.default_rng(7),
+                                          n_samples)
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+        assert np.array_equal(got, want)

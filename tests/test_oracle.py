@@ -267,3 +267,105 @@ class TestSampling:
         for sigma in (5e-4, 0.01, 0.3, 2.0, 5.0, rng.uniform(1e-3, 5.0, size=4096)):
             want = _mixture_score(*_log_terms(log_w, means, var, x, sigma))
             assert np.array_equal(score_fn(x, None, sigma), want)
+
+
+def reference_log_terms(log_weights, means, variances, x, sigma):
+    """The helpers' expressions as first written, out of place with a
+    trailing d axis throughout: the reference the in-place d = 1 path must
+    equal bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    d = means.shape[-1]
+    if x.shape[-1:] != (d,):
+        x = x[..., None]
+    pvar = variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
+    diff = x[..., None, :] - means
+    sq = np.sum(diff**2, axis=-1)
+    log_terms = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar) - 0.5 * sq / pvar
+    return log_terms, diff, pvar
+
+
+def reference_mixture_score(log_terms, diff, pvar):
+    m = np.max(log_terms, axis=-1, keepdims=True)
+    resp = np.exp(log_terms - m)
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+    return np.sum(resp[..., None] * (-diff) / pvar[..., None], axis=-2)
+
+
+def assert_helpers_match_reference(log_weights, means, variances, x, sigma):
+    args = (log_weights, means, variances, x, sigma)
+    copies = [np.array(a, copy=True) for a in args[:4]]
+    want_terms = reference_log_terms(*args)[0]
+    want = reference_mixture_score(*reference_log_terms(*args))
+    got_terms = _log_terms(*args)[0]
+    got = _mixture_score(*_log_terms(*args))
+    assert got_terms.shape == want_terms.shape and np.array_equal(got_terms, want_terms)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for before, after in zip(copies, args[:4]):
+        assert np.array_equal(before, np.asarray(after))
+
+
+SIGMAS = (0.0, 5e-4, 0.3, 5.0)
+
+
+class TestHelperBits:
+    """The d = 1 path of _log_terms/_mixture_score forms its terms in place
+    without the trailing d axis; every output bit must stay the reference's.
+    The d = 1 prior has nine components: from eight terms on, numpy's sum
+    over the k axis adds in an order that depends on the buffer's memory
+    layout, so a buffer laid out unlike the reference's would show."""
+
+    prior = GmmPrior(weights=np.full(9, 1 / 9), means=np.linspace(-4.0, 4.0, 9),
+                     variances=np.linspace(0.05, 0.45, 9))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray],
+                             ids=["C", "F"])
+    @pytest.mark.parametrize("sigma", [*SIGMAS, "per-row"])
+    def test_posterior_rows_d1(self, layout, sigma):
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal(512) * 2.0
+        log_w, mean, var = _conjugate_update(self.prior, y, 0.8)
+        x = rng.standard_normal((512, 1)) * 3.0
+        if sigma == "per-row":
+            sigma = rng.uniform(1e-3, 5.0, size=512)
+        log_w, means = layout(log_w), layout(mean)[..., None]
+        assert_helpers_match_reference(log_w, means, var, x, sigma)
+
+    @pytest.mark.parametrize("sigma", [*SIGMAS, "per-row"])
+    @pytest.mark.parametrize("trailing_axis", [False, True])
+    def test_prior_d1(self, sigma, trailing_axis):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-4.0, 4.0, size=257)
+        if trailing_axis:
+            x = x[:, None]
+        if sigma == "per-row":
+            sigma = rng.uniform(1e-3, 5.0, size=257)
+        p = self.prior
+        assert_helpers_match_reference(p.log_weights, p.means, p.variances, x, sigma)
+
+    @pytest.mark.parametrize("sigma", [*SIGMAS, "per-row"])
+    def test_three_component_d2(self, sigma):
+        rng = np.random.default_rng(14)
+        prior = GmmPrior(weights=[0.25, 0.25, 0.5], means=rng.normal(size=(3, 2)),
+                         variances=[0.2, 0.9, 0.5])
+        x = rng.uniform(-3.0, 3.0, size=(100, 2))
+        if sigma == "per-row":
+            sigma = rng.uniform(1e-3, 5.0, size=100)
+        assert_helpers_match_reference(prior.log_weights, prior.means, prior.variances, x, sigma)
+
+    @pytest.mark.parametrize("x, score_shape", [(0.5, (3,)), (np.array([0.5]), (3, 1)),
+                                                (np.array([0.5, -0.25]), (3, 2))],
+                             ids=["scalar", "d1-point", "d2-point"])
+    def test_one_point_at_a_vector_of_sigmas(self, x, score_shape):
+        """The terms outgrow x's shape here, so no in-place buffer of x's
+        shape can hold them."""
+        sigma = np.array([0.1, 1.0, 3.0])
+        prior = self.prior
+        if score_shape[-1] == 2:
+            prior = GmmPrior(weights=[0.4, 0.6], means=[[0.0, 1.0], [2.0, -1.0]],
+                             variances=[0.4, 0.9])
+        assert_helpers_match_reference(prior.log_weights, prior.means, prior.variances, x, sigma)
+        assert log_density(prior, x, sigma=sigma).shape == (3,)
+        score = perturbed_score(prior, x, sigma=sigma)
+        assert score.shape == score_shape
+        for s, want in zip(sigma, score):
+            np.testing.assert_allclose(perturbed_score(prior, x, s), want, rtol=1e-12)
