@@ -283,6 +283,18 @@ def _enhancement_score(observed: np.ndarray, cfg: ToolkitConfig, checkpoint: str
     return net.forward, (observed[:, None] if net.config.dim_c == 1 else None)
 
 
+def _read_reference(path: str | None, noisy: Signal) -> Signal | None:
+    """The --reference clip or None, checked against the input before any sampling."""
+    if not path:
+        return None
+    ref = read_wav(path, downmix=True)
+    if ref.sample_rate != noisy.sample_rate:
+        raise ConfigError(f"reference rate {ref.sample_rate} != input rate {noisy.sample_rate}")
+    if len(ref) != len(noisy):
+        raise ConfigError(f"reference length {len(ref)} != input length {len(noisy)}")
+    return ref
+
+
 def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, score, n_steps: int,
                      epsilon: float, rng) -> np.ndarray:
     """Average of sampling.n_realizations Langevin samples through
@@ -384,6 +396,10 @@ def _corpus_sampler(manifest_path: str):
 
 def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     iterations = cfg["train.iterations"] if args.iterations is None else args.iterations
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
+    if cfg["train.batch_size"] < 1:
+        raise ConfigError(f"train.batch_size must be >= 1, got {cfg['train.batch_size']}")
     schedule = _schedule_from(cfg)
     rng = np.random.default_rng(seed)
 
@@ -439,14 +455,7 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
 
 def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
-    ref = None
-    if args.reference:  # checked before sampling, so a mismatch writes nothing
-        ref = read_wav(args.reference, downmix=True)
-        if ref.sample_rate != noisy.sample_rate:
-            raise ConfigError(
-                f"reference rate {ref.sample_rate} != input rate {noisy.sample_rate}")
-        if len(ref) != len(noisy):
-            raise ConfigError(f"reference length {len(ref)} != input length {len(noisy)}")
+    ref = _read_reference(args.reference, noisy)
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
     enhanced = _enhance_samples(noisy.samples, cfg, score, cfg["sampling.n_steps"],
                                 cfg["sampling.epsilon"], np.random.default_rng(seed))
@@ -458,8 +467,7 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
               "n_steps": cfg["sampling.n_steps"], "epsilon": cfg["sampling.epsilon"],
               "n_realizations": cfg["sampling.n_realizations"]}
     if ref is not None:
-        report = evaluate_pair(ref.samples, enhanced,
-                               resolutions=tuple(map(tuple, cfg["metrics.resolutions"])))
+        report = evaluate_pair(ref.samples, enhanced, resolutions=cfg["metrics.resolutions"])
         record["metrics"] = report.to_dict()
         record["input_snr"] = snr(ref.samples, noisy.samples)
         print(f"enhance: snr {record['input_snr']:.2f} dB -> {report.snr:.2f} dB")
@@ -491,7 +499,7 @@ def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     else:
         raise ConfigError("eval needs either --pairs or both --reference and --estimate")
 
-    resolutions = tuple(map(tuple, cfg["metrics.resolutions"]))
+    resolutions = cfg["metrics.resolutions"]
 
     def process(pair):
         ref_path, est_path = pair
@@ -518,7 +526,7 @@ def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
 
 def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
-    reference = read_wav(args.reference, downmix=True) if args.reference else None
+    reference = _read_reference(args.reference, noisy)
     duration = len(noisy) / noisy.sample_rate
     n_list = _p_ints(args.n_list)
     eps_list = _p_floats(args.eps_list)
@@ -536,7 +544,8 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
             row = {"n_steps": n_steps, "epsilon": epsilon,
                    "rtf": elapsed / duration, "seconds": elapsed}
             if reference is not None:
-                report = evaluate_pair(reference.samples, enhanced)
+                report = evaluate_pair(reference.samples, enhanced,
+                                       resolutions=cfg["metrics.resolutions"])
                 row["snr"] = report.snr
                 row["mrstft"] = report.mrstft
             rows.append(row)

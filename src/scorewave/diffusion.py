@@ -16,9 +16,9 @@ for n = N..2, followed by a final noise-free empirical denoising step
 x + sigma_0^2 * S(x, c, sigma_0).
 
 Score functions are plain callables ``(x, c, sigma) -> score`` returning an
-array of x's shape. ``sigma`` is a positive scalar during sampling; batched
-loss helpers additionally pass a per-example 1-D sigma, which every score
-function in this package (analytic mixtures, trained networks) accepts.
+array of x's shape (the sampler raises SamplingError otherwise). ``sigma`` is
+a positive scalar during sampling; batched loss helpers also pass a
+per-example 1-D sigma, which every score function here accepts.
 Conditioning ``c`` is threaded through opaquely and may be ``None``.
 
 All stochastic operations are pure functions of (inputs, rng state).
@@ -83,11 +83,19 @@ def dsm_loss_batch(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Gene
     return 0.5 * np.sum(resid * resid, axis=-1)
 
 
+def _score(score_fn, x: np.ndarray, c, sigma: float) -> np.ndarray:
+    """S(x, c, sigma) as float64; a score not of x's shape is a SamplingError."""
+    s = np.asarray(score_fn(x, c, sigma), dtype=np.float64)
+    if s.shape != x.shape:
+        raise SamplingError(f"score of shape {s.shape} for an iterate of shape {x.shape}")
+    return s
+
+
 def denoise_final(score_fn, x, c, sigma0: float):
     """Empirical denoising x + sigma0^2 * S(x, c, sigma0); adds no noise."""
     x = np.asarray(x, dtype=np.float64)
     sigma0 = float(sigma0)
-    return x + sigma0**2 * np.asarray(score_fn(x, c, sigma0), dtype=np.float64)
+    return x + sigma0**2 * _score(score_fn, x, c, sigma0)
 
 
 def langevin_sample(
@@ -117,7 +125,7 @@ def langevin_sample(
     z = np.empty(shape) if plan.beta != 0.0 else None
     for i in range(len(sigmas) - 1, 0, -1):
         sig_n = sigmas[i]
-        s = np.asarray(score_fn(x, c, sig_n), dtype=np.float64)
+        s = _score(score_fn, x, c, sig_n)
         x += plan.eta * sig_n**2 * s
         if z is not None:
             rng.standard_normal(out=z)

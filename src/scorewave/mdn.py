@@ -1,7 +1,7 @@
-"""Mixture-density heads: stable NLL, analytic gradients, sampling, grouping.
+"""Mixture-density heads: stable NLL, analytic gradients, sampling, fitting.
 
-A head predicts, per frame, a k-component diagonal Gaussian mixture over a
-d-dimensional target y:
+A head is a k-component diagonal Gaussian mixture over a d-dimensional
+target y:
 
     p(y) = sum_i alpha_i prod_j N(y_j; m_ij, s_ij^2)
 
@@ -10,15 +10,13 @@ with alpha = softmax(logits) and s = exp(log_scales), so both constraints
 log-likelihood is evaluated in log space with max-subtracted log-sum-exp;
 its gradients w.r.t. logits, means, and log-scales are closed-form in the
 posterior responsibilities and are verified against finite differences in
-the test suite. Feature targets are organized into named groups (e.g. mel
-plus deltas, loudness/VAD plus deltas), each with one head per frame; a
-group's loss is the mean per-frame NLL, and the total auxiliary loss is
-the sum over groups.
+the test suite. :func:`fit_mdn` fits one static head to data rows by
+full-batch Adam on the mean NLL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,52 +176,6 @@ def mdn_sample(params: MdnParams, rng: np.random.Generator, n: int | None = None
     comp = rng.choice(params.k, size=size, p=params.alpha)
     out = params.means[comp] + params.scales[comp] * rng.standard_normal((size, params.d))
     return out[0] if n is None else out
-
-
-@dataclass(frozen=True, eq=False)
-class TargetGroup:
-    """One named feature-target group: a frames x d matrix plus one head per frame."""
-
-    name: str
-    targets: np.ndarray
-    params: tuple = field(default=())
-
-    def __post_init__(self):
-        y = np.asarray(self.targets, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.ndim != 2:
-            raise ConfigError(f"targets must be frames x d, got shape {y.shape}")
-        heads = tuple(self.params)
-        if len(heads) != y.shape[0]:
-            raise ConfigError(
-                f"group {self.name!r}: {len(heads)} heads for {y.shape[0]} target frames"
-            )
-        for f, head in enumerate(heads):
-            if head.d != y.shape[1]:
-                raise ConfigError(
-                    f"group {self.name!r}: head {f} has d={head.d}, targets have d={y.shape[1]}"
-                )
-        object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "params", heads)
-
-    @property
-    def n_frames(self) -> int:
-        return self.targets.shape[0]
-
-
-def group_loss(group: TargetGroup) -> float:
-    """Mean per-frame NLL over the group."""
-    if group.n_frames == 0:
-        raise ConfigError(f"group {group.name!r} has no frames")
-    return float(
-        np.mean([mdn_nll(head, y) for head, y in zip(group.params, group.targets)])
-    )
-
-
-def auxiliary_loss(groups) -> float:
-    """Sum of group losses — the feature-NLL part of the training objective."""
-    return float(sum(group_loss(g) for g in groups))
 
 
 def fit_mdn(

@@ -1,4 +1,4 @@
-"""Audio containers, WAV I/O, resampling, STFT, and feature front ends.
+"""Audio containers, WAV I/O, resampling and the STFT.
 
 Everything here is deterministic plumbing for the enhancement pipeline:
 
@@ -15,20 +15,10 @@ Everything here is deterministic plumbing for the enhancement pipeline:
   window, so the round trip is exact (to float precision) for any hop
   that fully covers the signal; configs whose window-power envelope has
   interior zeros are rejected as non-invertible.
-* :func:`log_mel` — 80 Slaney-scale mel bands, frame 512 / hop 160 at
-  16 kHz (a 100 Hz frame rate), natural log with a 1e-5 floor.
-* :func:`loudness_vad` — per-frame RMS in dBFS plus a thresholded voice
-  activity flag (-40 dBFS, 2-frame hysteresis).
-* :func:`deltas` — first-order frame differences with edge replication
-  (the convention the mixture-density target groups expect).
-
-Feature matrices can be dumped/loaded as little-endian float32 with a
-small self-describing JSON header.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from math import gcd
@@ -39,13 +29,8 @@ from .errors import AudioError, ConfigError
 from .files import replacing
 
 DEFAULT_RATE = 16_000
-MEL_BANDS = 80
-MEL_FRAME = 512
-MEL_HOP = 160
-LOG_FLOOR = 1e-5
-VAD_THRESHOLD_DB = -40.0
-VAD_HYSTERESIS = 2
-_FEAT_MAGIC = b"SWFEAT01"
+STFT_FRAME = 512
+STFT_HOP = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,22 +79,6 @@ class Spectrogram:
     @property
     def n_bins(self) -> int:
         return self.data.shape[1]
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.data)
-
-
-@dataclass(frozen=True, eq=False)
-class MelFeatures:
-    """Log-mel matrix frames x bands with its frame rate in Hz."""
-
-    data: np.ndarray
-    frame_rate: float
-    n_bands: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +208,7 @@ def _hann(frame: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
 
 
-def stft(sig: Signal, frame: int = MEL_FRAME, hop: int = MEL_HOP) -> Spectrogram:
+def stft(sig: Signal, frame: int = STFT_FRAME, hop: int = STFT_HOP) -> Spectrogram:
     """Centered Hann STFT: frames x (frame // 2 + 1) complex bins.
 
     The signal is zero-padded by frame // 2 on both sides, so frame t is
@@ -302,189 +271,3 @@ def istft(spec: Spectrogram) -> Signal:
         )
     x = out[pad : pad + spec.n_samples] / support
     return Signal(samples=x, sample_rate=spec.sample_rate)
-
-
-# ---------------------------------------------------------------------------
-# Mel front end.
-
-
-def _hz_to_mel(f):
-    """Slaney mel scale: linear below 1 kHz, logarithmic above."""
-    f = np.asarray(f, dtype=np.float64)
-    mel = f / (200.0 / 3.0)
-    log_region = f >= 1000.0
-    mel = np.where(log_region, 15.0 + np.log(np.maximum(f, 1e-12) / 1000.0) / (np.log(6.4) / 27.0), mel)
-    return mel
-
-
-def _mel_to_hz(m):
-    m = np.asarray(m, dtype=np.float64)
-    f = m * (200.0 / 3.0)
-    log_region = m >= 15.0
-    return np.where(log_region, 1000.0 * np.exp((m - 15.0) * (np.log(6.4) / 27.0)), f)
-
-
-def mel_filterbank(
-    n_bins: int,
-    n_bands: int = MEL_BANDS,
-    sample_rate: int = DEFAULT_RATE,
-    fmin: float = 0.0,
-    fmax: float | None = None,
-) -> np.ndarray:
-    """Triangular Slaney-scale filterbank, (n_bands, n_bins), area-normalized.
-
-    Band centers are mel-uniform between fmin and fmax (default Nyquist);
-    each triangle is scaled by 2 / bandwidth so the rows integrate to the
-    same constant. The matrix is a pure function of its arguments.
-    """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if not 0.0 <= fmin < fmax <= sample_rate / 2.0:
-        raise ConfigError(f"need 0 <= fmin < fmax <= Nyquist, got {fmin}, {fmax}")
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_bands + 2))
-    freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    fb = np.zeros((n_bands, n_bins))
-    for b in range(n_bands):
-        lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
-        up = (freqs - lo) / max(mid - lo, 1e-12)
-        down = (hi - freqs) / max(hi - mid, 1e-12)
-        fb[b] = np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
-    return fb
-
-
-def log_mel(
-    sig: Signal,
-    n_bands: int = MEL_BANDS,
-    frame: int = MEL_FRAME,
-    hop: int = MEL_HOP,
-    floor: float = LOG_FLOOR,
-    expected_rate: int = DEFAULT_RATE,
-) -> MelFeatures:
-    """Log mel-band energies: frames x n_bands at sample_rate / hop Hz.
-
-    Power spectrum -> mel filterbank -> natural log with a floor. The
-    defaults give the 100 Hz / 80-band front end. The input rate is
-    checked against expected_rate so features cannot silently be computed
-    at the wrong rate.
-    """
-    if sig.sample_rate != expected_rate:
-        raise AudioError(
-            f"expected {expected_rate} Hz input, got {sig.sample_rate} Hz (resample first)"
-        )
-    if sig.samples.size < frame:
-        raise AudioError(f"signal shorter than one frame ({sig.samples.size} < {frame})")
-    spec = stft(sig, frame=frame, hop=hop)
-    power = np.abs(spec.data) ** 2
-    fb = mel_filterbank(spec.n_bins, n_bands=n_bands, sample_rate=sig.sample_rate)
-    mel = power @ fb.T
-    return MelFeatures(
-        data=np.log(np.maximum(mel, floor)),
-        frame_rate=sig.sample_rate / hop,
-        n_bands=n_bands,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Loudness / VAD.
-
-
-def loudness_vad(
-    sig: Signal,
-    frame: int = MEL_FRAME,
-    hop: int = MEL_HOP,
-    threshold_db: float = VAD_THRESHOLD_DB,
-    hysteresis: int = VAD_HYSTERESIS,
-    expected_rate: int = DEFAULT_RATE,
-) -> np.ndarray:
-    """Per-frame loudness and voice activity, shape (frames, 2).
-
-    Column 0 is RMS level in dBFS over rectangular (unwindowed) frames,
-    floored at -120 dB. Column 1 is a {0, 1} activity flag driven by the
-    threshold with hysteresis: the state flips only after `hysteresis`
-    consecutive frames on the other side. Frames start inactive.
-    """
-    if sig.sample_rate != expected_rate:
-        raise AudioError(
-            f"expected {expected_rate} Hz input, got {sig.sample_rate} Hz (resample first)"
-        )
-    x = sig.samples
-    if x.size < frame:
-        raise AudioError(f"signal shorter than one frame ({x.size} < {frame})")
-    squares = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop] ** 2
-    n_frames = squares.shape[0]
-    rms = np.sqrt(np.mean(squares, axis=1))
-    level = 20.0 * np.log10(np.maximum(rms, 1e-6))
-    above = level > threshold_db
-    vad = np.zeros(n_frames)
-    active = False
-    run = 0
-    for t in range(n_frames):
-        if above[t] != active:
-            run += 1
-            if run >= hysteresis:
-                active = bool(above[t])
-                run = 0
-        else:
-            run = 0
-        vad[t] = 1.0 if active else 0.0
-    return np.column_stack([level, vad])
-
-
-def deltas(features: np.ndarray) -> np.ndarray:
-    """First-order frame differences with the leading edge replicated.
-
-    delta[t] = x[t] - x[t-1] with x[-1] taken as x[0], so the first delta
-    row is zero and a constant feature track has zero deltas everywhere.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape[0] == 0:
-        raise ConfigError("cannot take deltas of an empty feature matrix")
-    padded = np.concatenate([f[:1], f], axis=0)
-    return np.diff(padded, axis=0)
-
-
-def append_deltas(features: np.ndarray) -> np.ndarray:
-    """Stack features with their deltas along the feature axis."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    return np.concatenate([f, deltas(f)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Feature dumps: little-endian float32 + JSON header.
-
-
-def write_features(path, array: np.ndarray, meta: dict | None = None) -> None:
-    """Dump a feature matrix as <f4 with a self-describing JSON header."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
-    header = {"shape": list(arr.shape), "dtype": "<f4", "meta": meta or {}}
-    blob = json.dumps(header).encode("utf-8")
-    with replacing(path) as fh:
-        fh.write(_FEAT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(arr.tobytes())
-
-
-def read_features(path):
-    """Load a feature dump; returns (float32 array, meta dict).
-
-    A dump whose header is cut short or undecodable, or whose payload does
-    not hold exactly the header's shape, raises :class:`AudioError`.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _FEAT_MAGIC:
-            raise AudioError(f"{path}: not a feature dump (magic {magic!r})")
-        try:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            shape = tuple(header["shape"])
-            if min(shape, default=0) < 0:
-                raise ValueError(f"negative shape {shape}")
-            return np.frombuffer(fh.read(), dtype="<f4").reshape(shape).copy(), header["meta"]
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
-            raise AudioError(f"{path}: malformed feature dump: {exc!r}") from exc

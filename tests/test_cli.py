@@ -474,6 +474,21 @@ class TestTrain:
                      "--data", str(manifest), "--config", cfg, "--seed", "2"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("setting, argv", [
+        ("", ["--iterations", "-3"]),
+        ("train.iterations = -1\n", []),
+        ("train.batch_size = 0\n", ["--iterations", "2"]),
+        ("train.batch_size = -4\n", ["--iterations", "2"]),
+    ], ids=["iterations_flag", "iterations_key", "batch_zero", "batch_negative"])
+    def test_bad_size_is_config_error_before_any_file(self, tmp_path, setting, argv):
+        """A negative iteration count or a batch below one exits 2 with no
+        checkpoint, rng sidecar or trace written."""
+        cfg = self.write_cfg(tmp_path, setting)
+        out = tmp_path / "out" / "ck.bin"
+        code = main(["train", "--out", str(out), *argv, "--config", cfg, "--seed", "2"])
+        assert code == EXIT_CONFIG
+        assert not out.parent.exists() or list(out.parent.iterdir()) == []
+
 
 def make_noisy_pair(tmp_path, n=400, noise_std=1.0, seed=11, rate=8000):
     rng = np.random.default_rng(seed)
@@ -759,6 +774,42 @@ class TestSweep:
         code = main(["sweep", "--input", str(tmp_path / "noisy.wav"),
                      "--n-list", "", "--eps-list", "1.5"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("ref_rate, ref_n", [(8000, 300), (16000, 299)])
+    def test_bad_reference_rejected_before_sampling(self, tmp_path, monkeypatch, ref_rate,
+                                                    ref_n):
+        """As in enhance: a reference of another rate or length exits 2
+        before the sampler draws anything, and no --out is written."""
+        from scorewave import cli
+
+        make_noisy_pair(tmp_path, n=300, seed=2, rate=16000)
+        write_wav(tmp_path / "ref.wav",
+                  Signal(samples=np.random.default_rng(0).standard_normal(ref_n),
+                         sample_rate=ref_rate), encoding="float32")
+        draws = []
+        monkeypatch.setattr(cli, "langevin_sample", lambda *a, **k: draws.append(a))
+        out = tmp_path / "s.jsonl"
+        code = main(["sweep", "--input", str(tmp_path / "noisy.wav"),
+                     "--reference", str(tmp_path / "ref.wav"), "--n-list", "2",
+                     "--eps-list", "1.5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert draws == []
+        assert not out.exists()
+
+    def test_scores_at_configured_resolutions(self, tmp_path):
+        """metrics.resolutions sets the mrstft column, as in enhance and
+        eval; the samples, and so the snr column, are unchanged."""
+        make_noisy_pair(tmp_path, n=400, seed=41)
+        (tmp_path / "res.cfg").write_text("metrics.resolutions = 256:64\n")
+        rows = {}
+        for name, extra in (("default", []), ("res", ["--config", str(tmp_path / "res.cfg")])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main([*extra, "sweep", "--input", str(tmp_path / "noisy.wav"),
+                         "--reference", str(tmp_path / "clean.wav"), "--n-list", "4",
+                         "--eps-list", "1.5", "--out", str(out), "--seed", "3"]) == EXIT_OK
+            rows[name] = read_lines(out)[1]
+        assert rows["res"]["snr"] == rows["default"]["snr"]
+        assert rows["res"]["mrstft"] != rows["default"]["mrstft"]
 
 
 class TestSamplePrior:

@@ -248,6 +248,20 @@ class TestLangevinSampler:
             langevin_sample(explode, None, make_plan(NoiseSchedule(), 8, 1.5), 2,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_samples,dim,score_shape", [(4, 1, (3, 4, 1)), (4, 2, (4, 1))],
+                             ids=["too-many-axes", "broadcastable"])
+    def test_score_of_another_shape_is_sampling_error(self, n_samples, dim, score_shape):
+        """A score that would fail to broadcast into the iterate, and one
+        that would broadcast silently, both stop the sampler."""
+        def wrong(x, c, sigma):
+            return np.zeros(score_shape)
+
+        with pytest.raises(SamplingError, match="shape"):
+            langevin_sample(wrong, None, make_plan(NoiseSchedule(), 8, 1.5), dim,
+                            np.random.default_rng(0), n_samples=n_samples)
+        with pytest.raises(SamplingError, match="shape"):
+            denoise_final(wrong, np.zeros((n_samples, dim)), None, 5e-4)
+
 
 class TestEnhanceExpectation:
     def setup_method(self):

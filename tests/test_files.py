@@ -70,14 +70,6 @@ try:
 except OSError:
     sys.exit(3)
 """),
-    "write_features": ("feats.bin", """
-from scorewave.signal import write_features
-limit()
-try:
-    write_features(target, np.ones((50, 4)), meta={"name": "test"})
-except OSError:
-    sys.exit(3)
-"""),
     "write_jsonl": ("log.jsonl", """
 limit()
 try:

@@ -1,12 +1,12 @@
-"""Byte-level property tests for the four file readers.
+"""Byte-level property tests for the three file readers.
 
 Truncated, mutated and arbitrary bytes fed to ``read_wav``,
-``read_features``, ``load_checkpoint`` and ``load_config`` either load or
-raise the reader's typed error (``AudioError`` for audio and feature dumps,
-``ConfigError`` for checkpoints and config files), never a bare
-``struct``, ``json``, numpy or decoding exception. Command lines built from
-the CLI's commands with malformed values and files end in a documented
-exit code. Examples are derandomized so every run replays the same cases.
+``load_checkpoint`` and ``load_config`` either load or raise the reader's
+typed error (``AudioError`` for audio, ``ConfigError`` for checkpoints
+and config files), never a bare ``struct``, ``json``, numpy or decoding
+exception. Command lines built from the CLI's commands with malformed
+values and files end in a documented exit code. Examples are derandomized
+so every run replays the same cases.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scorewave import AudioError, ConfigError, ScoreNet, ScoreNetConfig
 from scorewave.cli import load_config, main
 from scorewave.scorenet import OptimizerConfig, init_optimizer, load_checkpoint, save_checkpoint
-from scorewave.signal import Signal, read_features, read_wav, write_features, write_wav
+from scorewave.signal import Signal, read_wav, write_wav
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -65,8 +65,6 @@ def seeds(tmp_path_factory):
         write_wav(root / f"{encoding}.wav", Signal(samples=samples, sample_rate=8000),
                   encoding=encoding)
         out[encoding] = (root / f"{encoding}.wav").read_bytes()
-    write_features(root / "feat.bin", np.arange(12.0).reshape(3, 4), {"rate": 100})
-    out["features"] = (root / "feat.bin").read_bytes()
     net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=(4, 4), n_pairs=2, embed_dim=4),
                    np.random.default_rng(1))
     save_checkpoint(root / "net.ckpt", net,
@@ -90,12 +88,6 @@ def test_read_wav(seeds, data):
     blob = data.draw(st.sampled_from(["pcm16", "float32"]).flatmap(
         lambda enc: damaged(seeds[enc], 12)))
     loads_or_raises(seeds, blob, lambda p: read_wav(p, downmix=True), AudioError)
-
-
-@FUZZ
-@given(data=st.data())
-def test_read_features(seeds, data):
-    loads_or_raises(seeds, data.draw(damaged(seeds["features"], 8)), read_features, AudioError)
 
 
 @FUZZ

@@ -1,6 +1,6 @@
 """Mixture-density head tests: log-space NLL vs a naive-summation oracle,
-analytic gradients vs finite differences, sampling moments, grouping, and
-density recovery by gradient-descent fitting."""
+analytic gradients vs finite differences, sampling moments, and density
+recovery by gradient-descent fitting."""
 
 from __future__ import annotations
 
@@ -12,10 +12,7 @@ import pytest
 from scorewave import ConfigError, GmmPrior
 from scorewave.mdn import (
     MdnParams,
-    TargetGroup,
-    auxiliary_loss,
     fit_mdn,
-    group_loss,
     mdn_density,
     mdn_mean,
     mdn_nll,
@@ -131,6 +128,18 @@ class TestNll:
         p = MdnParams(logits=np.zeros(1), means=np.zeros((1, 2)), log_scales=np.zeros((1, 2)))
         with pytest.raises(ConfigError):
             mdn_nll(p, np.zeros(3))
+
+    def test_nll_decreasing_in_scale_at_mode(self):
+        """Head centred on a constant target: the NLL falls monotonically as
+        the scale shrinks (density at the mode grows like 1/s), going far
+        negative for tiny s."""
+        losses = []
+        for s in (1.0, 0.1, 0.01, 0.001):
+            head = MdnParams(logits=np.zeros(1), means=np.array([[0.25]]),
+                             log_scales=np.log(s) * np.ones((1, 1)))
+            losses.append(float(np.mean(mdn_nll(head, np.full((4, 1), 0.25)))))
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < -5.0
 
 
 class TestValidation:
@@ -261,64 +270,6 @@ class TestMeanAndSampling:
         p = MdnParams(logits=np.zeros(2), means=np.zeros((2, 3)), log_scales=np.zeros((2, 3)))
         one = mdn_sample(p, np.random.default_rng(53))
         assert one.shape == (3,)
-
-
-class TestGroups:
-    def make_heads(self, rng, frames, d):
-        return tuple(random_params(rng, k=2, d=d) for _ in range(frames))
-
-    def test_single_frame_equals_nll(self):
-        rng = np.random.default_rng(54)
-        heads = self.make_heads(rng, 1, 2)
-        y = rng.normal(size=(1, 2))
-        g = TargetGroup(name="mel+deltas", targets=y, params=heads)
-        assert group_loss(g) == pytest.approx(mdn_nll(heads[0], y[0]), rel=1e-14)
-
-    def test_two_identical_frames_equal_one(self):
-        rng = np.random.default_rng(55)
-        head = random_params(rng, k=2, d=1)
-        y = np.array([[0.3], [0.3]])
-        g = TargetGroup(name="loudness", targets=y, params=(head, head))
-        assert group_loss(g) == pytest.approx(mdn_nll(head, y[0]), rel=1e-14)
-
-    def test_frame_mismatch_raises(self):
-        rng = np.random.default_rng(56)
-        heads = self.make_heads(rng, 2, 1)
-        with pytest.raises(ConfigError):
-            TargetGroup(name="bad", targets=np.zeros((3, 1)), params=heads)
-
-    def test_dim_mismatch_raises(self):
-        rng = np.random.default_rng(57)
-        heads = self.make_heads(rng, 2, 2)
-        with pytest.raises(ConfigError):
-            TargetGroup(name="bad", targets=np.zeros((2, 1)), params=heads)
-
-    def test_nll_decreasing_in_scale_at_mode(self):
-        """Head centred on a constant target: the NLL falls monotonically as
-        the scale shrinks (density at the mode grows like 1/s), going far
-        negative for tiny s."""
-        losses = []
-        for s in (1.0, 0.1, 0.01, 0.001):
-            head = MdnParams(logits=np.zeros(1), means=np.array([[0.25]]),
-                             log_scales=np.log(s) * np.ones((1, 1)))
-            g = TargetGroup(name="const", targets=np.full((4, 1), 0.25),
-                            params=(head,) * 4)
-            losses.append(group_loss(g))
-        assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert losses[-1] < -5.0
-
-    def test_auxiliary_loss_sums_groups(self):
-        rng = np.random.default_rng(58)
-        h1 = self.make_heads(rng, 2, 1)
-        h2 = self.make_heads(rng, 3, 2)
-        g1 = TargetGroup(name="a", targets=rng.normal(size=(2, 1)), params=h1)
-        g2 = TargetGroup(name="b", targets=rng.normal(size=(3, 2)), params=h2)
-        assert auxiliary_loss([g1, g2]) == pytest.approx(group_loss(g1) + group_loss(g2))
-
-    def test_empty_group_raises(self):
-        g = TargetGroup(name="empty", targets=np.zeros((0, 1)), params=())
-        with pytest.raises(ConfigError):
-            group_loss(g)
 
 
 class TestFit:

@@ -1,5 +1,5 @@
 """Signal-layer tests: WAV byte format, resampling oracles, STFT round
-trips and Parseval, mel filterbank geometry, loudness/VAD, deltas."""
+trips and Parseval."""
 
 from __future__ import annotations
 
@@ -12,17 +12,10 @@ import pytest
 from scorewave import AudioError, ConfigError
 from scorewave.signal import (
     Signal,
-    append_deltas,
-    deltas,
     istft,
-    log_mel,
-    loudness_vad,
-    mel_filterbank,
-    read_features,
     read_wav,
     resample,
     stft,
-    write_features,
     write_wav,
 )
 
@@ -332,153 +325,3 @@ class TestStft:
             stft(s, frame=64, hop=65)
         with pytest.raises(ConfigError):
             stft(s, frame=64, hop=0)
-
-
-class TestMel:
-    def test_shape_and_frame_rate(self):
-        m = log_mel(Signal(samples=np.random.default_rng(73).normal(size=16000) * 0.1))
-        assert m.data.shape == (101, 80)
-        assert m.n_bands == 80
-        assert m.frame_rate == pytest.approx(100.0)
-
-    def test_silence_hits_log_floor(self):
-        m = log_mel(Signal(samples=np.zeros(4800)))
-        np.testing.assert_array_equal(m.data, np.log(1e-5))
-
-    def test_filterbank_rows_positive_and_bins_covered(self):
-        fb = mel_filterbank(257, n_bands=80, sample_rate=16000)
-        assert fb.shape == (80, 257)
-        assert np.all(fb.sum(axis=1) > 0)
-        freqs = np.linspace(0, 8000, 257)
-        interior = (freqs > 40.0) & (freqs < 8000.0)
-        assert np.all(fb.sum(axis=0)[interior] > 0)
-
-    def test_filterbank_deterministic(self):
-        a = mel_filterbank(257)
-        b = mel_filterbank(257)
-        np.testing.assert_array_equal(a, b)
-
-    def test_tone_energy_tracks_frequency(self):
-        """Higher tones excite higher mel bands (monotone band argmax)."""
-        t = np.arange(16000) / 16000.0
-        peaks = []
-        for f0 in (200.0, 1000.0, 3000.0):
-            m = log_mel(Signal(samples=0.5 * np.sin(2 * np.pi * f0 * t)))
-            peaks.append(int(np.argmax(m.data[50])))
-        assert peaks[0] < peaks[1] < peaks[2]
-
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(AudioError, match="16000"):
-            log_mel(Signal(samples=np.zeros(8000), sample_rate=8000))
-
-    def test_short_signal_rejected(self):
-        with pytest.raises(AudioError, match="shorter"):
-            log_mel(Signal(samples=np.zeros(100)))
-
-
-class TestLoudnessVad:
-    @pytest.mark.parametrize("frame,hop", [(512, 160), (400, 100), (256, 64), (300, 77)])
-    def test_level_equals_gather_framing(self, frame, hop):
-        """Column 0 is bit for bit the RMS over index-gathered frames."""
-        x = 0.3 * np.random.default_rng(75).normal(size=4001)
-        n_frames = 1 + (x.size - frame) // hop
-        idx = np.arange(frame) + hop * np.arange(n_frames)[:, None]
-        rms = np.sqrt(np.mean(x[idx] ** 2, axis=1))
-        out = loudness_vad(Signal(samples=x), frame=frame, hop=hop)
-        assert out.shape == (n_frames, 2)
-        assert np.array_equal(out[:, 0], 20.0 * np.log10(np.maximum(rms, 1e-6)))
-
-    def test_full_scale_sine_loudness(self):
-        """RMS of a full-scale sine is 1/sqrt(2): -3.0103 dBFS per frame
-        (frames span whole periods, so the figure is exact)."""
-        t = np.arange(16000) / 16000.0
-        lv = loudness_vad(Signal(samples=np.sin(2 * np.pi * 1000.0 * t)))
-        np.testing.assert_allclose(lv[:, 0], 20 * np.log10(1 / np.sqrt(2)), atol=1e-9)
-        assert np.all(lv[2:, 1] == 1.0)
-
-    def test_silence_floor_and_inactive(self):
-        lv = loudness_vad(Signal(samples=np.zeros(3200)))
-        np.testing.assert_array_equal(lv[:, 0], -120.0)
-        np.testing.assert_array_equal(lv[:, 1], 0.0)
-
-    def test_hysteresis_state_machine(self):
-        """Frame-aligned loud/quiet/loud blocks: the flag flips exactly
-        `hysteresis` frames into each new regime, starting inactive."""
-        blocks = [0.5] * 5 + [1e-4] * 5 + [0.5] * 5
-        x = np.concatenate([np.full(160, a) for a in blocks])
-        lv = loudness_vad(Signal(samples=x), frame=160, hop=160)
-        want = [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
-        np.testing.assert_array_equal(lv[:, 1], want)
-
-    def test_single_frame_blip_ignored(self):
-        blocks = [1e-4] * 3 + [0.5] + [1e-4] * 3
-        x = np.concatenate([np.full(160, a) for a in blocks])
-        lv = loudness_vad(Signal(samples=x), frame=160, hop=160)
-        np.testing.assert_array_equal(lv[:, 1], 0.0)
-
-    def test_short_signal_rejected(self):
-        with pytest.raises(AudioError):
-            loudness_vad(Signal(samples=np.zeros(100)))
-
-
-class TestDeltas:
-    def test_constant_features_zero(self):
-        np.testing.assert_array_equal(deltas(np.full((7, 3), 2.5)), 0.0)
-
-    def test_first_difference_with_replicated_edge(self):
-        f = np.array([[1.0], [3.0], [6.0]])
-        np.testing.assert_array_equal(deltas(f), [[0.0], [2.0], [3.0]])
-
-    def test_append_doubles_width(self):
-        rng = np.random.default_rng(74)
-        f = rng.normal(size=(5, 4))
-        out = append_deltas(f)
-        assert out.shape == (5, 8)
-        np.testing.assert_array_equal(out[:, :4], f)
-        np.testing.assert_array_equal(out[:, 4:], deltas(f))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            deltas(np.zeros((0, 3)))
-
-
-class TestFeatureDump:
-    def test_roundtrip_with_meta(self, tmp_path):
-        rng = np.random.default_rng(75)
-        arr = rng.normal(size=(11, 5)).astype(np.float32)
-        meta = {"kind": "mel", "hop": 160}
-        path = tmp_path / "f.feat"
-        write_features(path, arr, meta)
-        back, got_meta = read_features(path)
-        np.testing.assert_array_equal(back, arr)
-        assert got_meta == meta
-
-    @pytest.mark.parametrize("case", ["no_length", "short_payload", "long_payload",
-                                      "not_utf8", "not_json", "no_shape", "negative_shape"])
-    def test_malformed_dump_is_audio_error(self, tmp_path, case):
-        path = tmp_path / "f.feat"
-        write_features(path, np.ones((3, 2), dtype=np.float32), {"kind": "mel"})
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        head, payload = blob[:12], blob[12 + hlen:]
-
-        def with_header(text):
-            return blob[:8] + struct.pack("<I", len(text)) + text + payload
-
-        path.write_bytes({
-            "no_length": blob[:10],
-            "short_payload": blob[:-4],
-            "long_payload": blob + b"\x00" * 4,
-            "not_utf8": head + b"\xff" * hlen + payload,
-            "not_json": head + b"{" * hlen + payload,
-            "no_shape": with_header(b'{"meta": {}}'),
-            "negative_shape": with_header(b'{"shape": [-3, -2], "meta": {}}'),
-        }[case])
-        with pytest.raises(AudioError):
-            read_features(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.feat"
-        path.write_bytes(b"NOTFEAT0" + b"\x00" * 8)
-        with pytest.raises(AudioError):
-            read_features(path)
