@@ -22,7 +22,8 @@ Every command echoes its fully-resolved configuration and seed as the
 first line of its JSON-lines log, so any output can be replayed from its
 log alone. Every command creates the parent directory of each output it
 names before any work, so an output that cannot be placed exits 3 with
-nothing written.
+nothing written; a run that does not exit 0 removes the directories it
+made, if they are still empty.
 
 Exit codes: 0 success; 2 configuration error; 3 I/O error (including
 per-file distortion failures); 4 numeric failure (non-finite loss or
@@ -32,6 +33,7 @@ iterate, undefined metric).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -48,7 +50,6 @@ from .distort import (
     ENGINE_VERSION,
     PRIMITIVES,
     ChainConfig,
-    DistortionSpec,
     SoftClipWarning,
     apply_chain,
     sample_chain,
@@ -138,26 +139,9 @@ CONFIG_KEYS = {
 }
 
 
-class ToolkitConfig:
-    """Resolved configuration: defaults overridden by a config file."""
-
-    def __init__(self, values: dict):
-        self._values = values
-
-    def __getitem__(self, key: str):
-        return self._values[key]
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key in sorted(self._values):
-            value = self._values[key]
-            if isinstance(value, tuple):
-                value = list(list(v) if isinstance(v, tuple) else v for v in value)
-            out[key] = value
-        return out
-
-
-def load_config(path: str | None) -> ToolkitConfig:
+def load_config(path: str | None) -> dict:
+    """The resolved configuration, key -> value: defaults overridden by a
+    config file."""
     values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if path is not None:
         try:
@@ -179,10 +163,10 @@ def load_config(path: str | None) -> ToolkitConfig:
                 values[key] = parser(value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return ToolkitConfig(values)
+    return values
 
 
-def _prior_from(cfg: ToolkitConfig) -> GmmPrior:
+def _prior_from(cfg: dict) -> GmmPrior:
     return GmmPrior(
         weights=np.array(cfg["train.gmm_weights"]),
         means=np.array(cfg["train.gmm_means"]),
@@ -190,7 +174,7 @@ def _prior_from(cfg: ToolkitConfig) -> GmmPrior:
     )
 
 
-def _schedule_from(cfg: ToolkitConfig) -> NoiseSchedule:
+def _schedule_from(cfg: dict) -> NoiseSchedule:
     return NoiseSchedule(sigma_min=cfg["schedule.sigma_min"],
                          sigma_max=cfg["schedule.sigma_max"])
 
@@ -201,7 +185,7 @@ def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
     return make_plan(schedule, n_steps, epsilon)
 
 
-def _chain_config_from(cfg: ToolkitConfig) -> ChainConfig:
+def _chain_config_from(cfg: dict) -> ChainConfig:
     """The distort.* settings without asset pools; the pools are loaded per
     sample rate. Rejects a type set in which every enabled type needs a pool
     whose directory is unset, missing or holds no *.wav file."""
@@ -242,17 +226,21 @@ def _load_pool(directory: str, rate: int) -> tuple:
     return tuple(entries)
 
 
-def _header(command: str, cfg: ToolkitConfig, seed: int) -> dict:
-    return {"command": command, "seed": seed, "config": cfg.to_dict()}
+def _header(command: str, cfg: dict, seed: int) -> dict:
+    return {"command": command, "seed": seed, "config": dict(sorted(cfg.items()))}
 
 
-def _make_parents(paths) -> None:
-    """Create the parent directory of every output path given (None skipped).
-    Run before a command does any work, so an output that cannot be placed
-    (its parent is a regular file, say) exits 3 with nothing written."""
+def _make_parents(paths, created: list) -> None:
+    """Create the parent directory of every output path given (None skipped),
+    appending each directory made to ``created``, outermost first. Run
+    before a command does any work, so an output that cannot be placed (its
+    parent is a regular file, say) exits 3 with nothing written."""
     for path in paths:
         if path:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            parent = Path(path).parent
+            missing = [d for d in (parent, *parent.parents) if not d.exists()]
+            parent.mkdir(parents=True, exist_ok=True)
+            created.extend(reversed(missing))
 
 
 def _write_jsonl(path, lines) -> None:
@@ -265,7 +253,7 @@ def _write_jsonl(path, lines) -> None:
 # Enhancement core (shared by enhance and sweep)
 
 
-def _enhancement_score(observed: np.ndarray, cfg: ToolkitConfig, checkpoint: str | None):
+def _enhancement_score(observed: np.ndarray, cfg: dict, checkpoint: str | None):
     """(score_fn, c) for enhancing ``observed``: a trained checkpoint's
     network, or the analytic per-sample posterior. Built once per command."""
     n_realizations = cfg["sampling.n_realizations"]
@@ -295,12 +283,10 @@ def _read_reference(path: str | None, noisy: Signal) -> Signal | None:
     return ref
 
 
-def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, score, n_steps: int,
-                     epsilon: float, rng) -> np.ndarray:
-    """Average of sampling.n_realizations Langevin samples through
-    ``score`` = :func:`_enhancement_score` of ``observed``."""
+def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.ndarray:
+    """Average of sampling.n_realizations Langevin samples along ``plan``
+    through ``score`` = :func:`_enhancement_score` of ``observed``."""
     score_fn, c = score
-    plan = _plan_from(_schedule_from(cfg), n_steps, epsilon)
     n = observed.size
     n_realizations = cfg["sampling.n_realizations"]
     acc = np.zeros((n, 1))
@@ -313,7 +299,7 @@ def _enhance_samples(observed: np.ndarray, cfg: ToolkitConfig, score, n_steps: i
 # Commands
 
 
-def cmd_distort(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_distort(args, cfg: dict, seed: int, jobs: int) -> int:
     base_cfg = _chain_config_from(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -394,7 +380,7 @@ def _corpus_sampler(manifest_path: str):
     return draw
 
 
-def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
     iterations = cfg["train.iterations"] if args.iterations is None else args.iterations
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
@@ -453,12 +439,12 @@ def cmd_train(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_enhance(args, cfg: dict, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
     ref = _read_reference(args.reference, noisy)
+    plan = _plan_from(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
-    enhanced = _enhance_samples(noisy.samples, cfg, score, cfg["sampling.n_steps"],
-                                cfg["sampling.epsilon"], np.random.default_rng(seed))
+    enhanced = _enhance_samples(noisy.samples, cfg, score, plan, np.random.default_rng(seed))
     out_sig = Signal(samples=enhanced, sample_rate=noisy.sample_rate)
     write_wav(args.output, out_sig, encoding="float32")
 
@@ -479,7 +465,7 @@ def cmd_enhance(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_eval(args, cfg: dict, seed: int, jobs: int) -> int:
     if args.pairs:
         try:
             text = Path(args.pairs).read_text()
@@ -524,7 +510,7 @@ def cmd_eval(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_sweep(args, cfg: dict, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
     reference = _read_reference(args.reference, noisy)
     duration = len(noisy) / noisy.sample_rate
@@ -532,23 +518,25 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     eps_list = _p_floats(args.eps_list)
     if not n_list or not eps_list:
         raise ConfigError("sweep needs non-empty --n-list and --eps-list")
+    # every cell's plan first, so a bad (N, epsilon) exits 2 before any sampling
+    schedule = _schedule_from(cfg)
+    grid = [(n, eps, _plan_from(schedule, n, eps)) for n in n_list for eps in eps_list]
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
 
     rows = []
-    for n_steps in n_list:
-        for epsilon in eps_list:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n_steps]))
-            start = time.perf_counter()
-            enhanced = _enhance_samples(noisy.samples, cfg, score, n_steps, epsilon, rng)
-            elapsed = time.perf_counter() - start
-            row = {"n_steps": n_steps, "epsilon": epsilon,
-                   "rtf": elapsed / duration, "seconds": elapsed}
-            if reference is not None:
-                report = evaluate_pair(reference.samples, enhanced,
-                                       resolutions=cfg["metrics.resolutions"])
-                row["snr"] = report.snr
-                row["mrstft"] = report.mrstft
-            rows.append(row)
+    for n_steps, epsilon, plan in grid:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, n_steps]))
+        start = time.perf_counter()
+        enhanced = _enhance_samples(noisy.samples, cfg, score, plan, rng)
+        elapsed = time.perf_counter() - start
+        row = {"n_steps": n_steps, "epsilon": epsilon,
+               "rtf": elapsed / duration, "seconds": elapsed}
+        if reference is not None:
+            report = evaluate_pair(reference.samples, enhanced,
+                                   resolutions=cfg["metrics.resolutions"])
+            row["snr"] = report.snr
+            row["mrstft"] = report.mrstft
+        rows.append(row)
 
     print(f"{'N':>4s} {'eps':>5s} {'rtf':>10s}"
           + (f" {'snr':>8s} {'mrstft':>8s}" if reference else ""))
@@ -562,7 +550,7 @@ def cmd_sweep(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_sample_prior(args, cfg: ToolkitConfig, seed: int, jobs: int) -> int:
+def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
     if not 1 <= args.n <= np.iinfo(np.intp).max:  # numpy sizes are C integers
         raise ConfigError(f"--n must be in 1..{np.iinfo(np.intp).max}, got {args.n}")
     prior = _prior_from(cfg)
@@ -674,6 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created: list[Path] = []  # output directories this run made
+    code = None
     try:
         # The shared flags use SUPPRESS defaults (so a value parsed before
         # the subcommand survives the subparser pass); absent means default.
@@ -686,17 +676,23 @@ def main(argv=None) -> int:
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-        _make_parents(getattr(args, name) for name in args.outputs)
-        return COMMANDS[args.command](args, cfg, seed, jobs)
+        _make_parents((getattr(args, name) for name in args.outputs), created)
+        code = COMMANDS[args.command](args, cfg, seed, jobs)
     except ConfigError as exc:
         print(f"scorewave: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except (AudioError, OSError) as exc:
         print(f"scorewave: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
     except NumericError as exc:
         print(f"scorewave: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
+    finally:
+        if code != EXIT_OK:  # a failed run leaves no empty directory of its own
+            for directory in reversed(created):
+                with contextlib.suppress(OSError):  # not empty: keep it
+                    directory.rmdir()
+    return code
 
 
 if __name__ == "__main__":

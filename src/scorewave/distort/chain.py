@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError, NumericError, ScorewaveError
 from ..signal import Signal
-from .primitives import DEFAULT_BOUNDS, PRIMITIVES
+from .primitives import PRIMITIVES
 
 DEFAULT_COUNT_PROBS = (0.35, 0.45, 0.15, 0.04, 0.01)
 CLIP_LEVEL = 4.0
@@ -50,13 +50,12 @@ def default_weights() -> dict[str, float]:
 @dataclass(frozen=True)
 class ChainConfig:
     """Knobs for chain sampling: count distribution over {1..5} distortions,
-    per-type selection weights, parameter bounds, and the optional asset
-    pools (noise recordings / room impulse responses, arrays at the
-    processed signal's sample rate)."""
+    per-type selection weights, and the optional asset pools (noise
+    recordings / room impulse responses, arrays at the processed signal's
+    sample rate). Parameters are drawn from the fixed DEFAULT_BOUNDS."""
 
     count_probs: tuple = DEFAULT_COUNT_PROBS
     weights: dict = field(default_factory=default_weights)
-    bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     noise_pool: tuple = ()
     rir_pool: tuple = ()
     clip_level: float = CLIP_LEVEL
@@ -74,10 +73,6 @@ class ChainConfig:
                 raise ConfigError(f"unknown distortion type {name!r}")
             if not w > 0:
                 raise ConfigError(f"weight for {name!r} must be > 0")
-        for name, entry in self.bounds.items():
-            if name not in PRIMITIVES:
-                raise ConfigError(f"bounds given for unknown type {name!r}")
-            PRIMITIVES[name].check_bounds(entry)
 
     def assets(self) -> dict:
         return {"noise_pool": self.noise_pool, "rir_pool": self.rir_pool}
@@ -146,8 +141,7 @@ def sample_chain(cfg: ChainConfig, rng) -> tuple:
     for _ in range(count):
         w = np.array([cfg.weights[name] for name in available], dtype=np.float64)
         name = available.pop(int(rng.choice(w.size, p=w / w.sum())))
-        bounds = cfg.bounds.get(name, DEFAULT_BOUNDS[name])
-        params = PRIMITIVES[name].sample(rng, bounds)
+        params = PRIMITIVES[name].sample(rng)
         seed = int(rng.integers(0, 2**63))
         specs.append(DistortionSpec(kind=name, params=params, seed=seed))
     return tuple(specs)

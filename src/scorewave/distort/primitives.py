@@ -6,10 +6,9 @@ applier
     apply(x, rate, params, rng, assets) -> y
 
 and the registry data that says how its parameters are drawn. Parameter
-bounds live in DEFAULT_BOUNDS as plain data (they can be overridden per
-chain config without touching code), and one method, `Primitive.sample`,
-turns a bounds entry into a parameter record, key by key in the entry's
-order:
+bounds live in DEFAULT_BOUNDS as plain data, fixed per type, and one
+method, `Primitive.sample`, turns a type's entry into a parameter record,
+key by key in the entry's order:
 
     int (lo, hi)      -> an integer in lo..hi inclusive
     float (lo, hi)    -> uniform, or log-uniform for keys in the type's `log`
@@ -39,7 +38,6 @@ input; `telephone` combines its high and low pass by the same rules.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -561,7 +559,7 @@ def _apply_telephone(x, rate, p, rng, assets):
 @dataclass(frozen=True)
 class Primitive:
     """One distortion type: selection weight, applier, and how its
-    parameters are drawn from a DEFAULT_BOUNDS-shaped entry.
+    parameters are drawn from its DEFAULT_BOUNDS entry.
 
     log: bound keys drawn log-uniformly; every other float range is drawn
         uniformly. Per type, not per key name: ``overdrive.gain`` is
@@ -579,12 +577,11 @@ class Primitive:
     introduces_delay: bool = False
     needs: str | None = None
 
-    def sample(self, rng, bounds: dict) -> dict:
-        """One parameter record drawn from ``bounds``, walking the keys of
-        DEFAULT_BOUNDS[name] in order (see the module docstring)."""
+    def sample(self, rng) -> dict:
+        """One parameter record drawn from DEFAULT_BOUNDS[name], walking its
+        keys in order (see the module docstring)."""
         params = {}
-        for key in DEFAULT_BOUNDS[self.name]:
-            bound = bounds[key]
+        for key, bound in DEFAULT_BOUNDS[self.name].items():
             if isinstance(bound, list):
                 params[key] = bound[int(rng.integers(len(bound)))]
             elif not isinstance(bound, tuple):
@@ -598,30 +595,6 @@ class Primitive:
             else:
                 params[key] = float(rng.uniform(bound[0], bound[1]))
         return params
-
-    def check_bounds(self, bounds) -> None:
-        """Raise ConfigError unless `sample` can draw from ``bounds``: the
-        keys of DEFAULT_BOUNDS[name], non-empty choice lists, and (low,
-        high) ranges with low <= high, and low > 0 for `log` keys."""
-        where = f"bounds for {self.name!r}"
-        if not isinstance(bounds, dict):
-            raise ConfigError(f"{where} must be a dict, got {type(bounds).__name__}")
-        expected = DEFAULT_BOUNDS[self.name]
-        if set(bounds) != set(expected):
-            raise ConfigError(f"{where}: missing keys {sorted(set(expected) - set(bounds))}, "
-                              f"unknown keys {sorted(set(bounds) - set(expected))}")
-        for key, bound in bounds.items():
-            if isinstance(bound, list) and not bound:
-                raise ConfigError(f"{where}: {key!r} has no choices")
-            if not isinstance(bound, tuple):
-                continue
-            if (len(bound) != 2 or not all(isinstance(v, numbers.Real) for v in bound)
-                    or not bound[0] <= bound[1]):
-                raise ConfigError(f"{where}: {key!r} must be a (low, high) range with "
-                                  f"low <= high, got {bound!r}")
-            if key in self.log and not bound[0] > 0:
-                raise ConfigError(f"{where}: {key!r} is drawn log-uniformly, so its low end "
-                                  f"must be > 0, got {bound!r}")
 
 
 PRIMITIVES: dict[str, Primitive] = {

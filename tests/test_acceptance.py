@@ -28,7 +28,6 @@ from scorewave.distort import (
     sample_chain,
 )
 from scorewave.distort.chain import chain_to_json
-from scorewave.distort.primitives import DEFAULT_BOUNDS
 from scorewave.mdn import MdnParams, fit_mdn, mdn_density, mdn_nll, mdn_nll_grads
 from scorewave.oracle import GmmPrior, log_density, perturbed_score, sample, score_function
 from scorewave.schedule import NoiseSchedule, denoise_only_plan, make_plan
@@ -333,7 +332,7 @@ def test_7_distortion_engine():
 
     rng = np.random.default_rng(71)
     clean = Signal(samples=0.03 * rng.standard_normal(16000), sample_rate=16000)
-    params = PRIMITIVES["additive_noise"].sample(rng, DEFAULT_BOUNDS["additive_noise"])
+    params = PRIMITIVES["additive_noise"].sample(rng)
     params["snr_db"] = 7.3
     spec = DistortionSpec(kind="additive_noise", params=params, seed=12345)
     pair = apply_chain(clean, (spec,), cfg)

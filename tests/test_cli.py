@@ -111,7 +111,7 @@ class TestConfig:
         assert not (tmp_path / "d.txt").exists()
 
     def test_echo_is_json_serializable(self):
-        json.dumps(load_config(None).to_dict())
+        json.dumps(load_config(None))
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_is_config_error(self, tmp_path, jobs):
@@ -226,6 +226,16 @@ class TestDistort:
         lines = read_lines(out / "distort_log.jsonl")
         assert "error" in lines[1]
         assert "chain" in lines[2]  # the good file still went through
+
+    def test_failed_run_keeps_a_new_log_directory_it_wrote_to(self, tmp_path):
+        """Exit 3 removes only the new directories left empty: this one
+        holds the log that names the failure."""
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/absent.wav\n")
+        log = tmp_path / "logs" / "run" / "distort.jsonl"
+        code = main(["distort", str(manifest), str(tmp_path / "out"), "--log", str(log)])
+        assert code == EXIT_IO
+        assert "error" in read_lines(log)[1]
 
     def test_bad_distort_setting_is_config_error(self, tmp_path):
         """A bad distort.* value fails the command once, before any file is
@@ -487,7 +497,7 @@ class TestTrain:
         out = tmp_path / "out" / "ck.bin"
         code = main(["train", "--out", str(out), *argv, "--config", cfg, "--seed", "2"])
         assert code == EXIT_CONFIG
-        assert not out.parent.exists() or list(out.parent.iterdir()) == []
+        assert not out.parent.exists()
 
 
 def make_noisy_pair(tmp_path, n=400, noise_std=1.0, seed=11, rate=8000):
@@ -795,6 +805,38 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert draws == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_list, eps_list", [("-2", "1.5"), ("4,2", "1.5,nan")],
+                             ids=["negative_n", "nan_after_a_good_cell"])
+    def test_bad_grid_cell_rejected_before_sampling(self, tmp_path, monkeypatch, n_list,
+                                                    eps_list):
+        """Every (N, epsilon) cell's plan is built before the sampler draws
+        anything: a negative N exits 2 (it used to escape as numpy's
+        ValueError), and a NaN epsilon exits 2 before the cells ahead of it
+        are sampled."""
+        from scorewave import cli
+
+        make_noisy_pair(tmp_path, n=64, seed=3)
+        draws = []
+        real = cli.langevin_sample
+        monkeypatch.setattr(cli, "langevin_sample",
+                            lambda *a, **k: draws.append(a) or real(*a, **k))
+        out = tmp_path / "s.jsonl"
+        code = main(["sweep", "--input", str(tmp_path / "noisy.wav"), "--n-list", n_list,
+                     "--eps-list", eps_list, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert draws == []
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_new_directory(self, tmp_path):
+        """A run that exits non-zero removes the empty output directories it
+        made, deepest first, and leaves a directory that was already there."""
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "other" / "deeper" / "s.jsonl", tmp_path / "kept" / "s.jsonl"):
+            code = main(["sweep", "--input", str(tmp_path / "missing.wav"), "--out", str(out)])
+            assert code == EXIT_IO
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_scores_at_configured_resolutions(self, tmp_path):
         """metrics.resolutions sets the mrstft column, as in enhance and

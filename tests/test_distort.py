@@ -12,6 +12,7 @@ against the plain forms they replaced, which live only in this file.
 
 import hashlib
 import json
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -759,17 +760,26 @@ class TestChainSampling:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "bb951bbeb5ae6468bc4137c2fb6aaefc5b92606f459c0d95d8a920fc3d13ec67")
         rng = np.random.default_rng(2025)
-        draws = [PRIMITIVES[name].sample(rng, DEFAULT_BOUNDS[name]) for name in sorted(PRIMITIVES)]
+        draws = [PRIMITIVES[name].sample(rng) for name in sorted(PRIMITIVES)]
         assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == (
             "b73d805d5b956a637c9b10d7345fc3805bdd4a6708cc44adaee660b251a06a2b")
 
     def test_registry_sampling_keys_match_bounds(self):
         """A misspelt `log` key would silently draw uniformly, and a
         misspelt `ranges` key would draw one value where the applier reads
-        `_lo`/`_hi`: every key must name a bound of the right shape."""
+        `_lo`/`_hi`: every key must name a bound of the right shape. And
+        `sample` can draw from every entry: each range is a (low, high) pair
+        of reals with low <= high, each choice list is non-empty."""
         assert set(DEFAULT_BOUNDS) == set(PRIMITIVES)
         for name, prim in PRIMITIVES.items():
             bounds = DEFAULT_BOUNDS[name]
+            for key, bound in bounds.items():
+                if isinstance(bound, list):
+                    assert bound, (name, key)
+                elif isinstance(bound, tuple):
+                    assert len(bound) == 2, (name, key)
+                    assert all(isinstance(v, numbers.Real) for v in bound), (name, key)
+                    assert bound[0] <= bound[1], (name, key)
             for key in prim.log:
                 bound = bounds.get(key)
                 assert isinstance(bound, tuple) and len(bound) == 2, (name, key)
@@ -802,32 +812,11 @@ class TestChainSampling:
             {"weights": {"not_a_type": 1.0}},
             {"weights": {"clip": 0.0}},
             {"weights": {}},
-            {"bounds": {"not_a_type": {}}},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ChainConfig(**kwargs)
-
-    @pytest.mark.parametrize("bounds,message", [
-        ({"clip": {"thresh": (0.1, 0.5)}}, "unknown keys"),
-        ({"clip": {}}, "missing keys"),
-        ({"clip": 0.5}, "must be a dict"),
-        ({"clip": {"threshold": (0.5, 0.1)}}, "low <= high"),
-        ({"clip": {"threshold": (0.5,)}}, "low <= high"),
-        ({"mu_law": {"bits": (8, 4), "mu": 255.0}}, "low <= high"),
-        ({"overdrive": {"gain": (-1.0, 2.0), "mix": (0.5, 1.0)}}, "low end must be > 0"),
-        ({"overdrive": {"gain": (0.0, 2.0), "mix": (0.5, 1.0)}}, "low end must be > 0"),
-        ({"down_sample": {"factor": [], "method": ["hold"]}}, "no choices"),
-    ], ids=["unknown-key", "missing-key", "not-a-dict", "reversed", "one-ended",
-            "reversed-int", "log-negative", "log-zero", "empty-choices"])
-    def test_bad_bounds_entry_rejected(self, bounds, message):
-        with pytest.raises(ConfigError, match=message):
-            ChainConfig(bounds=bounds)
-
-    def test_valid_bounds_override_is_drawn_from(self):
-        cfg = ChainConfig(weights={"clip": 1.0}, bounds={"clip": {"threshold": (0.2, 0.2)}})
-        assert sample_chain(cfg, np.random.default_rng(0))[0].params == {"threshold": 0.2}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,10 +3,12 @@ the README's python blocks runs, and the package re-exports exactly the
 names those lines take from ``scorewave`` plus the error classes. And the
 import graph: importing the package, and every command that never calls
 scipy, loads no ``scipy`` module (``import scipy.signal`` alone takes
-longer than the rest of such a command's start-up)."""
+longer than the rest of such a command's start-up). And no module imports
+a name at top level that it never uses or re-exports."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -137,3 +139,29 @@ def test_commands_that_call_scipy_still_run(inputs):
     ])
     assert codes == [0, 0]
     assert "scipy.signal" in scipy_modules
+
+
+# -- unused imports ---------------------------------------------------------
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads and
+    does not list in ``__all__`` (``from __future__`` imports excepted)."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    exported = [name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read and name not in exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted((SRC / "scorewave").rglob("*.py"))
+    assert len(modules) >= 14
+    unused = {str(path.relative_to(SRC)): names for path in modules
+              if (names := unused_imports(path.read_text()))}
+    assert unused == {}
