@@ -59,7 +59,7 @@ from .files import replacing
 from .metrics import evaluate_pair, snr
 from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
-from .schedule import NoiseSchedule, denoise_only_plan, make_plan
+from .schedule import NoiseSchedule, check_epsilon, denoise_only_plan, make_plan
 from .scorenet import (
     OptimizerConfig,
     ScoreNet,
@@ -180,7 +180,10 @@ def _schedule_from(cfg: dict) -> NoiseSchedule:
 
 
 def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
+    """The plan of N steps; N = 1 denoises once and ignores epsilon, but a
+    bad epsilon is still a ConfigError there, as for every other N."""
     if n_steps == 1:
+        check_epsilon(epsilon)
         return denoise_only_plan(schedule)
     return make_plan(schedule, n_steps, epsilon)
 

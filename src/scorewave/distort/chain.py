@@ -9,17 +9,19 @@ logged sub-seed, `apply_chain` is a pure function of (signal, chain,
 assets) — replaying a logged chain is bit-exact.
 
 That promise holds within one ENGINE_VERSION. The version is bumped by any
-change that moves an applier's output by even the last bit (version 2
-convolves room impulse responses by overlap-add FFT and projects
-Griffin-Lim phases as z / |z|), and `distort` writes it into every log
-record. `chain_from_record` replays a record only if its version is the
-running engine's; a record without the key is version 1.
+change that moves an applier's output by even the last bit, or the
+alignment below (version 2 convolves room impulse responses by overlap-add
+FFT and projects Griffin-Lim phases as z / |z|; version 3 bounds the lag
+search by the samples the delay steps added), and `distort` writes it into
+every log record. `chain_from_record` replays a record only if its version
+is the running engine's; a record without the key is version 1.
 
 Chains that contain delay-introducing types (short delay, impulse
 response convolution) are re-aligned against the clean reference by the
-peak of the full normalized cross-correlation, ties broken toward the
-smaller absolute offset, and both signals are trimmed to the common
-support.
+peak of the normalized cross-correlation over the lags [-D, D], where D
+is the number of samples those steps added (every other type keeps the
+length), ties broken toward the smaller absolute offset, and both signals
+are trimmed to the common support.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .primitives import PRIMITIVES
 
 DEFAULT_COUNT_PROBS = (0.35, 0.45, 0.15, 0.04, 0.01)
 CLIP_LEVEL = 4.0
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 
 class SoftClipWarning(UserWarning):
@@ -148,15 +150,23 @@ def sample_chain(cfg: ChainConfig, rng) -> tuple:
 
 
 def _align_offset(clean: np.ndarray, distorted: np.ndarray) -> int:
-    """Lag of the normalized full cross-correlation peak (positive = the
-    distorted signal is delayed); exact ties go to the smaller |lag|."""
-    import scipy.signal
+    """Lag in [-D, D] of the normalized cross-correlation peak (positive =
+    the distorted signal is delayed), D = len(distorted) - len(clean): the
+    samples the chain's delay steps added, since every other step keeps the
+    length. Exact ties (within 1e-12 of the peak) go to the smaller |lag|.
+    One circular correlation of FFT length >= len(distorted) + D, which
+    wraps no lag in that range."""
+    import scipy.fft
 
-    corr = scipy.signal.correlate(distorted, clean, mode="full", method="fft")
+    reach = distorted.size - clean.size
+    nfft = scipy.fft.next_fast_len(distorted.size + reach, real=True)
+    spectrum = scipy.fft.rfft(distorted, nfft)
+    spectrum *= scipy.fft.rfft(clean, nfft).conj()
+    lags = np.arange(-reach, reach + 1)
+    corr = scipy.fft.irfft(spectrum, nfft)[lags]
     norm = np.linalg.norm(clean) * np.linalg.norm(distorted)
     if norm > 0:
-        corr = corr / norm
-    lags = scipy.signal.correlation_lags(distorted.size, clean.size, mode="full")
+        corr /= norm
     near_peak = np.flatnonzero(corr >= corr.max() - 1e-12)
     return int(lags[near_peak[np.argmin(np.abs(lags[near_peak]))]])
 

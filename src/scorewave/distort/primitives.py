@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..signal import Signal, istft, resample, stft
+from ..signal import Signal, StftRoundTrip, istft, resample, stft
 from . import biquad
 
 # ---------------------------------------------------------------------------
@@ -416,17 +416,20 @@ def _apply_griffin_lim(x, rate, p, rng, assets):
     mag = np.abs(spec.data)
     phase = rng.uniform(-np.pi, np.pi, size=mag.shape)
     data = mag * np.exp(1j * phase)
+    roundtrip = StftRoundTrip(spec)
     for _ in range(iters):
-        y = _from_spec(spec, data)
-        data = _spec_roundtrip(y, rate, int(p["window"])).data
+        data = roundtrip(data)
         # keep mag, take the estimate's phase: mag * z / |z| (mag where z == 0),
-        # in place on the fresh estimate
+        # in place on the fresh estimate. Both parts are scaled by 1 / |z|, the
+        # factor numpy's complex divide by |z| + 0j uses, then by mag: the
+        # divide's values up to the sign of a zero part, which cannot reach
+        # the samples, since the overlap-add sums from +0.
         norm = np.abs(data)
         silent = norm == 0.0
         data[silent], norm[silent] = 1.0, 1.0
-        data /= norm
+        data *= np.reciprocal(norm, out=norm)
         data *= mag
-    return _from_spec(spec, data)
+    return roundtrip.synthesize(data)
 
 
 def _apply_phase_randomization(x, rate, p, rng, assets):

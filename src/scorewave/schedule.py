@@ -83,6 +83,12 @@ class SamplingPlan:
         self.sigmas.flags.writeable = False
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ConfigError unless epsilon is finite and >= 1."""
+    if not (math.isfinite(epsilon) and epsilon >= 1.0):
+        raise ConfigError(f"epsilon must be finite and >= 1, got {epsilon}")
+
+
 def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> SamplingPlan:
     """Discretize the schedule into ``n_steps`` uniform levels.
 
@@ -92,8 +98,7 @@ def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> Sampling
     """
     if n_steps < 2:
         raise ConfigError(f"n_steps must be >= 2, got {n_steps}")
-    if not (math.isfinite(epsilon) and epsilon >= 1.0):
-        raise ConfigError(f"epsilon must be finite and >= 1, got {epsilon}")
+    check_epsilon(epsilon)
 
     t = np.arange(n_steps, dtype=np.float64) / (n_steps - 1)
     sigmas = schedule.sigma_at(t)

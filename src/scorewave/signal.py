@@ -14,7 +14,9 @@ Everything here is deterministic plumbing for the enhancement pipeline:
   weighted-overlap-add synthesis dividing by the accumulated squared
   window, so the round trip is exact (to float precision) for any hop
   that fully covers the signal; configs whose window-power envelope has
-  interior zeros are rejected as non-invertible.
+  interior zeros are rejected as non-invertible. :class:`StftRoundTrip`
+  repeats ``stft(istft(...))`` of one configuration, as Griffin-Lim does,
+  on the same synthesis code with the envelope and buffers made once.
 """
 
 from __future__ import annotations
@@ -248,6 +250,33 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.ravel()
 
 
+def _synthesis_envelope(frame: int, hop: int, n_frames: int,
+                        n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and the accumulated squared window over the signal's
+    support, which weighted overlap-add divides by. A config whose envelope
+    has (near-)zeros there cannot be inverted and raises ConfigError."""
+    window = _hann(frame)
+    wsum = _overlap_add(np.broadcast_to(window**2, (n_frames, frame)), hop)
+    pad = frame // 2
+    support = wsum[pad : pad + n_samples]
+    if support.size and support.min() < 1e-8:
+        raise ConfigError(
+            f"frame={frame}, hop={hop} leaves gaps in the window-power envelope; not invertible"
+        )
+    return window, support
+
+
+def _synthesize(data: np.ndarray, hop: int, window: np.ndarray, support: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse FFT of each frame, windowed again, overlap-added and divided
+    by the envelope `support` (into `out` when given)."""
+    frame = window.size
+    frames = np.fft.irfft(data, n=frame, axis=1)
+    frames *= window
+    pad = frame // 2
+    return np.divide(_overlap_add(frames, hop)[pad : pad + support.size], support, out=out)
+
+
 def istft(spec: Spectrogram) -> Signal:
     """Weighted-overlap-add inverse of :func:`stft`.
 
@@ -257,17 +286,32 @@ def istft(spec: Spectrogram) -> Signal:
     envelope has (near-)zeros over the original-signal support cannot be
     inverted and is rejected.
     """
-    frame, hop = spec.frame, spec.hop
-    window = _hann(frame)
-    frames = np.fft.irfft(spec.data, n=frame, axis=1) * window
-    n_padded = frame + hop * (spec.n_frames - 1)
-    out = _overlap_add(frames, hop)[:n_padded]
-    wsum = _overlap_add(np.broadcast_to(window**2, frames.shape), hop)[:n_padded]
-    pad = frame // 2
-    support = wsum[pad : pad + spec.n_samples]
-    if support.size and support.min() < 1e-8:
-        raise ConfigError(
-            f"frame={frame}, hop={hop} leaves gaps in the window-power envelope; not invertible"
-        )
-    x = out[pad : pad + spec.n_samples] / support
-    return Signal(samples=x, sample_rate=spec.sample_rate)
+    window, support = _synthesis_envelope(spec.frame, spec.hop, spec.n_frames, spec.n_samples)
+    return Signal(samples=_synthesize(spec.data, spec.hop, window, support),
+                  sample_rate=spec.sample_rate)
+
+
+class StftRoundTrip:
+    """`stft(istft(...))` of one spectrogram's configuration, repeated, as
+    an iterative phase reconstruction runs it: the window, the synthesis
+    envelope and its invertibility check, and the zero-padded analysis
+    buffer are made once. Each call synthesizes straight into the buffer's
+    interior and returns the spectrum of its frames, the same bits as
+    ``stft(istft(replace(spec, data=data))).data``."""
+
+    def __init__(self, spec: Spectrogram):
+        self._hop = spec.hop
+        self._window, self._support = _synthesis_envelope(spec.frame, spec.hop, spec.n_frames,
+                                                          spec.n_samples)
+        pad = spec.frame // 2
+        padded = np.zeros(spec.frame + spec.hop * (spec.n_frames - 1))
+        self._interior = padded[pad : pad + spec.n_samples]
+        self._frames = np.lib.stride_tricks.sliding_window_view(padded, spec.frame)[::spec.hop]
+
+    def synthesize(self, data: np.ndarray) -> np.ndarray:
+        """The samples of ``istft(replace(spec, data=data))``."""
+        return _synthesize(data, self._hop, self._window, self._support)
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        _synthesize(data, self._hop, self._window, self._support, out=self._interior)
+        return np.fft.rfft(self._frames * self._window, axis=1)

@@ -587,12 +587,14 @@ class TestEnhance:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["sampling.epsilon = nan", "sampling.epsilon = inf",
+                                         "sampling.n_steps = 1\nsampling.epsilon = nan",
                                          "enhance.noise_std = nan", "enhance.noise_std = inf",
                                          "enhance.noise_std = -1"])
     def test_bad_sampling_setting_is_config_error_before_sampling(self, tmp_path, monkeypatch,
                                                                   setting):
-        """A non-finite epsilon, or a negative or non-finite noise level, exits
-        2 before the sampler draws anything and writes no output."""
+        """A non-finite epsilon (also at N = 1, whose one denoising step does
+        not use it), or a negative or non-finite noise level, exits 2 before
+        the sampler draws anything and writes no output."""
         from scorewave import cli
 
         make_noisy_pair(tmp_path, n=64, seed=3)
@@ -806,14 +808,17 @@ class TestSweep:
         assert draws == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_list, eps_list", [("-2", "1.5"), ("4,2", "1.5,nan")],
-                             ids=["negative_n", "nan_after_a_good_cell"])
+    @pytest.mark.parametrize("n_list, eps_list", [("-2", "1.5"), ("4,2", "1.5,nan"),
+                                                  ("1", "nan"), ("1", "0.5")],
+                             ids=["negative_n", "nan_after_a_good_cell", "nan_at_one_step",
+                                  "below_one_at_one_step"])
     def test_bad_grid_cell_rejected_before_sampling(self, tmp_path, monkeypatch, n_list,
                                                     eps_list):
         """Every (N, epsilon) cell's plan is built before the sampler draws
         anything: a negative N exits 2 (it used to escape as numpy's
         ValueError), and a NaN epsilon exits 2 before the cells ahead of it
-        are sampled."""
+        are sampled. An N = 1 cell checks epsilon too, although its one
+        denoising step does not use it (it used to write "epsilon": NaN)."""
         from scorewave import cli
 
         make_noisy_pair(tmp_path, n=64, seed=3)

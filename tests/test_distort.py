@@ -33,7 +33,7 @@ from scorewave.distort import (
     primitives,
     sample_chain,
 )
-from scorewave.distort.chain import DistortedPair, chain_to_json
+from scorewave.distort.chain import DistortedPair, _align_offset, chain_to_json
 from scorewave.distort.primitives import DEFAULT_BOUNDS
 from scorewave.signal import Signal, istft, stft
 
@@ -632,6 +632,73 @@ def reference_griffin_lim(x, rate, p, rng):
     return istft(replace(spec, data=data)).samples
 
 
+def version2_griffin_lim(x, rate, p, rng):
+    """`_apply_griffin_lim` as engine version 2 wrote it: a whole `istft`
+    and `stft` per iteration, and the projection as a complex divide by
+    |z| and a multiply by the magnitude."""
+    window = int(p["window"])
+    spec = stft(Signal(samples=x, sample_rate=rate), frame=window, hop=window // 4)
+    iters = int(p["iterations"])
+    if iters == 0:
+        return istft(spec).samples
+    mag = np.abs(spec.data)
+    phase = rng.uniform(-np.pi, np.pi, size=mag.shape)
+    data = mag * np.exp(1j * phase)
+    for _ in range(iters):
+        y = istft(replace(spec, data=data)).samples
+        data = stft(Signal(samples=y, sample_rate=rate), frame=window, hop=window // 4).data
+        norm = np.abs(data)
+        silent = norm == 0.0
+        data[silent], norm[silent] = 1.0, 1.0
+        data /= norm
+        data *= mag
+    return istft(replace(spec, data=data)).samples
+
+
+def ragged_clip():
+    """Noise whose length is a multiple of no Griffin-Lim hop (64, 128, 256)."""
+    return noise_signal(n=RATE // 2 + 37, seed=65)
+
+
+def gapped_clip():
+    """Noise with exact-zero stretches longer than three 1024-sample windows,
+    so whole frames of every estimate are zero and hit the silent branch."""
+    x = noise_signal(n=RATE, seed=66)
+    x[:700] = 0.0
+    x[3000:9000] = 0.0
+    return x
+
+
+class TestGriffinLimBits:
+    """`griffin_lim` keeps engine version 2's bytes: the envelope built once
+    per call and the projection by 1 / |z| change no bit."""
+
+    @pytest.mark.parametrize("clip", [ragged_clip, gapped_clip])
+    @pytest.mark.parametrize("iterations", [0, 1, 7])
+    @pytest.mark.parametrize("window", [256, 512, 1024])
+    def test_bytes_equal_version2(self, window, iterations, clip):
+        x = clip()
+        if clip is gapped_clip:
+            frames = stft(sig(x), frame=window, hop=window // 4).data
+            assert np.any(np.all(frames == 0.0, axis=1))
+        p = {"window": window, "iterations": iterations}
+        got = apply_direct(x, "griffin_lim", p, seed=5)
+        ref = version2_griffin_lim(x, RATE, p, np.random.default_rng(5))
+        assert got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+
+def reference_align_offset(clean, distorted):
+    """The lag search written out: direct correlation at every lag in
+    [-D, D], D = len(distorted) - len(clean), normalized, with the peak's
+    exact ties (within 1e-12) going to the smaller |lag|."""
+    reach = distorted.size - clean.size
+    lags = np.arange(-reach, reach + 1)
+    full = np.correlate(distorted, clean, mode="full")  # lag l at index l + len(clean) - 1
+    corr = full[lags + clean.size - 1] / (np.linalg.norm(clean) * np.linalg.norm(distorted))
+    near_peak = np.flatnonzero(corr >= corr.max() - 1e-12)
+    return int(lags[near_peak[np.argmin(np.abs(lags[near_peak]))]])
+
 class TestKernelReferences:
     """The engine's hot kernels against the plain forms kept above: equal
     bit for bit where the arithmetic is unchanged, within 1e-12 of the
@@ -674,6 +741,20 @@ class TestKernelReferences:
             ref = reference_rir(x, RATE, p, np.random.default_rng(3), assets)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n,reach", [(300, 0), (300, 1), (257, 40), (1000, 333)])
+    def test_align_offset_matches_direct_correlation(self, n, reach):
+        """Delayed noisy copies, whose peak is at a positive lag, and
+        unrelated noise, whose peak is anywhere in [-D, D]: a circular
+        correlation too short to be wrap-free moves the negative lags."""
+        rng = np.random.default_rng(n + reach)
+        for _ in range(20):
+            clean = rng.standard_normal(n)
+            delay = int(rng.integers(0, reach + 1))
+            copy = np.concatenate([np.zeros(delay), clean, np.zeros(reach - delay)])
+            for distorted in (copy + 0.5 * rng.standard_normal(n + reach),
+                              rng.standard_normal(n + reach)):
+                assert _align_offset(clean, distorted) == reference_align_offset(clean, distorted)
 
     @pytest.mark.parametrize("window", [256, 512, 1024])
     def test_griffin_lim_matches_angle_projection(self, window):
@@ -902,6 +983,14 @@ class TestChainApplication:
                 chain_from_record(stale)
         with pytest.raises(ConfigError, match="no chain"):
             chain_from_record({"engine_version": ENGINE_VERSION, "error": "unreadable"})
+
+    def test_version_2_record_is_rejected(self):
+        """Version 3 bounds the alignment search, so a version-2 record can
+        replay to another offset; it is rejected, not replayed."""
+        spec = DistortionSpec(kind="short_delay", params={"delay_ms": 1.0, "gain": 1.0}, seed=0)
+        record = {"engine_version": 2, "chain": [spec.to_dict()]}
+        with pytest.raises(ConfigError, match="engine version 2, this is version 3"):
+            chain_from_record(record)
 
     def test_error_carries_chain_index(self):
         x = noise_signal(seed=45)

@@ -14,6 +14,10 @@ the first two draws whose outputs differ from the clip and from each
 other, and are written out below, so a change to the parameter sampler
 cannot move them.
 
+The alignment of delayed chains is part of the same promise: ``ALIGNMENT``
+pins, per version, the offset and the trimmed pair of 48 chains built from
+those specs (see the section below).
+
 FFT and filter code in numpy and scipy can move last bits too, which is
 why the ``distort`` log header names both versions. ``RECORDED_ON`` lists
 the builds a table was recorded on. On any other build the test does not
@@ -25,11 +29,14 @@ as an applier change does.
 """
 
 import hashlib
+import warnings
 from importlib import metadata
 
 import numpy as np
 
-from scorewave.distort import ENGINE_VERSION, PRIMITIVES
+from scorewave.distort import (ENGINE_VERSION, PRIMITIVES, ChainConfig, DistortionSpec,
+                               SoftClipWarning, apply_chain)
+from scorewave.signal import Signal
 
 RATE = 16_000
 
@@ -354,7 +361,10 @@ DIGESTS = {
                      '09810903d3dde0c21525433d2c8b120a709403a807c70f21e28846ec602f3357'),
     },
 }
-RECORDED_ON = {2: [{"numpy": "2.4.6", "scipy": "1.17.1"}]}
+# Version 3 changed only the alignment (see ALIGNMENT below); no applier moved.
+DIGESTS[3] = DIGESTS[2]
+RECORDED_ON = {2: [{"numpy": "2.4.6", "scipy": "1.17.1"}],
+               3: [{"numpy": "2.4.6", "scipy": "1.17.1"}]}
 
 
 def frozen_clip() -> np.ndarray:
@@ -412,3 +422,141 @@ def test_outputs_match_the_table_of_this_engine_version():
         + ("" if recorded else
            f" (on the unrecorded build {build}; the table was recorded on "
            f"{RECORDED_ON[ENGINE_VERSION]}, see the module docstring)"))
+
+
+# -- alignment ---------------------------------------------------------------
+#
+# A chain with a delay step is re-aligned against the clean clip, and the
+# offset it finds is part of what a logged chain replays to. The chains
+# below are the delay steps of SPECS alone and stacked, `rir_convolution`
+# from each pool IR (applier seeds 1 and 0 pick IR 0 and IR 1) and from a
+# synthetic IR (empty pool), each also with one step of another kind before
+# or after it. ALIGNMENT pins, per ENGINE_VERSION, each chain's offset and
+# the sha256 of its trimmed (clean, distorted) pair.
+
+
+def spec_of(kind: str, index: int, seed: int | None = None) -> tuple:
+    """The index-th SPECS entry of kind, optionally with another seed."""
+    _, params, spec_seed = [s for s in SPECS if s[0] == kind][index]
+    return (kind, params, spec_seed if seed is None else seed)
+
+
+DELAY_BASES = [
+    ((spec_of("short_delay", 0),), True),
+    ((spec_of("short_delay", 1),), True),
+    ((spec_of("short_delay", 0), spec_of("short_delay", 1)), True),
+    ((spec_of("rir_convolution", 0, seed=1),), True),
+    ((spec_of("rir_convolution", 1, seed=0),), True),
+    ((spec_of("rir_convolution", 0),), False),
+    ((spec_of("rir_convolution", 1), spec_of("short_delay", 1)), False),
+    ((spec_of("short_delay", 0), spec_of("rir_convolution", 0, seed=0)), True),
+]
+MIXERS = [None, spec_of("additive_noise", 0), spec_of("low_pass", 0), spec_of("clip", 1),
+          spec_of("silent_gap", 0), spec_of("griffin_lim", 1)]
+
+# ENGINE_VERSION -> (offset, sha256 of the trimmed pair) per aligned chain, in
+# `aligned_chains` order.
+ALIGNMENT = {
+    2: [
+        (17, 'f8af568af341aaaa812b36fa01807d41d494194cee7bf80a9a6a3b9c92a2de34'),
+        (17, 'c87a217ee411c7d29f98caf8c403d795c75f327b1682f032e419ede9c441364c'),
+        (19, '8b9d1c60c01e6cbebd40598e933acc4d892565bb428e69a3dd87c7bee254bddd'),
+        (17, 'e71c7f58575b80f653fd0f626791d0f7a95f7eda6571da315c49c1d5422f4fbd'),
+        (17, 'a006e7122f8bd3c91df5c897f6e65d6491b35d8c7659acf8d9ec6e7d8ac8e9b4'),
+        (0, '73fab60fad1005272b0929ba5a6313014dbd024a9e152f14425526067e7d370c'),
+        (85, '156eb536e4d4008bcc1e0894acae775d6857d25ba78899d2fe691d22ccbf242b'),
+        (85, '6477062296dc322949cee3458f21fa36bebac4b9af248e94d36ff0da140f8bb0'),
+        (87, 'a8d469c130860189337990ea614675cbb8e302dd6ccf9284215c5f266b44590f'),
+        (85, 'd4f6132995bc37dd4840ea3a17f1ee67d2b8aca8e1a5243cc87e3cad5f06b221'),
+        (85, '7c440757afbdeaf15dbb7360ba12daeba7d02e846415173d6d33f83199dddce9'),
+        (-16, '6379bc000ef918f348ee9a159d92744c4279d03134fbce586b2d310699848415'),
+        (102, '5ffab9d823b9175b655bd0bf7035b61ddcfada1d61ec5e1d077b4cd7d7ad85e2'),
+        (102, '4f77de57a8b695f5cbd9f104f91e4edd185084d613cf8cd2d026acb20e9375f9'),
+        (104, 'da45d4e32b3a7fa77cfc98f293718658c68c0ed7336e3478bc7f001a9c7b3023'),
+        (102, '137a74ffd35cac792cc38d6cda6c3830998656cf9330ed12d9bcade2dfe5225a'),
+        (102, 'b63be75eb42d178f2c27bf0a06c34b218140e8b5a636a7217d4fe60f29199df1'),
+        (85, 'a4db7e586ac6454815812045c08a7ee2e2dccd4f4d8ce09ef82060067d48bbad'),
+        (106, '7499983ea0e7fadd2692549edd321d0c9c759ca3a9f19fd7e5c0ee28a13ca155'),
+        (106, '0f214823e1b521cdbc195d48b3c9afb6987f4d3b7380edb5d659c33e6be1d8fa'),
+        (109, '09ff7596872d530901bc6d9d60fc6562006dc8e39915122eea3e14674a3a20e3'),
+        (106, '9e55990847c57e3482de8f6cb98e538a4793c0e543067a6f73b4fd97bc3c59c0'),
+        (107, '57cb5c196f684cefb50d832b99fe7c3b6be65cddbf99821df711ebd7539ef8f2'),
+        (-16, '3428dcd51c97e89e6adb6e56b0420393648c059ec0ccffe5c404e6914a187b77'),
+        (193, '6ebde27510f9801a00711dd0c48d32242b372917a4e77e34fa98f6edd22c8747'),
+        (193, '3de08afdd66c1d54cdcdfeea75534fbd9ca791c3df0fdf604d576a94d377478e'),
+        (195, 'd5dfb2a9001ea4c7957535b37c50160a5745a2374406ff12eebffb33a112deea'),
+        (192, '8ad1d3cd97344c7922cfbf357163d9d0ff76c5414cc7884b2f78db0b00a02329'),
+        (193, '295a80ffe3320ed879b21fac48b8aa3fffb7ea6d3b7df9ce13bb67965e85d85a'),
+        (173, '17544ca48f02355f92c3b71cd62d4c17574ea0b09a1c50ef0a767ba56de0e73e'),
+        (126, 'ac6c576e06802271f96f311c382cd81ee3abbcb36b0e233f3712e4a9327917b4'),
+        (126, '57e86e5c30cb7a921c6bdf8a6d60ba8b72e6d119593138ae69b46db655718501'),
+        (128, '0128045fc46a428f33c1fbd518af3aaffcd9ce70f81fa5fae464fe78060d2b9e'),
+        (126, 'd89a804fbf8727eb5a4329d26cdbdf69eeac83d6d122c50833d2c312829814df'),
+        (126, '74b9885c81653fc839af951c31a6adb9f325da67952a818ec72278ea746f7ee6'),
+        (-16, 'a796de2fe7c65bd01cc395d042639ddee3684f8cce63dc566f3151c578c92a10'),
+        (303, '31f114588f93dd4f71d7362992f2fa693d29d60ca03e5a1b3e84e240a7f16812'),
+        (303, '3417c6af05f745bb26c35480313cdf70a7b3c9a79f567d9d1e3681e306e48fa2'),
+        (305, '8854a7c50bef1776430c22e6859b30f16c3a3b39c530de722f0e88309fee7bce'),
+        (303, '50aabfca1d386f62199530a73ebac6e65d18fb8085d218a19978a660a70cad1f'),
+        (303, '31a3cfdf4bcf3230a04c55bfc56b528f052d622e85c186a063ba5eb65ed6fc86'),
+        (287, '6bca16258ecb3718bb39768d13936b73d85ef0a9063c0edb39568571c9d1acd5'),
+        (210, 'e5be4435cf987c2c28e074a339bba3ad51431a7a79f20a4606bd449700920168'),
+        (210, 'd1779996b77b90bd5c8f9b9944d07ee59ddf64271eecfa1bdc80d9f18b67a966'),
+        (212, '4dddb032f3f9f6d70a751c9321ecff35f41bdbd71a611c18f6901a418d35ed65'),
+        (210, '767ec1f33cedb1aa77b63a96a8e1a73be87990f9b781a8610cb5e4ce74a64b37'),
+        (210, '02f0575d6403b54781a1e56563d539a0b9e9643b77303697e7ee7160ae38c722'),
+        (-17, '058f00573c3a513d97a87a670044c4d5dc7f038a6f38fb6781d998829d2764f5'),
+    ],
+}
+# Version 3 searches only the lags [-D, D], D the samples the delay steps
+# added. Version 2 searched every lag, and with `low_pass` next to a short
+# delay it put the peak two samples past D, on the filter's group delay
+# (offsets 19, 87 and 104); version 3 finds D itself. The other 45 rows,
+# Griffin-Lim's included, are unchanged.
+ALIGNMENT[3] = list(ALIGNMENT[2])
+ALIGNMENT[3][2] = (17, '138133a4da5f9c5eed6ffd1c371e40343767af9e598009015eac428201aac5d4')
+ALIGNMENT[3][8] = (85, '2ccb9616de5fd267711ab7da2516ef0a554df70a0d310f0ae641fbab6a65b4df')
+ALIGNMENT[3][14] = (102, 'e5140d01e41fb6e68f7c4cf360ed0a65c03bd02115635babf51e76a2cbac842f')
+
+def aligned_chains() -> list:
+    """(steps, uses the rir pool) for every base and mixer; the mixer goes
+    after the delay steps on even positions and before them on odd ones."""
+    chains = []
+    for b, (steps, pool) in enumerate(DELAY_BASES):
+        for m, mixer in enumerate(MIXERS):
+            if mixer is None:
+                chains.append((steps, pool))
+            elif (b + m) % 2 == 0:
+                chains.append((steps + (mixer,), pool))
+            else:
+                chains.append(((mixer,) + steps, pool))
+    return chains
+
+
+def alignment_table() -> list:
+    """(offset, sha256 of the trimmed clean then distorted float64 samples)
+    per aligned chain, applied through `apply_chain`."""
+    x, assets = Signal(samples=frozen_clip(), sample_rate=RATE), frozen_assets()
+    configs = {pool: ChainConfig(noise_pool=assets["noise_pool"],
+                                 rir_pool=assets["rir_pool"] if pool else ())
+               for pool in (True, False)}
+    table = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoftClipWarning)
+        for steps, pool in aligned_chains():
+            chain = [DistortionSpec(kind=kind, params=params, seed=seed)
+                     for kind, params, seed in steps]
+            pair = apply_chain(x, chain, configs[pool])
+            both = np.concatenate([pair.clean.samples, pair.distorted.samples]).astype("<f8")
+            table.append((pair.offset, hashlib.sha256(both.tobytes()).hexdigest()))
+    return table
+
+
+def test_alignment_matches_the_table_of_this_engine_version():
+    assert ENGINE_VERSION in ALIGNMENT, (
+        f"no alignment table recorded for ENGINE_VERSION {ENGINE_VERSION}")
+    got = alignment_table()
+    assert len(got) >= 40
+    moved = [i for i, (row, want) in enumerate(zip(got, ALIGNMENT[ENGINE_VERSION]))
+             if row != want]
+    assert not moved, f"aligned chains moved: {[(i, got[i]) for i in moved]}"
