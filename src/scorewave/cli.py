@@ -59,7 +59,7 @@ from .files import replacing
 from .metrics import evaluate_pair, snr
 from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
-from .schedule import NoiseSchedule, check_epsilon, denoise_only_plan, make_plan
+from .schedule import NoiseSchedule, make_plan
 from .scorenet import (
     OptimizerConfig,
     ScoreNet,
@@ -179,15 +179,6 @@ def _schedule_from(cfg: dict) -> NoiseSchedule:
                          sigma_max=cfg["schedule.sigma_max"])
 
 
-def _plan_from(schedule: NoiseSchedule, n_steps: int, epsilon: float):
-    """The plan of N steps; N = 1 denoises once and ignores epsilon, but a
-    bad epsilon is still a ConfigError there, as for every other N."""
-    if n_steps == 1:
-        check_epsilon(epsilon)
-        return denoise_only_plan(schedule)
-    return make_plan(schedule, n_steps, epsilon)
-
-
 def _chain_config_from(cfg: dict) -> ChainConfig:
     """The distort.* settings without asset pools; the pools are loaded per
     sample rate. Rejects a type set in which every enabled type needs a pool
@@ -286,6 +277,9 @@ def _read_reference(path: str | None, noisy: Signal) -> Signal | None:
     return ref
 
 
+# The toolkit's one realization-averaging loop. It calls the sampler through
+# this module's name ``langevin_sample``, which perfbench/tracing.py patches
+# to time the sampler and its score calls.
 def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.ndarray:
     """Average of sampling.n_realizations Langevin samples along ``plan``
     through ``score`` = :func:`_enhancement_score` of ``observed``."""
@@ -445,7 +439,7 @@ def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
 def cmd_enhance(args, cfg: dict, seed: int, jobs: int) -> int:
     noisy = read_wav(args.input, downmix=True)
     ref = _read_reference(args.reference, noisy)
-    plan = _plan_from(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
+    plan = make_plan(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
     enhanced = _enhance_samples(noisy.samples, cfg, score, plan, np.random.default_rng(seed))
     out_sig = Signal(samples=enhanced, sample_rate=noisy.sample_rate)
@@ -523,7 +517,7 @@ def cmd_sweep(args, cfg: dict, seed: int, jobs: int) -> int:
         raise ConfigError("sweep needs non-empty --n-list and --eps-list")
     # every cell's plan first, so a bad (N, epsilon) exits 2 before any sampling
     schedule = _schedule_from(cfg)
-    grid = [(n, eps, _plan_from(schedule, n, eps)) for n in n_list for eps in eps_list]
+    grid = [(n, eps, make_plan(schedule, n, eps)) for n in n_list for eps in eps_list]
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
 
     rows = []
@@ -561,8 +555,7 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
     if args.method == "direct":
         draws = sample_prior(prior, args.n, rng)
     else:
-        plan = _plan_from(_schedule_from(cfg), cfg["sampling.n_steps"],
-                          cfg["sampling.epsilon"])
+        plan = make_plan(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
         draws = langevin_sample(score_function(prior), None, plan, dim=prior.dim, rng=rng,
                                 n_samples=args.n)
     out = Path(args.out)

@@ -13,7 +13,8 @@ Langevin recursion over a :class:`~scorewave.schedule.SamplingPlan`
     x_{n-1} = x_n + eta * sigma_n^2 * S(x_n, c, sigma_n) + beta * sigma_{n-1} * z
 
 for n = N..2, followed by a final noise-free empirical denoising step
-x + sigma_0^2 * S(x, c, sigma_0).
+x + sigma_0^2 * S(x, c, sigma_0), the only step at N = 1. Averaging over
+realizations is left to the caller (``cli._enhance_samples``).
 
 Score functions are plain callables ``(x, c, sigma) -> score`` returning an
 array of x's shape (the sampler raises SamplingError otherwise). ``sigma`` is
@@ -54,15 +55,6 @@ def dsm_draw(x0, schedule: NoiseSchedule, rng: np.random.Generator):
     sig = schedule.sigma_at(t)
     x_t, z = perturb(x0, sig[:, None], rng)
     return t, sig, x_t, z
-
-
-def dsm_loss(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Generator) -> float:
-    """Single-sample denoising score-matching loss 1/2 ||sigma_t S + z||^2.
-
-    :func:`dsm_loss_batch` on the one row x0 (the score function sees a
-    (1, d) point and a (1,) sigma): one t ~ U(0, 1) and one z per call.
-    """
-    return float(dsm_loss_batch(score_fn, x0, c, schedule, rng)[0])
 
 
 def dsm_loss_batch(score_fn, x0, c, schedule: NoiseSchedule, rng: np.random.Generator) -> np.ndarray:
@@ -137,27 +129,3 @@ def langevin_sample(
     if not np.all(np.isfinite(out)):
         raise SamplingError(f"non-finite iterate at final denoising step (sigma={sigmas[0]:.6g})")
     return out
-
-
-def enhance_expectation(
-    score_fn,
-    c,
-    plan: SamplingPlan,
-    dim: int,
-    n_realizations: int = 10,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Average of independent Langevin samples sharing the same conditioning.
-
-    Each realization gets its own spawned child generator, so results are
-    reproducible and realizations could equally run in parallel.
-    """
-    if n_realizations < 1:
-        raise SamplingError(f"n_realizations must be >= 1, got {n_realizations}")
-    if rng is None:
-        rng = np.random.default_rng()
-    children = rng.spawn(n_realizations)
-    acc = np.zeros(dim, dtype=np.float64)
-    for child in children:
-        acc += langevin_sample(score_fn, c, plan, dim, child)
-    return acc / n_realizations

@@ -66,8 +66,11 @@ class ChainConfig:
         probs = np.asarray(self.count_probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ConfigError("count_probs must be a non-empty 1-D sequence")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        # written so that a NaN entry (whose comparisons are all false) fails
+        if np.any(probs < 0) or not abs(probs.sum() - 1.0) <= 1e-9:
             raise ConfigError("count_probs must be non-negative and sum to 1")
+        if not 0.0 < self.clip_level < np.inf:
+            raise ConfigError(f"clip_level must be finite and > 0, got {self.clip_level}")
         if not self.weights:
             raise ConfigError("at least one distortion type must be enabled")
         for name, w in self.weights.items():

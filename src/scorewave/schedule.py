@@ -15,7 +15,9 @@ from which the annealing step constants are derived:
     beta = sqrt(1 - ((1 - eta) / gamma)^2) = sqrt(1 - gamma^(2 epsilon - 2))
 
 with hyper-parameter epsilon in [1, inf). epsilon = 1 gives beta = 0,
-the fully deterministic annealing limit.
+the fully deterministic annealing limit, as in consistent annealed
+sampling (Jolicoeur-Martineau et al. 2021, arXiv 2009.05475). N = 1 is
+the single level sigma_max.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class SamplingPlan:
 
     ``sigmas[i]`` holds sigma(t_{i+1}) for t_n = (n-1)/(N-1); the array is
     ascending, so iterating n = N..1 walks it from sigma_max down to
-    sigma_min.
+    sigma_min. At N = 1 it is exactly ``[sigma_max]``.
     """
 
     n_steps: int
@@ -83,22 +85,21 @@ class SamplingPlan:
         self.sigmas.flags.writeable = False
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Raise ConfigError unless epsilon is finite and >= 1."""
-    if not (math.isfinite(epsilon) and epsilon >= 1.0):
-        raise ConfigError(f"epsilon must be finite and >= 1, got {epsilon}")
-
-
 def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> SamplingPlan:
-    """Discretize the schedule into ``n_steps`` uniform levels.
+    """Discretize the schedule into ``n_steps`` >= 1 uniform levels.
 
     gamma is constant over adjacent pairs by construction and satisfies
     gamma^(N-1) = sigma_min / sigma_max. beta is computed as
     sqrt(1 - gamma^(2 epsilon - 2)), which is exactly 0 at epsilon = 1.
+    N = 1 is the single level sigma_max, denoised once; its step constants
+    are unused (gamma = 1, eta = beta = 0), but epsilon is still checked.
     """
-    if n_steps < 2:
-        raise ConfigError(f"n_steps must be >= 2, got {n_steps}")
-    check_epsilon(epsilon)
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    if not (math.isfinite(epsilon) and epsilon >= 1.0):
+        raise ConfigError(f"epsilon must be finite and >= 1, got {epsilon}")
+    if n_steps == 1:
+        return SamplingPlan(1, epsilon, 1.0, 0.0, 0.0, np.array([schedule.sigma_max], np.float64))
 
     t = np.arange(n_steps, dtype=np.float64) / (n_steps - 1)
     sigmas = schedule.sigma_at(t)
@@ -114,15 +115,3 @@ def make_plan(schedule: NoiseSchedule, n_steps: int, epsilon: float) -> Sampling
     return SamplingPlan(
         n_steps=n_steps, epsilon=epsilon, gamma=gamma, eta=eta, beta=beta, sigmas=sigmas
     )
-
-
-def denoise_only_plan(schedule: NoiseSchedule) -> SamplingPlan:
-    """Single-evaluation plan: initialize at sigma_max and denoise once.
-
-    The recursion contract needs at least two levels, so N = 1 is provided
-    through this dedicated constructor rather than :func:`make_plan`. The
-    step constants are placeholders (no recursion step ever runs): the
-    sampler only reads ``sigmas``.
-    """
-    sigmas = np.array([schedule.sigma_max], dtype=np.float64)
-    return SamplingPlan(n_steps=1, epsilon=1.0, gamma=0.0, eta=1.0, beta=0.0, sigmas=sigmas)

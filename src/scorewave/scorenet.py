@@ -426,8 +426,10 @@ class OptimizerConfig:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
-        if self.peak_lr <= 0:
-            raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr}")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ConfigError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     @property
     def warmup_steps(self) -> int:

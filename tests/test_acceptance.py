@@ -30,7 +30,7 @@ from scorewave.distort import (
 from scorewave.distort.chain import chain_to_json
 from scorewave.mdn import MdnParams, fit_mdn, mdn_density, mdn_nll, mdn_nll_grads
 from scorewave.oracle import GmmPrior, log_density, perturbed_score, sample, score_function
-from scorewave.schedule import NoiseSchedule, denoise_only_plan, make_plan
+from scorewave.schedule import NoiseSchedule, make_plan
 from scorewave.scorenet import OptimizerConfig, ScoreNet, ScoreNetConfig, train
 from scorewave.signal import Signal, istft, read_wav, stft, write_wav
 
@@ -378,8 +378,7 @@ def test_8_speed_quality_structure(conditional_net):
     for ie, eps in enumerate((1.5, 2.3, 3.0)):
         q = []
         for i_n, n_steps in enumerate(n_list):
-            plan = (denoise_only_plan(sched) if n_steps == 1
-                    else make_plan(sched, n_steps, eps))
+            plan = make_plan(sched, n_steps, eps)
             cell = np.random.default_rng(np.random.SeedSequence([82, i_n, ie]))
             acc = np.zeros_like(x0)
             for child in cell.spawn(8):

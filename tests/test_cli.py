@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config, 3 I/O, 4 numeric.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,28 @@ class TestDistort:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["distort.count_probs = nan,0.5,0.5",
+                                         "distort.clip_level = 0", "distort.clip_level = nan",
+                                         "distort.clip_level = -1", "distort.clip_level = inf"])
+    def test_bad_count_probs_or_clip_level_is_config_error_before_any_file(
+            self, tmp_path, monkeypatch, setting):
+        """A NaN count probability, or a clip level that is not finite and
+        > 0, exits 2 before any input is read (they used to fail every file
+        and exit 3, or, for a NaN or negative level, exit 0)."""
+        from scorewave import cli
+
+        write_tone(tmp_path / "x.wav", seed=6)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/x.wav\n")
+        (tmp_path / "cfg.txt").write_text(setting + "\n")
+        reads = []
+        monkeypatch.setattr(cli, "read_wav", lambda *a, **k: reads.append(a))
+        out = tmp_path / "out"
+        code = main(["--config", str(tmp_path / "cfg.txt"), "distort", str(manifest), str(out)])
+        assert code == EXIT_CONFIG
+        assert reads == []
+        assert not out.exists()
+
     def test_no_usable_type_is_config_error(self, tmp_path):
         """Enabling only pool-needing types without their directory fails
         the command once, before any file is read, not once per file."""
@@ -473,6 +496,42 @@ class TestTrain:
         code = main(["train", "--out", str(out), "--iterations", "2",
                      "--resume", str(leg1), "--config", cfg, "--seed", "3"])
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["optimizer.peak_lr = nan", "optimizer.peak_lr = inf",
+                                         "optimizer.weight_decay = nan",
+                                         "optimizer.weight_decay = -0.01"])
+    def test_bad_optimizer_setting_is_config_error(self, tmp_path, setting):
+        """A non-finite learning rate or a negative or non-finite weight
+        decay exits 2 with nothing written (a NaN or infinite one used to
+        train a step and exit 4 on its non-finite loss)."""
+        cfg = self.write_cfg(tmp_path, setting + "\n")
+        out = tmp_path / "out" / "ck.bin"
+        code = main(["train", "--out", str(out), "--iterations", "2", "--config", cfg,
+                     "--seed", "2"])
+        assert code == EXIT_CONFIG
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("key", ["peak_lr", "weight_decay"])
+    def test_resume_from_non_finite_optimizer_header_is_config_error(self, tmp_path, capsys,
+                                                                     key):
+        """A checkpoint whose optimizer record holds NaN (which Python's json
+        reads) is a malformed header: ``train --resume`` exits 2."""
+        cfg = self.write_cfg(tmp_path)
+        leg1 = tmp_path / "leg1.bin"
+        assert main(["train", "--out", str(leg1), "--iterations", "2",
+                     "--config", cfg, "--seed", "3"]) == EXIT_OK
+        blob = leg1.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header["opt"][key] = float("nan")
+        text = json.dumps(header).encode()
+        leg1.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        out = tmp_path / "leg2.bin"
+        code = main(["train", "--out", str(out), "--iterations", "2",
+                     "--resume", str(leg1), "--config", cfg, "--seed", "3"])
+        assert code == EXIT_CONFIG
+        assert "malformed checkpoint header" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corpus_manifest_training_runs(self, tmp_path):

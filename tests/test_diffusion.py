@@ -17,16 +17,12 @@ import pytest
 from scipy.integrate import quad
 
 from scorewave import GmmPrior, NoiseSchedule, NumericError, SamplingError, langevin_sample, make_plan
-from scorewave.diffusion import (
-    denoise_final,
-    dsm_loss,
-    dsm_loss_batch,
-    enhance_expectation,
-    perturb,
-)
+from scorewave.cli import EXIT_CONFIG, _enhance_samples, main
+from scorewave.diffusion import denoise_final, dsm_loss_batch, perturb
 from scorewave.oracle import posterior_prior, posterior_score, score_function
 from scorewave.oracle import sample as sample_prior
 from scorewave.scorenet import ScoreNet, ScoreNetConfig
+from scorewave.signal import Signal, write_wav
 
 
 def zero_score(x, c, sigma):
@@ -66,13 +62,14 @@ class TestDsmLoss:
         probe = np.random.default_rng(1)
         probe.uniform()
         seen["z"] = probe.standard_normal(4)
-        loss = dsm_loss(cheat, np.ones(4), None, NoiseSchedule(), rng)
+        loss = dsm_loss_batch(cheat, np.ones((1, 4)), None, NoiseSchedule(), rng)[0]
         assert loss == pytest.approx(0.0, abs=1e-30)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_single_loss_is_the_written_out_draw(self, seed):
-        """dsm_loss draws t, then z, and returns 1/2 ||sigma_t S + z||^2 bit
-        for bit as written out here for one 3-dimensional example."""
+        """dsm_loss_batch on one row draws t, then z, and returns
+        1/2 ||sigma_t S + z||^2 bit for bit as written out here for one
+        3-dimensional example."""
         sched = NoiseSchedule()
         fn = score_function(GmmPrior(weights=[0.4, 0.6], means=[-1.0, 1.0], variances=[0.3, 0.3]))
         x0 = np.random.default_rng(100 + seed).standard_normal(3)
@@ -82,7 +79,7 @@ class TestDsmLoss:
         z = rng.standard_normal(3)
         resid = sig * fn(x0 + sig * z, None, sig) + z
         expected = float(0.5 * np.sum(resid * resid))
-        assert dsm_loss(fn, x0, None, sched, np.random.default_rng(seed)) == expected
+        assert dsm_loss_batch(fn, x0[None], None, sched, np.random.default_rng(seed))[0] == expected
 
     def test_zero_score_chi_square_mean(self):
         """With S = 0 the loss is ||z||^2 / 2, expectation d/2."""
@@ -96,7 +93,7 @@ class TestDsmLoss:
         prior = GmmPrior(weights=[1.0], means=[0.0], variances=[1.0])
         fn = score_function(prior)
         rng = np.random.default_rng(3)
-        singles = [dsm_loss(fn, np.zeros(1), None, sched, rng) for _ in range(4000)]
+        singles = [dsm_loss_batch(fn, np.zeros((1, 1)), None, sched, rng)[0] for _ in range(4000)]
         batch = dsm_loss_batch(fn, np.zeros((4000, 1)), None, sched, np.random.default_rng(4))
         np.testing.assert_allclose(np.mean(singles), batch.mean(), rtol=0.1)
 
@@ -142,7 +139,8 @@ class TestDsmLoss:
             return np.full_like(x, np.nan)
 
         with pytest.raises(NumericError, match="sigma"):
-            dsm_loss(broken, np.zeros(2), None, NoiseSchedule(), np.random.default_rng(0))
+            dsm_loss_batch(broken, np.zeros((1, 2)), None, NoiseSchedule(),
+                           np.random.default_rng(0))
         with pytest.raises(NumericError, match="t="):
             dsm_loss_batch(broken, np.zeros((4, 2)), None, NoiseSchedule(), np.random.default_rng(0))
 
@@ -264,36 +262,43 @@ class TestLangevinSampler:
 
 
 class TestEnhanceExpectation:
+    """The average over ``sampling.n_realizations`` Langevin samples, whose
+    one implementation is ``cli._enhance_samples`` (``enhance`` and
+    ``sweep`` call it); every row of the observation is one sample."""
+
     def setup_method(self):
-        self.fn = score_function(GmmPrior(weights=[1.0], means=[0.0], variances=[1.0]))
+        self.score = (score_function(GmmPrior(weights=[1.0], means=[0.0], variances=[1.0])),
+                      None)
         self.plan = make_plan(NoiseSchedule(), 32, 2.3)
 
     def test_single_realization_matches_spawned_sample(self):
-        out = enhance_expectation(self.fn, None, self.plan, 2, n_realizations=1,
-                                  rng=np.random.default_rng(13))
+        out = _enhance_samples(np.zeros(2), {"sampling.n_realizations": 1}, self.score,
+                               self.plan, np.random.default_rng(13))
         child = np.random.default_rng(13).spawn(1)[0]
-        direct = langevin_sample(self.fn, None, self.plan, 2, child)
-        np.testing.assert_array_equal(out, direct)
+        direct = langevin_sample(self.score[0], None, self.plan, 1, child, n_samples=2)
+        np.testing.assert_array_equal(out, direct.ravel())
 
     def test_variance_shrinks_like_one_over_n(self):
         """Averaging 100 independent realizations shrinks output variance by
-        about 100x (between 50x and 200x over 150 trials)."""
+        about 100x (between 50x and 200x over 150 rows)."""
         plan = make_plan(NoiseSchedule(), 8, 2.3)
-        single = np.array([
-            langevin_sample(self.fn, None, plan, 1, r)[0]
-            for r in np.random.default_rng(14).spawn(150)
-        ])
-        averaged = np.array([
-            enhance_expectation(self.fn, None, plan, 1, n_realizations=100, rng=r)[0]
-            for r in np.random.default_rng(15).spawn(150)
-        ])
+        single = langevin_sample(self.score[0], None, plan, 1, np.random.default_rng(14),
+                                 n_samples=150).ravel()
+        averaged = _enhance_samples(np.zeros(150), {"sampling.n_realizations": 100},
+                                    self.score, plan, np.random.default_rng(15))
         ratio = single.var() / averaged.var()
         assert 50 < ratio < 200
 
-    def test_rejects_zero_realizations(self):
-        with pytest.raises(SamplingError):
-            enhance_expectation(self.fn, None, self.plan, 1, n_realizations=0,
-                                rng=np.random.default_rng(0))
+    def test_rejects_zero_realizations(self, tmp_path):
+        """``enhance`` with no realization to average exits 2 and writes no WAV."""
+        write_wav(tmp_path / "in.wav", Signal(samples=np.zeros(16), sample_rate=8000),
+                  encoding="float32")
+        (tmp_path / "zero.cfg").write_text("sampling.n_realizations = 0\n")
+        out = tmp_path / "out.wav"
+        code = main(["--config", str(tmp_path / "zero.cfg"), "enhance",
+                     "--input", str(tmp_path / "in.wav"), "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 def reference_langevin_sample(score_fn, c, plan, dim, rng, n_samples=None):

@@ -893,6 +893,11 @@ class TestChainSampling:
             {"weights": {"not_a_type": 1.0}},
             {"weights": {"clip": 0.0}},
             {"weights": {}},
+            {"count_probs": (np.nan, 0.5, 0.5)},  # NaN passes a "> 1e-9" test
+            {"clip_level": 0.0},
+            {"clip_level": -1.0},
+            {"clip_level": np.nan},
+            {"clip_level": np.inf},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -2,17 +2,21 @@
 
 ``enhance`` promises byte-identical reruns, and a speed-up of the sampler
 or of the posterior oracle is only acceptable when it keeps every output
-bit. This test runs the command on a frozen input in both of its modes and
-compares the sha256 of each enhanced WAV, and of the ``metrics`` record of
-its log, with digests recorded from the out-of-place sampler arithmetic.
-A change that moves one bit of either leg fails here.
+bit. This test runs the command on a frozen input in both of its modes,
+and in oracle mode at one step, and compares the sha256 of each enhanced
+WAV, and of the ``metrics`` record of its log, with digests recorded from
+the out-of-place sampler arithmetic (the one-step leg's from the separate
+N = 1 plan constructor that ``make_plan`` has since absorbed). A change
+that moves one bit of any leg fails here.
 
 - Oracle mode: the analytic per-sample posterior score,
   ``sampling.n_realizations = 2`` (two spawned child streams, averaged).
 - Checkpoint mode: a ``dim_c = 1`` network whose parameter vector is a
   seeded draw, so its score is non-zero at every step.
+- One-step oracle mode: ``sampling.n_steps = 1``, the plan of the single
+  level sigma_max, denoised once.
 
-Both legs share one frozen 1 s clip at 8 kHz: samples of the default
+All legs share one frozen 1 s clip at 8 kHz: samples of the default
 two-component mixture plus unit-variance observation noise. The digests
 depend on the numpy build (random streams, ``exp``/``log`` and FFT code) as
 well as on the program. ``RECORDED_ON`` names the build they were recorded
@@ -42,6 +46,8 @@ DIGESTS = {
                "de33c2f1000b55ea005f179102b5f2ac8b2ff95a40bb60aa2004a265ae31f97f"),
     "checkpoint": ("45fd81d8fec771ee7f3e8f275d277ff29197e72ada331c31bb1c38db1cc8548f",
                    "b59af9038820b324fdc71e3ffde3d8e575e3c57204dc09f78fe8228b97f2558e"),
+    "one_step": ("94aabadad17e1188d97a77dc565a6f9273f3811a5b001d653bff9248566e7ed0",
+                 "a377ace7f1c35cc269dfe6ddccb99cf02561fedd265c89a16fc7617808192e62"),
 }
 RECORDED_ON = [{"numpy": "2.4.6"}]
 
@@ -71,9 +77,11 @@ def frozen_checkpoint(path):
 def enhance_digests(tmp_path) -> dict:
     clean, noisy = frozen_pair(tmp_path)
     (tmp_path / "oracle.cfg").write_text("sampling.n_realizations = 2\n")
+    (tmp_path / "one_step.cfg").write_text("sampling.n_steps = 1\n")
     legs = {
         "oracle": ["--config", str(tmp_path / "oracle.cfg")],
         "checkpoint": ["--checkpoint", str(frozen_checkpoint(tmp_path / "net.bin"))],
+        "one_step": ["--config", str(tmp_path / "one_step.cfg")],
     }
     out = {}
     for leg, extra in legs.items():

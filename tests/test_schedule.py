@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from scorewave import ConfigError, NoiseSchedule, make_plan
-from scorewave.schedule import denoise_only_plan
 
 
 class TestSigmaAt:
@@ -124,10 +123,17 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             plan.sigmas[0] = 1.0
 
-    @pytest.mark.parametrize("n_steps,eps", [(1, 1.5), (0, 1.5), (8, 0.99), (8, 0.0), (8, -1.0)])
+    @pytest.mark.parametrize("n_steps,eps", [(0, 1.5), (8, 0.99), (8, 0.0), (8, -1.0),
+                                             (1, 0.99), (1, np.nan)])
     def test_rejects_bad_plan_args(self, n_steps, eps):
+        """N below 1 and an epsilon that is not finite and >= 1 are
+        rejected, at N = 1 too, whose one denoising step does not use it."""
         with pytest.raises(ConfigError):
             make_plan(NoiseSchedule(), n_steps, eps)
+
+    def test_zero_steps_names_the_bound_of_one(self):
+        with pytest.raises(ConfigError, match="n_steps must be >= 1"):
+            make_plan(NoiseSchedule(), 0, 1.5)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_rejects_non_finite_epsilon(self, eps):
@@ -136,9 +142,9 @@ class TestMakePlan:
         with pytest.raises(ConfigError, match="epsilon"):
             make_plan(NoiseSchedule(), 8, eps)
 
-    def test_denoise_only_plan(self):
+    def test_one_step_plan(self):
         """The single-evaluation plan holds exactly one sigma: sigma_max."""
-        sched = NoiseSchedule()
-        plan = denoise_only_plan(sched)
+        sched = NoiseSchedule(sigma_min=1e-3, sigma_max=7.3)
+        plan = make_plan(sched, 1, 2.3)
         assert plan.n_steps == 1
-        np.testing.assert_allclose(plan.sigmas, [sched.sigma_max], rtol=1e-12)
+        assert plan.sigmas.tolist() == [sched.sigma_max]

@@ -386,6 +386,17 @@ class TestOptimizer:
         assert all(b <= a + 1e-18 for a, b in zip(lrs, lrs[1:]))
         assert lr_at(cfg, 1000) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [{"peak_lr": np.nan}, {"peak_lr": np.inf},
+                                        {"peak_lr": 0.0}, {"weight_decay": np.nan},
+                                        {"weight_decay": np.inf}, {"weight_decay": -0.01}],
+                             ids=["lr_nan", "lr_inf", "lr_zero", "decay_nan", "decay_inf",
+                                  "decay_negative"])
+    def test_rejects_bad_rate_or_decay(self, kwargs):
+        """A NaN or infinite peak_lr passes a ``peak_lr <= 0`` test and would
+        train one step into a non-finite loss; so would a NaN weight decay."""
+        with pytest.raises(ConfigError):
+            OptimizerConfig(total_steps=10, **kwargs)
+
     def test_warmup_is_linear(self):
         cfg = OptimizerConfig(total_steps=2000, peak_lr=1e-3)
         w = cfg.warmup_steps
