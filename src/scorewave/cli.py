@@ -39,7 +39,6 @@ import json
 import sys
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,13 +49,12 @@ from .distort import (
     ENGINE_VERSION,
     PRIMITIVES,
     ChainConfig,
-    SoftClipWarning,
     apply_chain,
     sample_chain,
 )
 from .errors import AudioError, ConfigError, NumericError
 from .files import replacing
-from .metrics import evaluate_pair, snr
+from .metrics import DEFAULT_RESOLUTIONS, _pair, evaluate_pair, snr
 from .oracle import GmmPrior, posterior_score, score_function
 from .oracle import sample as sample_prior
 from .schedule import NoiseSchedule, make_plan
@@ -109,20 +107,21 @@ def _p_weights(s):
 
 
 # key -> (parser, default). Values given in config files go through the
-# parser; defaults are stored already parsed.
+# parser; defaults are stored already parsed, and those the library also
+# defaults are read from it, so the two cannot drift apart.
 CONFIG_KEYS = {
     "seed": (int, 0),
-    "schedule.sigma_min": (float, 5e-4),
-    "schedule.sigma_max": (float, 5.0),
+    "schedule.sigma_min": (float, NoiseSchedule.sigma_min),
+    "schedule.sigma_max": (float, NoiseSchedule.sigma_max),
     "sampling.n_steps": (int, 64),
     "sampling.epsilon": (float, 2.3),
     "sampling.n_realizations": (int, 1),
-    "model.hidden": (_p_ints, (64, 64)),
-    "model.n_pairs": (int, 32),
-    "model.embed_dim": (int, 256),
-    "optimizer.peak_lr": (float, 2e-4),
-    "optimizer.warmup_frac": (float, 0.05),
-    "optimizer.weight_decay": (float, 0.01),
+    "model.hidden": (_p_ints, ScoreNetConfig.hidden),
+    "model.n_pairs": (int, ScoreNetConfig.n_pairs),
+    "model.embed_dim": (int, ScoreNetConfig.embed_dim),
+    "optimizer.peak_lr": (float, OptimizerConfig.peak_lr),
+    "optimizer.warmup_frac": (float, OptimizerConfig.warmup_frac),
+    "optimizer.weight_decay": (float, OptimizerConfig.weight_decay),
     "optimizer.total_steps": (int, 0),  # 0: use train.iterations
     "train.iterations": (int, 2000),
     "train.batch_size": (int, 128),
@@ -130,12 +129,12 @@ CONFIG_KEYS = {
     "train.gmm_means": (_p_floats, (-2.0, 2.0)),
     "train.gmm_variances": (_p_floats, (0.1, 0.1)),
     "enhance.noise_std": (float, 1.0),
-    "distort.count_probs": (_p_floats, (0.35, 0.45, 0.15, 0.04, 0.01)),
-    "distort.clip_level": (float, 4.0),
+    "distort.count_probs": (_p_floats, ChainConfig.count_probs),
+    "distort.clip_level": (float, ChainConfig.clip_level),
     "distort.noise_dir": (str, ""),
     "distort.rir_dir": (str, ""),
     "distort.weights": (_p_weights, {}),
-    "metrics.resolutions": (_p_resolutions, ((512, 128), (1024, 256), (2048, 512))),
+    "metrics.resolutions": (_p_resolutions, DEFAULT_RESOLUTIONS),
 }
 
 
@@ -265,16 +264,22 @@ def _enhancement_score(observed: np.ndarray, cfg: dict, checkpoint: str | None):
     return net.forward, (observed[:, None] if net.config.dim_c == 1 else None)
 
 
-def _read_reference(path: str | None, noisy: Signal) -> Signal | None:
-    """The --reference clip or None, checked against the input before any sampling."""
-    if not path:
-        return None
-    ref = read_wav(path, downmix=True)
+def _read_clips(args) -> tuple[Signal, Signal | None]:
+    """The --input clip and the --reference clip or None, checked before any
+    sampling: an empty input, or a reference of another rate or length,
+    exits 2, and a reference the metrics would reject exits as they do."""
+    noisy = read_wav(args.input, downmix=True)
+    if not len(noisy):
+        raise ConfigError(f"input {args.input} holds no samples")
+    if not args.reference:
+        return noisy, None
+    ref = read_wav(args.reference, downmix=True)
     if ref.sample_rate != noisy.sample_rate:
         raise ConfigError(f"reference rate {ref.sample_rate} != input rate {noisy.sample_rate}")
     if len(ref) != len(noisy):
         raise ConfigError(f"reference length {len(ref)} != input length {len(noisy)}")
-    return ref
+    _pair(ref.samples, noisy.samples)  # the metrics' own checks, before any output exists
+    return noisy, ref
 
 
 # The toolkit's one realization-averaging loop. It calls the sampler through
@@ -342,10 +347,7 @@ def cmd_distort(args, cfg: dict, seed: int, jobs: int) -> int:
             return {"input": str(path), "file_index": index, "engine_version": ENGINE_VERSION,
                     "error": str(exc)}
 
-    # The log's clipped flag comes from each pair; the warning itself is
-    # silenced once here, since warning filters are process-global.
-    with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=jobs) as pool:
-        warnings.simplefilter("ignore", SoftClipWarning)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(process, enumerate(manifest)))
 
     # Replay also depends on the engine version and on the numpy and scipy
@@ -437,8 +439,7 @@ def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 def cmd_enhance(args, cfg: dict, seed: int, jobs: int) -> int:
-    noisy = read_wav(args.input, downmix=True)
-    ref = _read_reference(args.reference, noisy)
+    noisy, ref = _read_clips(args)
     plan = make_plan(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
     enhanced = _enhance_samples(noisy.samples, cfg, score, plan, np.random.default_rng(seed))
@@ -508,8 +509,7 @@ def cmd_eval(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 def cmd_sweep(args, cfg: dict, seed: int, jobs: int) -> int:
-    noisy = read_wav(args.input, downmix=True)
-    reference = _read_reference(args.reference, noisy)
+    noisy, reference = _read_clips(args)
     duration = len(noisy) / noisy.sample_rate
     n_list = _p_ints(args.n_list)
     eps_list = _p_floats(args.eps_list)

@@ -7,7 +7,6 @@ from .chain import (
     ENGINE_VERSION,
     ChainConfig,
     DistortionSpec,
-    SoftClipWarning,
     apply_chain,
     chain_from_json,
     chain_from_record,
@@ -20,7 +19,6 @@ __all__ = [
     "PRIMITIVES",
     "ChainConfig",
     "DistortionSpec",
-    "SoftClipWarning",
     "apply_chain",
     "chain_from_json",
     "chain_from_record",

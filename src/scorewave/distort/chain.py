@@ -2,11 +2,13 @@
 
 A chain is an ordered list of DistortionSpec records. Sampling draws the
 chain length from a count distribution over {1..5}, then picks types
-without replacement proportional to their selection weights, then asks
-each type's sampler for parameters; every spec also receives its own rng
-sub-seed. Because all randomness an applier consumes flows from that
-logged sub-seed, `apply_chain` is a pure function of (signal, chain,
-assets) — replaying a logged chain is bit-exact.
+without replacement proportional to their selection weights, then draws
+each type's parameters from its registry entry's bounds; every spec also
+receives its own rng sub-seed. Because all randomness an applier consumes
+flows from that logged sub-seed, `apply_chain` is a pure function of
+(signal, chain, assets) — replaying a logged chain is bit-exact. An output
+louder than the config's clip_level is soft-clipped, and the returned pair's
+``clipped`` flag is the one report of it (`distort` logs it per file).
 
 That promise holds within one ENGINE_VERSION. The version is bumped by any
 change that moves an applier's output by even the last bit, or the
@@ -27,7 +29,6 @@ are trimmed to the common support.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +37,7 @@ from ..errors import ConfigError, NumericError, ScorewaveError
 from ..signal import Signal
 from .primitives import PRIMITIVES
 
-DEFAULT_COUNT_PROBS = (0.35, 0.45, 0.15, 0.04, 0.01)
-CLIP_LEVEL = 4.0
 ENGINE_VERSION = 3
-
-
-class SoftClipWarning(UserWarning):
-    """Raised (as a warning) when the chain output hit the soft-clip guard."""
-
-
-def default_weights() -> dict[str, float]:
-    return {name: float(p.weight) for name, p in PRIMITIVES.items()}
 
 
 @dataclass(frozen=True)
@@ -54,13 +45,16 @@ class ChainConfig:
     """Knobs for chain sampling: count distribution over {1..5} distortions,
     per-type selection weights, and the optional asset pools (noise
     recordings / room impulse responses, arrays at the processed signal's
-    sample rate). Parameters are drawn from the fixed DEFAULT_BOUNDS."""
+    sample rate). Parameters are drawn from each type's fixed bounds in
+    PRIMITIVES. An output peaking above clip_level is soft-clipped, and its
+    DistortedPair says so in ``clipped``."""
 
-    count_probs: tuple = DEFAULT_COUNT_PROBS
-    weights: dict = field(default_factory=default_weights)
+    count_probs: tuple = (0.35, 0.45, 0.15, 0.04, 0.01)
+    weights: dict = field(
+        default_factory=lambda: {name: float(p.weight) for name, p in PRIMITIVES.items()})
     noise_pool: tuple = ()
     rir_pool: tuple = ()
-    clip_level: float = CLIP_LEVEL
+    clip_level: float = 4.0
 
     def __post_init__(self):
         probs = np.asarray(self.count_probs, dtype=np.float64)
@@ -178,8 +172,9 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
     """Apply the chain's steps in order. Every applier draws from a fresh
     generator seeded with its spec's sub-seed, so the result depends only
     on (x, chain, asset pools). Failures propagate with the chain index.
-    Output exceeding ±clip_level is soft-clipped with a SoftClipWarning and
-    comes back with ``clipped=True``."""
+    Output exceeding ±clip_level is soft-clipped to ``clip_level * tanh(y /
+    clip_level)`` and comes back with ``clipped=True``, the only report of
+    it."""
     cfg = cfg if cfg is not None else ChainConfig()
     chain = tuple(chain)
     if not chain:
@@ -196,14 +191,8 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
         if not np.all(np.isfinite(y)):
             raise NumericError(f"chain step {i} ({spec.kind}) produced non-finite samples")
 
-    peak = float(np.max(np.abs(y))) if y.size else 0.0
-    clipped = peak > cfg.clip_level
+    clipped = y.size > 0 and float(np.max(np.abs(y))) > cfg.clip_level
     if clipped:
-        warnings.warn(
-            f"chain output peaked at {peak:.3g}; soft-clipped to ±{cfg.clip_level}",
-            SoftClipWarning,
-            stacklevel=2,
-        )
         y = cfg.clip_level * np.tanh(y / cfg.clip_level)
 
     clean = x.samples
@@ -223,12 +212,8 @@ def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPa
     )
 
 
-def chain_to_json(chain) -> str:
-    """Serialize a chain for the run log; `chain_from_json` round-trips it."""
-    return json.dumps([spec.to_dict() for spec in chain])
-
-
 def chain_from_json(text: str) -> tuple:
+    """The chain of a JSON list of `DistortionSpec.to_dict` records."""
     return tuple(DistortionSpec.from_dict(rec) for rec in json.loads(text))
 
 

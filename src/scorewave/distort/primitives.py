@@ -1,21 +1,21 @@
-"""The distortion primitives: one bounds entry + one applier per type.
+"""The distortion primitives: one registry entry per type.
 
-Every primitive is registered with its family, its selection weight, an
-applier
+Every type is declared once, in PRIMITIVES, with its family, its selection
+weight, an applier
 
     apply(x, rate, params, rng, assets) -> y
 
-and the registry data that says how its parameters are drawn. Parameter
-bounds live in DEFAULT_BOUNDS as plain data, fixed per type, and one
-method, `Primitive.sample`, turns a type's entry into a parameter record,
-key by key in the entry's order:
+and its parameter bounds, plain data fixed per type. One method,
+`Primitive.sample`, turns the bounds into a parameter record, key by key in
+the entry's order:
 
     int (lo, hi)      -> an integer in lo..hi inclusive
-    float (lo, hi)    -> uniform, or log-uniform for keys in the type's `log`
+    float (lo, hi)    -> uniform
+    Log(lo, hi)       -> log-uniform
+    Span(lo, hi)      -> `<key>_lo` and `<key>_hi`, for appliers that make
+                         their own per-segment or per-band draws
     list              -> one of the choices
     scalar            -> the constant itself
-    keys in `ranges`  -> `<key>_lo` and `<key>_hi`, for appliers that make
-                         their own per-segment or per-band draws
 
 The applier's `rng` is a generator seeded from the spec's sub-seed (so
 replaying a logged chain is bit-exact) and `assets` carries optional
@@ -39,89 +39,13 @@ input; `telephone` combines its high and low pass by the same rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..signal import Signal, StftRoundTrip, istft, resample, stft
 from . import biquad
-
-# ---------------------------------------------------------------------------
-# Bounds table (data, not code), drawn by Primitive.sample: an int two-tuple
-# is an inclusive integer range, a float two-tuple a uniform range (log-
-# uniform for the keys in the type's `log`), a list a categorical choice, a
-# scalar a constant, and a key in the type's `ranges` is passed through as
-# `<key>_lo`/`<key>_hi`. Keys are drawn, and logged, in the order given here.
-
-DEFAULT_BOUNDS: dict[str, dict] = {
-    "band_pass": {"freq": (300.0, 3000.0), "q": (0.5, 5.0)},
-    "high_pass": {"freq": (100.0, 2000.0), "q": (0.5, 5.0)},
-    "low_pass": {"freq": (800.0, 7200.0), "q": (0.5, 5.0)},
-    "down_sample": {"factor": [2, 4, 8], "method": ["hold", "poly"]},
-    "mu_law": {"bits": (4, 8), "mu": 255.0},
-    "plosive_boost": {"freq": (80.0, 300.0), "gain_db": (6.0, 18.0)},
-    "sibilance_boost": {"freq": (4000.0, 7500.0), "gain_db": (6.0, 18.0)},
-    "overdrive": {"gain": (2.0, 20.0), "mix": (0.5, 1.0)},
-    "clip": {"threshold": (0.1, 0.9)},
-    "compressor": {
-        "threshold_db": (-40.0, -10.0),
-        "ratio": (2.0, 10.0),
-        "attack_ms": (1.0, 10.0),
-        "release_ms": (50.0, 300.0),
-    },
-    "destroy_levels": {"segment_ms": (100.0, 1000.0), "prob": (0.3, 0.8),
-                       "gain_db": (-35.0, -5.0)},
-    "noise_gate": {"threshold_db": (-60.0, -30.0), "attack_ms": (1.0, 10.0),
-                   "release_ms": (20.0, 100.0)},
-    "simple_compressor": {"ratio": (1.5, 4.0)},
-    "simple_expander": {"ratio": (1.2, 3.0)},
-    "tremolo": {"rate_hz": (0.5, 8.0), "depth": (0.3, 0.9)},
-    "band_reject": {"freq": (300.0, 4000.0), "q": (0.5, 5.0)},
-    "random_eq": {"n_bands": (3, 10), "freq": (100.0, 7000.0), "gain_db": (-12.0, 12.0),
-                  "q": (0.5, 5.0)},
-    "two_pole": {"freq": (300.0, 4000.0), "radius": (0.9, 0.99)},
-    "additive_noise": {"snr_db": (-5.0, 25.0)},
-    "impulsive_noise": {"snr_db": (-5.0, 25.0), "rate_hz": (0.5, 5.0),
-                        "burst_ms": (5.0, 50.0)},
-    "algorithmic_reverb": {"t60": (0.2, 1.5), "wet": (0.2, 0.8)},
-    "rir_convolution": {"t60": (0.15, 1.2), "ir_ms": (100.0, 600.0),
-                        "predelay_ms": (0.0, 20.0), "wet": (0.3, 1.0)},
-    "short_delay": {"delay_ms": (0.5, 20.0), "gain": (0.7, 1.0)},
-    "griffin_lim": {"window": [256, 512, 1024], "iterations": (5, 30)},
-    "phase_randomization": {"window": [256, 512, 1024], "amount": (0.3, 1.0)},
-    "phase_shuffle": {"window": [256, 512, 1024], "amount": (0.3, 1.0)},
-    "spectral_holes": {"window": [256, 512, 1024], "n_holes": (3, 20),
-                       "max_bins": 40, "max_frames": 20},
-    "spectral_noise": {"window": [256, 512, 1024], "amount": (0.05, 0.5)},
-    "colored_noise": {"snr_db": (-5.0, 25.0), "slope_db_oct": (-6.0, 6.0)},
-    "dc_component": {"amplitude": (0.01, 0.2)},
-    "electricity_tone": {"snr_db": (-5.0, 25.0), "freq": [50.0, 60.0],
-                         "waveform": ["sine", "square", "sawtooth"]},
-    "random_tone": {"snr_db": (-5.0, 25.0), "freq": (100.0, 4000.0),
-                    "waveform": ["sine", "square", "sawtooth"]},
-    "nonstat_colored_noise": {"snr_db": (-5.0, 25.0), "slope_db_oct": (-6.0, 6.0),
-                              "segment_ms": (200.0, 1000.0), "prob": (0.2, 0.7)},
-    "nonstat_dc_component": {"amplitude": (0.01, 0.2),
-                             "segment_ms": (200.0, 1000.0), "prob": (0.2, 0.7)},
-    "nonstat_electricity_tone": {"snr_db": (-5.0, 25.0), "freq": [50.0, 60.0],
-                                 "waveform": ["sine", "square", "sawtooth"],
-                                 "segment_ms": (200.0, 1000.0), "prob": (0.2, 0.7)},
-    "nonstat_random_tone": {"snr_db": (-5.0, 25.0), "freq": (100.0, 4000.0),
-                            "waveform": ["sine", "square", "sawtooth"],
-                            "segment_ms": (200.0, 1000.0), "prob": (0.2, 0.7)},
-    "frame_shuffle": {"frame_ms": (20.0, 80.0), "prob": (0.2, 0.7)},
-    "insert_attenuation": {"segment_ms": (20.0, 200.0), "prob": (0.1, 0.5),
-                           "gain_db": (-30.0, -6.0)},
-    "insert_noise": {"segment_ms": (20.0, 200.0), "prob": (0.1, 0.5),
-                     "snr_db": (0.0, 15.0)},
-    "perturb_amplitude": {"segment_ms": (50.0, 400.0), "prob": (0.3, 0.8),
-                          "gain_db": (-8.0, 8.0)},
-    "sample_duplicate": {"block_ms": (1.0, 20.0), "prob": (0.1, 0.4)},
-    "silent_gap": {"gap_ms": (20.0, 200.0), "prob": (0.05, 0.3)},
-    "telephone": {"low_hz": (250.0, 400.0), "high_hz": (3000.0, 3600.0),
-                  "ratio": (1.5, 4.0)},
-}
 
 
 # -- numeric helpers --------------------------------------------------------
@@ -559,121 +483,163 @@ def _apply_telephone(x, rate, p, rng, assets):
 # -- registry ---------------------------------------------------------------
 
 
+
+
+class Log(NamedTuple):
+    """A float range drawn log-uniformly."""
+
+    lo: float
+    hi: float
+
+
+class Span(NamedTuple):
+    """A float range passed to the applier as ``<key>_lo``/``<key>_hi``, for
+    appliers that draw their own values per segment or per band."""
+
+    lo: float
+    hi: float
+
+
 @dataclass(frozen=True)
 class Primitive:
-    """One distortion type: selection weight, applier, and how its
-    parameters are drawn from its DEFAULT_BOUNDS entry.
-
-    log: bound keys drawn log-uniformly; every other float range is drawn
-        uniformly. Per type, not per key name: ``overdrive.gain`` is
-        log-uniform but ``short_delay.gain`` is not.
-    ranges: bound keys passed through as ``<key>_lo``/``<key>_hi`` floats
-        for appliers that draw their own values per segment or per band.
-    """
+    """One distortion type: family, selection weight, applier, and the
+    bounds its parameters are drawn from, in draw (and log) order. Whether
+    a range is log-uniform is per type, not per key name: ``overdrive.gain``
+    is a Log range but ``short_delay.gain`` is not."""
 
     name: str
     family: str
     weight: float
     apply: Callable
-    log: tuple[str, ...] = ()
-    ranges: tuple[str, ...] = ()
+    bounds: dict
     introduces_delay: bool = False
     needs: str | None = None
 
     def sample(self, rng) -> dict:
-        """One parameter record drawn from DEFAULT_BOUNDS[name], walking its
-        keys in order (see the module docstring)."""
+        """One parameter record drawn from ``bounds``, key by key in order
+        (see the module docstring)."""
         params = {}
-        for key, bound in DEFAULT_BOUNDS[self.name].items():
+        for key, bound in self.bounds.items():
             if isinstance(bound, list):
                 params[key] = bound[int(rng.integers(len(bound)))]
+            elif isinstance(bound, Span):
+                params[f"{key}_lo"], params[f"{key}_hi"] = float(bound.lo), float(bound.hi)
+            elif isinstance(bound, Log):
+                params[key] = float(np.exp(rng.uniform(np.log(bound.lo), np.log(bound.hi))))
             elif not isinstance(bound, tuple):
                 params[key] = bound
-            elif key in self.ranges:
-                params[f"{key}_lo"], params[f"{key}_hi"] = float(bound[0]), float(bound[1])
             elif all(isinstance(v, int) for v in bound):
                 params[key] = int(rng.integers(bound[0], bound[1] + 1))
-            elif key in self.log:
-                params[key] = float(np.exp(rng.uniform(np.log(bound[0]), np.log(bound[1]))))
             else:
                 params[key] = float(rng.uniform(bound[0], bound[1]))
         return params
 
+
+_WINDOW = [256, 512, 1024]
+_WAVEFORM = ["sine", "square", "sawtooth"]
 
 PRIMITIVES: dict[str, Primitive] = {
     p.name: p
     for p in [
         Primitive("band_pass", "band_limiting", 5,
                   _biquad(biquad.band_pass, "freq", "q", above_nyquist=_silence),
-                  log=("freq",)),
+                  {"freq": Log(300.0, 3000.0), "q": (0.5, 5.0)}),
         Primitive("high_pass", "band_limiting", 5, _high_pass,
-                  log=("freq",)),
+                  {"freq": Log(100.0, 2000.0), "q": (0.5, 5.0)}),
         Primitive("low_pass", "band_limiting", 20, _low_pass,
-                  log=("freq",)),
-        Primitive("down_sample", "band_limiting", 30, _apply_down_sample),
-        Primitive("mu_law", "codec", 3, _apply_mu_law),
+                  {"freq": Log(800.0, 7200.0), "q": (0.5, 5.0)}),
+        Primitive("down_sample", "band_limiting", 30, _apply_down_sample,
+                  {"factor": [2, 4, 8], "method": ["hold", "poly"]}),
+        Primitive("mu_law", "codec", 3, _apply_mu_law, {"bits": (4, 8), "mu": 255.0}),
         Primitive("plosive_boost", "distortion", 10,
                   _biquad(biquad.low_shelf, "freq", "gain_db", above_nyquist=_shelf_gain),
-                  log=("freq",)),
+                  {"freq": Log(80.0, 300.0), "gain_db": (6.0, 18.0)}),
         Primitive("sibilance_boost", "distortion", 10,
-                  _biquad(biquad.high_shelf, "freq", "gain_db"), log=("freq",)),
-        Primitive("overdrive", "distortion", 5, _apply_overdrive, log=("gain",)),
-        Primitive("clip", "distortion", 8, _apply_clip),
+                  _biquad(biquad.high_shelf, "freq", "gain_db"),
+                  {"freq": Log(4000.0, 7500.0), "gain_db": (6.0, 18.0)}),
+        Primitive("overdrive", "distortion", 5, _apply_overdrive,
+                  {"gain": Log(2.0, 20.0), "mix": (0.5, 1.0)}),
+        Primitive("clip", "distortion", 8, _apply_clip, {"threshold": (0.1, 0.9)}),
         Primitive("compressor", "loudness", 10, _apply_compressor,
-                  log=("attack_ms", "release_ms")),
+                  {"threshold_db": (-40.0, -10.0), "ratio": (2.0, 10.0),
+                   "attack_ms": Log(1.0, 10.0), "release_ms": Log(50.0, 300.0)}),
         Primitive("destroy_levels", "loudness", 20, _apply_destroy_levels,
-                  log=("segment_ms",), ranges=("gain_db",)),
+                  {"segment_ms": Log(100.0, 1000.0), "prob": (0.3, 0.8),
+                   "gain_db": Span(-35.0, -5.0)}),
         Primitive("noise_gate", "loudness", 10, _apply_noise_gate,
-                  log=("attack_ms", "release_ms")),
-        Primitive("simple_compressor", "loudness", 3, _apply_simple_compressor),
-        Primitive("simple_expander", "loudness", 2, _apply_simple_expander),
-        Primitive("tremolo", "loudness", 2, _apply_tremolo, log=("rate_hz",)),
+                  {"threshold_db": (-60.0, -30.0), "attack_ms": Log(1.0, 10.0),
+                   "release_ms": Log(20.0, 100.0)}),
+        Primitive("simple_compressor", "loudness", 3, _apply_simple_compressor,
+                  {"ratio": (1.5, 4.0)}),
+        Primitive("simple_expander", "loudness", 2, _apply_simple_expander,
+                  {"ratio": (1.2, 3.0)}),
+        Primitive("tremolo", "loudness", 2, _apply_tremolo,
+                  {"rate_hz": Log(0.5, 8.0), "depth": (0.3, 0.9)}),
         Primitive("band_reject", "equalization", 5, _biquad(biquad.notch, "freq", "q"),
-                  log=("freq",)),
+                  {"freq": Log(300.0, 4000.0), "q": (0.5, 5.0)}),
         Primitive("random_eq", "equalization", 15, _apply_random_eq,
-                  ranges=("freq", "gain_db", "q")),
+                  {"n_bands": (3, 10), "freq": Span(100.0, 7000.0),
+                   "gain_db": Span(-12.0, 12.0), "q": Span(0.5, 5.0)}),
         Primitive("two_pole", "equalization", 10, _biquad(biquad.two_pole, "freq", "radius"),
-                  log=("freq",)),
+                  {"freq": Log(300.0, 4000.0), "radius": (0.9, 0.99)}),
         Primitive("additive_noise", "recorded_noise", 150, _apply_additive_noise,
-                  needs="noise_pool"),
+                  {"snr_db": (-5.0, 25.0)}, needs="noise_pool"),
         Primitive("impulsive_noise", "recorded_noise", 30, _apply_impulsive_noise,
-                  log=("rate_hz", "burst_ms")),
+                  {"snr_db": (-5.0, 25.0), "rate_hz": Log(0.5, 5.0),
+                   "burst_ms": Log(5.0, 50.0)}),
         Primitive("algorithmic_reverb", "reverb_delay", 30, _apply_algorithmic_reverb,
-                  log=("t60",)),
+                  {"t60": Log(0.2, 1.5), "wet": (0.2, 0.8)}),
         Primitive("rir_convolution", "reverb_delay", 120, _apply_rir_convolution,
-                  log=("t60", "ir_ms"), introduces_delay=True),
-        Primitive("short_delay", "reverb_delay", 3, _apply_short_delay, log=("delay_ms",),
-                  introduces_delay=True),
-        Primitive("griffin_lim", "spectral", 3, _apply_griffin_lim),
-        Primitive("phase_randomization", "spectral", 1, _apply_phase_randomization),
-        Primitive("phase_shuffle", "spectral", 1, _apply_phase_shuffle),
-        Primitive("spectral_holes", "spectral", 1, _apply_spectral_holes),
-        Primitive("spectral_noise", "spectral", 1, _apply_spectral_noise),
-        Primitive("colored_noise", "synthetic_noise", 15, _apply_colored_noise),
+                  {"t60": Log(0.15, 1.2), "ir_ms": Log(100.0, 600.0),
+                   "predelay_ms": (0.0, 20.0), "wet": (0.3, 1.0)}, introduces_delay=True),
+        Primitive("short_delay", "reverb_delay", 3, _apply_short_delay,
+                  {"delay_ms": Log(0.5, 20.0), "gain": (0.7, 1.0)}, introduces_delay=True),
+        Primitive("griffin_lim", "spectral", 3, _apply_griffin_lim,
+                  {"window": _WINDOW, "iterations": (5, 30)}),
+        Primitive("phase_randomization", "spectral", 1, _apply_phase_randomization,
+                  {"window": _WINDOW, "amount": (0.3, 1.0)}),
+        Primitive("phase_shuffle", "spectral", 1, _apply_phase_shuffle,
+                  {"window": _WINDOW, "amount": (0.3, 1.0)}),
+        Primitive("spectral_holes", "spectral", 1, _apply_spectral_holes,
+                  {"window": _WINDOW, "n_holes": (3, 20), "max_bins": 40, "max_frames": 20}),
+        Primitive("spectral_noise", "spectral", 1, _apply_spectral_noise,
+                  {"window": _WINDOW, "amount": (0.05, 0.5)}),
+        Primitive("colored_noise", "synthetic_noise", 15, _apply_colored_noise,
+                  {"snr_db": (-5.0, 25.0), "slope_db_oct": (-6.0, 6.0)}),
         Primitive("dc_component", "synthetic_noise", 1, _apply_dc_component,
-                  log=("amplitude",)),
-        Primitive("electricity_tone", "synthetic_noise", 6, _apply_tone_snr),
+                  {"amplitude": Log(0.01, 0.2)}),
+        Primitive("electricity_tone", "synthetic_noise", 6, _apply_tone_snr,
+                  {"snr_db": (-5.0, 25.0), "freq": [50.0, 60.0], "waveform": _WAVEFORM}),
         Primitive("nonstat_colored_noise", "synthetic_noise", 5, _masked(_apply_colored_noise),
-                  log=("segment_ms",)),
+                  {"snr_db": (-5.0, 25.0), "slope_db_oct": (-6.0, 6.0),
+                   "segment_ms": Log(200.0, 1000.0), "prob": (0.2, 0.7)}),
         Primitive("nonstat_dc_component", "synthetic_noise", 1, _masked(_apply_dc_component),
-                  log=("amplitude", "segment_ms")),
+                  {"amplitude": Log(0.01, 0.2), "segment_ms": Log(200.0, 1000.0),
+                   "prob": (0.2, 0.7)}),
         Primitive("nonstat_electricity_tone", "synthetic_noise", 3, _masked(_apply_tone_snr),
-                  log=("segment_ms",)),
+                  {"snr_db": (-5.0, 25.0), "freq": [50.0, 60.0], "waveform": _WAVEFORM,
+                   "segment_ms": Log(200.0, 1000.0), "prob": (0.2, 0.7)}),
         Primitive("nonstat_random_tone", "synthetic_noise", 1, _masked(_apply_tone_snr),
-                  log=("freq", "segment_ms")),
-        Primitive("random_tone", "synthetic_noise", 2, _apply_tone_snr, log=("freq",)),
+                  {"snr_db": (-5.0, 25.0), "freq": Log(100.0, 4000.0), "waveform": _WAVEFORM,
+                   "segment_ms": Log(200.0, 1000.0), "prob": (0.2, 0.7)}),
+        Primitive("random_tone", "synthetic_noise", 2, _apply_tone_snr,
+                  {"snr_db": (-5.0, 25.0), "freq": Log(100.0, 4000.0), "waveform": _WAVEFORM}),
         Primitive("frame_shuffle", "transmission", 10, _apply_frame_shuffle,
-                  log=("frame_ms",)),
+                  {"frame_ms": Log(20.0, 80.0), "prob": (0.2, 0.7)}),
         Primitive("insert_attenuation", "transmission", 3, _apply_insert_attenuation,
-                  log=("segment_ms",)),
+                  {"segment_ms": Log(20.0, 200.0), "prob": (0.1, 0.5),
+                   "gain_db": (-30.0, -6.0)}),
         Primitive("insert_noise", "transmission", 5, _apply_insert_noise,
-                  log=("segment_ms",)),
+                  {"segment_ms": Log(20.0, 200.0), "prob": (0.1, 0.5), "snr_db": (0.0, 15.0)}),
         Primitive("perturb_amplitude", "transmission", 1, _apply_destroy_levels,
-                  log=("segment_ms",), ranges=("gain_db",)),
+                  {"segment_ms": Log(50.0, 400.0), "prob": (0.3, 0.8),
+                   "gain_db": Span(-8.0, 8.0)}),
         Primitive("sample_duplicate", "transmission", 2, _apply_sample_duplicate,
-                  log=("block_ms",)),
-        Primitive("silent_gap", "transmission", 15, _apply_silent_gap, log=("gap_ms",)),
+                  {"block_ms": Log(1.0, 20.0), "prob": (0.1, 0.4)}),
+        Primitive("silent_gap", "transmission", 15, _apply_silent_gap,
+                  {"gap_ms": Log(20.0, 200.0), "prob": (0.05, 0.3)}),
         Primitive("telephone", "transmission", 10, _apply_telephone,
-                  log=("low_hz", "high_hz")),
+                  {"low_hz": Log(250.0, 400.0), "high_hz": Log(3000.0, 3600.0),
+                   "ratio": (1.5, 4.0)}),
     ]
 }

@@ -426,10 +426,14 @@ class OptimizerConfig:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
-        if not 0.0 < self.peak_lr < math.inf:
-            raise ConfigError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        for name in ("peak_lr", "warmup_start_factor", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def warmup_steps(self) -> int:

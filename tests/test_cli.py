@@ -534,6 +534,32 @@ class TestTrain:
         assert "malformed checkpoint header" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("beta1", float("nan")), ("beta2", 2.0),
+                                            ("eps", float("nan")),
+                                            ("warmup_start_factor", float("nan"))])
+    def test_resume_from_bad_moment_header_is_config_error(self, tmp_path, capsys, key,
+                                                          value):
+        """An optimizer record with a beta outside [0, 1), or a non-finite
+        eps or warm-up start factor, is a malformed header: ``train
+        --resume`` exits 2 with nothing written (it used to train a step into
+        non-finite parameters and exit 0)."""
+        cfg = self.write_cfg(tmp_path)
+        leg1 = tmp_path / "leg1.bin"
+        assert main(["train", "--out", str(leg1), "--iterations", "2",
+                     "--config", cfg, "--seed", "3"]) == EXIT_OK
+        blob = leg1.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header["opt"][key] = value
+        text = json.dumps(header).encode()
+        leg1.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        out = tmp_path / "leg2.bin"
+        code = main(["train", "--out", str(out), "--iterations", "1",
+                     "--resume", str(leg1), "--config", cfg, "--seed", "3"])
+        assert code == EXIT_CONFIG
+        assert "malformed checkpoint header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corpus_manifest_training_runs(self, tmp_path):
         write_tone(tmp_path / "c.wav", seed=6, n=2000)
         manifest = tmp_path / "m.txt"
@@ -569,6 +595,25 @@ def make_noisy_pair(tmp_path, n=400, noise_std=1.0, seed=11, rate=8000):
     write_wav(tmp_path / "noisy.wav", Signal(samples=noisy, sample_rate=rate),
               encoding="float32")
     return clean, noisy
+
+
+def degenerate_clips(tmp_path, n_input, n_reference):
+    """--input (noise, empty when n_input is 0) and, unless n_reference is
+    None, a silent --reference of n_reference samples, at 8 kHz."""
+    write_wav(tmp_path / "in.wav", Signal(samples=np.random.default_rng(4).standard_normal(
+        n_input), sample_rate=8000), encoding="float32")
+    argv = ["--input", str(tmp_path / "in.wav")]
+    if n_reference is not None:
+        write_wav(tmp_path / "ref.wav", Signal(samples=np.zeros(n_reference), sample_rate=8000),
+                  encoding="float32")
+        argv += ["--reference", str(tmp_path / "ref.wav")]
+    return argv
+
+
+DEGENERATE = pytest.mark.parametrize(
+    "n_input, n_reference, code",
+    [(0, None, EXIT_CONFIG), (0, 0, EXIT_CONFIG), (300, 300, EXIT_NUMERIC)],
+    ids=["empty_input", "empty_input_and_reference", "silent_reference"])
 
 
 class TestEnhance:
@@ -643,6 +688,22 @@ class TestEnhance:
                      "--output", str(out), "--reference", str(tmp_path / "ref.wav"),
                      "--seed", "1"])
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @DEGENERATE
+    def test_degenerate_clip_rejected_before_sampling(self, tmp_path, monkeypatch, n_input,
+                                                      n_reference, code):
+        """An empty input exits 2, and a reference the metrics would reject
+        exits as they do (empty 2, silent 4), before the sampler draws
+        anything, so no enhanced WAV is left behind."""
+        from scorewave import cli
+
+        draws = []
+        monkeypatch.setattr(cli, "langevin_sample", lambda *a, **k: draws.append(a))
+        out = tmp_path / "o.wav"
+        argv = degenerate_clips(tmp_path, n_input, n_reference)
+        assert main(["enhance", *argv, "--output", str(out), "--seed", "1"]) == code
+        assert draws == []
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["sampling.epsilon = nan", "sampling.epsilon = inf",
@@ -864,6 +925,22 @@ class TestSweep:
                      "--reference", str(tmp_path / "ref.wav"), "--n-list", "2",
                      "--eps-list", "1.5", "--out", str(out)])
         assert code == EXIT_CONFIG
+        assert draws == []
+        assert not out.exists()
+
+    @DEGENERATE
+    def test_degenerate_clip_rejected_before_sampling(self, tmp_path, monkeypatch, n_input,
+                                                      n_reference, code):
+        """As in enhance, with or without --reference: an empty input used
+        to end in a ZeroDivisionError traceback from its real-time factor."""
+        from scorewave import cli
+
+        draws = []
+        monkeypatch.setattr(cli, "langevin_sample", lambda *a, **k: draws.append(a))
+        out = tmp_path / "s.jsonl"
+        argv = degenerate_clips(tmp_path, n_input, n_reference)
+        assert main(["sweep", *argv, "--n-list", "2", "--eps-list", "1.5",
+                     "--out", str(out)]) == code
         assert draws == []
         assert not out.exists()
 

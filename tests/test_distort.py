@@ -25,7 +25,6 @@ from scorewave.distort import (
     PRIMITIVES,
     ChainConfig,
     DistortionSpec,
-    SoftClipWarning,
     apply_chain,
     biquad,
     chain_from_json,
@@ -33,8 +32,8 @@ from scorewave.distort import (
     primitives,
     sample_chain,
 )
-from scorewave.distort.chain import DistortedPair, _align_offset, chain_to_json
-from scorewave.distort.primitives import DEFAULT_BOUNDS
+from scorewave.distort.chain import DistortedPair, _align_offset
+from scorewave.distort.primitives import Log, Span
 from scorewave.signal import Signal, istft, stft
 
 RATE = 16000
@@ -819,7 +818,7 @@ class TestChainSampling:
         skip = {"gain_db_lo", "gain_db_hi", "freq_lo", "freq_hi", "q_lo", "q_hi"}
         for _ in range(400):
             for spec in sample_chain(cfg, rng):
-                bounds = DEFAULT_BOUNDS[spec.kind]
+                bounds = PRIMITIVES[spec.kind].bounds
                 for key, value in spec.params.items():
                     if key in skip or key not in bounds:
                         continue
@@ -837,7 +836,7 @@ class TestChainSampling:
         rng = np.random.default_rng(2024)
         chains = [sample_chain(cfg, rng) for _ in range(1500)]
         assert {spec.kind for chain in chains for spec in chain} == set(PRIMITIVES)
-        text = "\n".join(chain_to_json(chain) for chain in chains)
+        text = "\n".join(json.dumps([s.to_dict() for s in chain]) for chain in chains)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "bb951bbeb5ae6468bc4137c2fb6aaefc5b92606f459c0d95d8a920fc3d13ec67")
         rng = np.random.default_rng(2025)
@@ -846,14 +845,12 @@ class TestChainSampling:
             "b73d805d5b956a637c9b10d7345fc3805bdd4a6708cc44adaee660b251a06a2b")
 
     def test_registry_sampling_keys_match_bounds(self):
-        """A misspelt `log` key would silently draw uniformly, and a
-        misspelt `ranges` key would draw one value where the applier reads
-        `_lo`/`_hi`: every key must name a bound of the right shape. And
-        `sample` can draw from every entry: each range is a (low, high) pair
-        of reals with low <= high, each choice list is non-empty."""
-        assert set(DEFAULT_BOUNDS) == set(PRIMITIVES)
+        """Every Log bound is a pair of floats with 0 < low <= high (its
+        logarithms exist), every Span a pair. And `sample` can draw from
+        every entry: each range is a (low, high) pair of reals with
+        low <= high, each choice list is non-empty."""
         for name, prim in PRIMITIVES.items():
-            bounds = DEFAULT_BOUNDS[name]
+            bounds = prim.bounds
             for key, bound in bounds.items():
                 if isinstance(bound, list):
                     assert bound, (name, key)
@@ -861,12 +858,12 @@ class TestChainSampling:
                     assert len(bound) == 2, (name, key)
                     assert all(isinstance(v, numbers.Real) for v in bound), (name, key)
                     assert bound[0] <= bound[1], (name, key)
-            for key in prim.log:
+            for key in [k for k, b in bounds.items() if isinstance(b, Log)]:
                 bound = bounds.get(key)
                 assert isinstance(bound, tuple) and len(bound) == 2, (name, key)
                 assert all(isinstance(v, float) for v in bound), (name, key)
                 assert 0 < bound[0] <= bound[1], (name, key)
-            for key in prim.ranges:
+            for key in [k for k, b in bounds.items() if isinstance(b, Span)]:
                 bound = bounds.get(key)
                 assert isinstance(bound, tuple) and len(bound) == 2, (name, key)
 
@@ -962,7 +959,7 @@ class TestChainApplication:
         rng = np.random.default_rng(88)
         for _ in range(10):
             chain = sample_chain(cfg, rng)
-            log_line = chain_to_json(chain)
+            log_line = json.dumps([s.to_dict() for s in chain])
             json.loads(log_line)  # valid JSON
             replayed = chain_from_json(log_line)
             a = apply_chain(sig(x), chain, cfg)
@@ -1015,8 +1012,8 @@ class TestChainApplication:
     def test_soft_clip_guard_warns_and_bounds(self):
         x = noise_signal(seed=47)
         spec = DistortionSpec(kind="dc_component", params={"amplitude": 10.0}, seed=0)
-        with pytest.warns(SoftClipWarning):
-            pair = apply_chain(sig(x), [spec])
+        pair = apply_chain(sig(x), [spec])
+        assert pair.clipped
         assert np.max(np.abs(pair.distorted.samples)) <= 4.0
 
     def test_empty_chain_rejected(self):

@@ -29,13 +29,11 @@ as an applier change does.
 """
 
 import hashlib
-import warnings
 from importlib import metadata
 
 import numpy as np
 
-from scorewave.distort import (ENGINE_VERSION, PRIMITIVES, ChainConfig, DistortionSpec,
-                               SoftClipWarning, apply_chain)
+from scorewave.distort import ENGINE_VERSION, PRIMITIVES, ChainConfig, DistortionSpec, apply_chain
 from scorewave.signal import Signal
 
 RATE = 16_000
@@ -541,14 +539,12 @@ def alignment_table() -> list:
                                  rir_pool=assets["rir_pool"] if pool else ())
                for pool in (True, False)}
     table = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SoftClipWarning)
-        for steps, pool in aligned_chains():
-            chain = [DistortionSpec(kind=kind, params=params, seed=seed)
-                     for kind, params, seed in steps]
-            pair = apply_chain(x, chain, configs[pool])
-            both = np.concatenate([pair.clean.samples, pair.distorted.samples]).astype("<f8")
-            table.append((pair.offset, hashlib.sha256(both.tobytes()).hexdigest()))
+    for steps, pool in aligned_chains():
+        chain = [DistortionSpec(kind=kind, params=params, seed=seed)
+                 for kind, params, seed in steps]
+        pair = apply_chain(x, chain, configs[pool])
+        both = np.concatenate([pair.clean.samples, pair.distorted.samples]).astype("<f8")
+        table.append((pair.offset, hashlib.sha256(both.tobytes()).hexdigest()))
     return table
 
 

@@ -129,6 +129,11 @@ def cli_files(tmp_path_factory):
         files[f"{rate}.wav"] = root / f"{rate}.wav"
         write_wav(files[f"{rate}.wav"], Signal(samples=0.1 * rng.standard_normal(400),
                                                sample_rate=rate), encoding="pcm16")
+    for name, samples in (("0_samples", np.zeros(0)), ("1_sample", np.full(1, 0.5)),
+                          ("silent", np.zeros(400))):
+        files[f"{name}.wav"] = root / f"{name}.wav"
+        write_wav(files[f"{name}.wav"], Signal(samples=samples, sample_rate=16000),
+                  encoding="float32")
     put("cut.wav", files["16000.wav"].read_bytes()[:30])
     put("empty", b"")
     put("binary", b"\xff\xfe\x00\x81" * 8)
@@ -158,6 +163,7 @@ def cli_files(tmp_path_factory):
 
 
 _SERIAL = itertools.count()  # a fresh output name for every example
+WAVS = ("16000.wav", "8000.wav", "0_samples.wav", "1_sample.wav", "silent.wav")
 
 
 def cli_argv(files, out):
@@ -177,7 +183,6 @@ def cli_argv(files, out):
         "under_file": str(files["small.cfg"] / "o"),
         "under_missing": str(files["missing"] / "o")}[kind])
     huge = "99999999999999999999"
-    wavs = ("16000.wav", "8000.wav")
     common = {"--config": path("small.cfg"),
               "--seed": pick(["0", "7", huge], ["-1", "x", ""]),
               "--jobs": pick(["1", "2"], ["0", "-1", "x", huge])}
@@ -187,12 +192,12 @@ def cli_argv(files, out):
         "train": {"--out": outputs, "--iterations": pick(["0", "1", "2"], ["-1", "x", huge]),
                   "--data": pick(["gmm"], ["gmm", str(files["manifest"])] + every_path),
                   "--resume": path("trained.ckpt"), "--trace": outputs},
-        "enhance": {"--input": path(*wavs), "--output": outputs,
+        "enhance": {"--input": path(*WAVS), "--output": outputs,
                     "--checkpoint": path("x1c1.ckpt", "trained.ckpt"),
-                    "--reference": path(*wavs), "--log": outputs},
-        "eval": {"--pairs": path("pairs"), "--reference": path(*wavs),
-                 "--estimate": path(*wavs), "--out": outputs},
-        "sweep": {"--input": path(*wavs), "--reference": path(*wavs),
+                    "--reference": path(*WAVS), "--log": outputs},
+        "eval": {"--pairs": path("pairs"), "--reference": path(*WAVS),
+                 "--estimate": path(*WAVS), "--out": outputs},
+        "sweep": {"--input": path(*WAVS), "--reference": path(*WAVS),
                   "--checkpoint": path("x1c1.ckpt", "trained.ckpt"),
                   "--n-list": pick(["1,2", "4"], ["0", "-2", "x", "", "2,,3"]),
                   "--eps-list": pick(["2.3", "1.5,3"], ["0", "-1", "nan", "x", ""]),
@@ -230,3 +235,19 @@ def test_main_exit_codes(cli_files, data):
         assert exc.code == 2, argv
     else:
         assert code in (0, 2, 3, 4), argv
+
+
+@pytest.mark.parametrize("command", ["enhance", "sweep", "eval"])
+def test_every_clip_pair_exit_codes(cli_files, command):
+    """Each WAV of the alphabet, degenerate ones included, with each other
+    one as its reference and with none, through every command that reads
+    audio: only a documented exit code comes out."""
+    files, out = cli_files
+    for clip, ref in itertools.product(WAVS, (None, *WAVS)):
+        argv = ["--config", str(files["small.cfg"]), command,
+                "--estimate" if command == "eval" else "--input", str(files[clip])]
+        argv += {"enhance": ["--output", str(out / f"o{next(_SERIAL)}.wav")],
+                 "sweep": ["--n-list", "1,2", "--eps-list", "2.3"], "eval": []}[command]
+        if ref is not None:
+            argv += ["--reference", str(files[ref])]
+        assert main(argv) in (0, 2, 3, 4), argv

@@ -397,6 +397,22 @@ class TestOptimizer:
         with pytest.raises(ConfigError):
             OptimizerConfig(total_steps=10, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"beta1": np.nan}, {"beta1": 1.0}, {"beta1": -0.1},
+                                        {"beta2": np.nan}, {"beta2": 2.0}, {"eps": np.nan},
+                                        {"eps": 0.0}, {"eps": np.inf},
+                                        {"warmup_start_factor": np.nan},
+                                        {"warmup_start_factor": 0.0},
+                                        {"warmup_start_factor": np.inf}],
+                             ids=["beta1_nan", "beta1_one", "beta1_negative", "beta2_nan",
+                                  "beta2_two", "eps_nan", "eps_zero", "eps_inf",
+                                  "warmup_start_nan", "warmup_start_zero", "warmup_start_inf"])
+    def test_rejects_bad_moment_or_warmup_setting(self, kwargs):
+        """Adam needs 0 <= beta1, beta2 < 1 and a finite eps > 0, and the
+        warm-up a finite start factor > 0; anything else trains into a
+        non-finite step or learning rate, so it is a ConfigError (exit 2)."""
+        with pytest.raises(ConfigError):
+            OptimizerConfig(total_steps=10, **kwargs)
+
     def test_warmup_is_linear(self):
         cfg = OptimizerConfig(total_steps=2000, peak_lr=1e-3)
         w = cfg.warmup_steps
