@@ -14,9 +14,12 @@ That promise holds within one ENGINE_VERSION. The version is bumped by any
 change that moves an applier's output by even the last bit, or the
 alignment below (version 2 convolves room impulse responses by overlap-add
 FFT and projects Griffin-Lim phases as z / |z|; version 3 bounds the lag
-search by the samples the delay steps added), and `distort` writes it into
-every log record. `chain_from_record` replays a record only if its version
-is the running engine's; a record without the key is version 1.
+search by the samples the delay steps added; version 4 convolves them by
+one FFT and draws and projects Griffin-Lim phases as mag * (cos, sin) and
+z * (mag / |z|), moving outputs by at most 4e-14 of their peak), and
+`distort` writes it into every log record. `chain_from_record` replays a
+record only if its version is the running engine's; a record without the
+key is version 1.
 
 Chains that contain delay-introducing types (short delay, impulse
 response convolution) are re-aligned against the clean reference by the
@@ -37,7 +40,7 @@ from ..errors import ConfigError, NumericError, ScorewaveError
 from ..signal import Signal
 from .primitives import PRIMITIVES
 
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -171,14 +174,16 @@ def _align_offset(clean: np.ndarray, distorted: np.ndarray) -> int:
 def apply_chain(x: Signal, chain, cfg: ChainConfig | None = None) -> DistortedPair:
     """Apply the chain's steps in order. Every applier draws from a fresh
     generator seeded with its spec's sub-seed, so the result depends only
-    on (x, chain, asset pools). Failures propagate with the chain index.
-    Output exceeding ±clip_level is soft-clipped to ``clip_level * tanh(y /
-    clip_level)`` and comes back with ``clipped=True``, the only report of
-    it."""
+    on (x, chain, asset pools). An empty input raises ConfigError, other
+    failures propagate with the chain index. Output exceeding ±clip_level
+    is soft-clipped to ``clip_level * tanh(y / clip_level)`` and comes back
+    with ``clipped=True``, the only report of it."""
     cfg = cfg if cfg is not None else ChainConfig()
     chain = tuple(chain)
     if not chain:
         raise ConfigError("a distortion chain must contain at least one step")
+    if not len(x):
+        raise ConfigError("empty input: a 0-sample signal has nothing to distort")
     assets = cfg.assets()
     y = x.samples.copy()
     for i, spec in enumerate(chain):

@@ -94,6 +94,25 @@ def _envelope(x: np.ndarray, rate: int, attack_ms: float, release_ms: float) -> 
     return env
 
 
+def _gate_envelope(gate: np.ndarray, rate: int, attack_ms: float, release_ms: float) -> np.ndarray:
+    """`_envelope` of a 0/1 gate, the same bits, by one `lfilter` per run of
+    equal values: there the loop keeps one pole c (attack on an open run),
+    so it is the filter (1 - c) / (1 - c z^-1) started from c * level. An
+    open run's level never passes 1.0, where both poles hold it, since
+    c + (1 - c) rounds to 1.0; a closed run's level never falls below 0."""
+    from scipy.signal import lfilter
+
+    env = np.empty(gate.size)
+    starts = np.flatnonzero(np.diff(gate, prepend=np.nan)).tolist()
+    level = 0.0
+    for start, stop in zip(starts, starts[1:] + [gate.size]):
+        ms = attack_ms if gate[start] else release_ms
+        c = float(np.exp(-1.0 / (rate * ms / 1000.0)))
+        env[start:stop] = lfilter([1.0 - c], [1.0, -c], gate[start:stop], zi=[c * level])[0]
+        level = float(env[stop - 1])
+    return env
+
+
 def _tone(waveform: str, freq: float, n: int, rate: int, phase: float) -> np.ndarray:
     import scipy.signal
 
@@ -223,7 +242,7 @@ def _apply_noise_gate(x, rate, p, rng, assets):
     env = _envelope(x, rate, p["attack_ms"], p["release_ms"])
     open_ = 20.0 * np.log10(np.maximum(env, 1e-6)) > p["threshold_db"]
     # smooth the binary gate with the same attack/release pole to avoid clicks
-    gate = _envelope(open_.astype(np.float64), rate, p["attack_ms"], p["release_ms"])
+    gate = _gate_envelope(open_.astype(np.float64), rate, p["attack_ms"], p["release_ms"])
     return x * gate
 
 
@@ -324,7 +343,7 @@ def _apply_rir_convolution(x, rate, p, rng, assets):
         tail /= max(np.sqrt(np.sum(tail**2)), 1e-12)
         pre = int(p["predelay_ms"] * rate / 1000.0)
         ir = np.concatenate([np.zeros(pre), [1.0], p["wet"] * tail])
-    return scipy.signal.oaconvolve(x, ir)
+    return scipy.signal.fftconvolve(x, ir)
 
 
 def _apply_short_delay(x, rate, p, rng, assets):
@@ -339,20 +358,20 @@ def _apply_griffin_lim(x, rate, p, rng, assets):
         return _from_spec(spec, spec.data)
     mag = np.abs(spec.data)
     phase = rng.uniform(-np.pi, np.pi, size=mag.shape)
-    data = mag * np.exp(1j * phase)
+    data = np.empty(mag.shape, dtype=np.complex128)
+    np.cos(phase, out=data.real)
+    np.sin(phase, out=data.imag)
+    data *= mag
     roundtrip = StftRoundTrip(spec)
     for _ in range(iters):
         data = roundtrip(data)
-        # keep mag, take the estimate's phase: mag * z / |z| (mag where z == 0),
-        # in place on the fresh estimate. Both parts are scaled by 1 / |z|, the
-        # factor numpy's complex divide by |z| + 0j uses, then by mag: the
-        # divide's values up to the sign of a zero part, which cannot reach
-        # the samples, since the overlap-add sums from +0.
+        # keep mag, take the estimate's phase: z * (mag / |z|), and mag where
+        # z == 0, in place on the fresh estimate
         norm = np.abs(data)
-        silent = norm == 0.0
-        data[silent], norm[silent] = 1.0, 1.0
-        data *= np.reciprocal(norm, out=norm)
-        data *= mag
+        if not norm.all():
+            silent = norm == 0.0
+            data[silent], norm[silent] = 1.0, 1.0
+        data *= np.divide(mag, norm, out=norm)
     return roundtrip.synthesize(data)
 
 

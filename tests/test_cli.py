@@ -228,6 +228,28 @@ class TestDistort:
         assert "error" in lines[1]
         assert "chain" in lines[2]  # the good file still went through
 
+    def test_empty_input_fails_by_name_and_the_rest_are_written(self, tmp_path):
+        """A 0-sample WAV fails its own record as an empty input (exit 3);
+        the 1- and 4,000-sample files beside it are written with the bytes
+        they had before the check existed (engine version 3, the same bits
+        at version 4 on inputs this short)."""
+        import hashlib
+
+        paths = [tmp_path / f"n{n}.wav" for n in (0, 1, 4000)]
+        for path, n in zip(paths, (0, 1, 4000)):
+            write_tone(path, n=n, seed=n)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("".join(f"{p}\n" for p in paths))
+        out = tmp_path / "out"
+        assert main(["distort", str(manifest), str(out), "--seed", "17"]) == EXIT_IO
+        empty, *written = read_lines(out / "distort_log.jsonl")[1:]
+        assert "empty input" in empty["error"]
+        digests = [hashlib.sha256(Path(r["clean"]).read_bytes()
+                                  + Path(r["distorted"]).read_bytes()).hexdigest()
+                   for r in written]
+        assert digests == ["aefe4f1b3ac03eb87201cdb78527a0f8d638923bdca9ffd866abe628bbb6bdf7",
+                           "1f2c0f108e749be66a465616bda32222e232eadb82cefa8171f8c72e98abc2f6"]
+
     def test_failed_run_keeps_a_new_log_directory_it_wrote_to(self, tmp_path):
         """Exit 3 removes only the new directories left empty: this one
         holds the log that names the failure."""

@@ -361,8 +361,16 @@ DIGESTS = {
 }
 # Version 3 changed only the alignment (see ALIGNMENT below); no applier moved.
 DIGESTS[3] = DIGESTS[2]
+# Version 4 draws Griffin-Lim's first phases as mag * (cos, sin) and projects
+# as z * (mag / |z|), and convolves room impulse responses by one FFT. On this
+# 1 s clip, shorter than 13 times either response, `oaconvolve` already ran as
+# one FFT, so only `griffin_lim` moved.
+DIGESTS[4] = {**DIGESTS[3],
+              'griffin_lim': ('5cd4aaeb3e3f3a358708f662f6090e6222701c9d0e00305ed95fbcb06326692d',
+                              '74506fdc79fd80ee22a3265831f1db5df3db08be6d1cc8b9159815492e3ee436')}
 RECORDED_ON = {2: [{"numpy": "2.4.6", "scipy": "1.17.1"}],
-               3: [{"numpy": "2.4.6", "scipy": "1.17.1"}]}
+               3: [{"numpy": "2.4.6", "scipy": "1.17.1"}],
+               4: [{"numpy": "2.4.6", "scipy": "1.17.1"}]}
 
 
 def frozen_clip() -> np.ndarray:
@@ -515,6 +523,18 @@ ALIGNMENT[3] = list(ALIGNMENT[2])
 ALIGNMENT[3][2] = (17, '138133a4da5f9c5eed6ffd1c371e40343767af9e598009015eac428201aac5d4')
 ALIGNMENT[3][8] = (85, '2ccb9616de5fd267711ab7da2516ef0a554df70a0d310f0ae641fbab6a65b4df')
 ALIGNMENT[3][14] = (102, 'e5140d01e41fb6e68f7c4cf360ed0a65c03bd02115635babf51e76a2cbac842f')
+# Version 4 moves no offset. The pairs that moved are the eight chains with
+# the `griffin_lim` mixer, whose distorted samples moved with its digests.
+ALIGNMENT[4] = list(ALIGNMENT[3])
+ALIGNMENT[4][5] = (0, '6b40a2b9ca32b5d222e93282f130c00e86f28de58a97ccd40004effeefee59a5')
+ALIGNMENT[4][11] = (-16, '7e76e0bca98098172bf8f6715e3a7156e2c3d1670597dffaa0e8e354cf135883')
+ALIGNMENT[4][17] = (85, 'a47c75d46406d90a1127993fe257a995fff6dbb21d0fb44f7bd0dcd0c6a66111')
+ALIGNMENT[4][23] = (-16, '7eb6762d579b3165e4b6a6709372e8141e34c563865c1fbdc7234bfa5c9c2f13')
+ALIGNMENT[4][29] = (173, 'd9f1acbb5dec7aee0235a5ee498374266da234b6751d7dd786baf34cc1d4fb68')
+ALIGNMENT[4][35] = (-16, 'def5bb7e2fe7e933bcc37b30fbdb07adf09a7d0fadd3b416de755e648efa71b1')
+ALIGNMENT[4][41] = (287, '2460c49b462b66a6681164028776eccc0c21a262d0c42e551990f69e7c1e80c5')
+ALIGNMENT[4][47] = (-17, '902cb1fc6be412d6f638507f5762a0ad3bfd0cbdd19660d6d1ddc20a41af111a')
+
 
 def aligned_chains() -> list:
     """(steps, uses the rir pool) for every base and mixer; the mixer goes
