@@ -91,8 +91,12 @@ def _p_resolutions(s):
     for item in str(s).split(","):
         if not item.strip():
             continue
-        frame, hop = item.split(":")
-        out.append((int(frame), int(hop)))
+        frame, hop = (int(v) for v in item.split(":"))
+        if not (frame >= 2 and 1 <= hop <= frame):
+            raise ValueError(f"need frame >= 2 and 1 <= hop <= frame, got {item.strip()!r}")
+        out.append((frame, hop))
+    if not out:
+        raise ValueError("need at least one frame:hop resolution")
     return tuple(out)
 
 
@@ -138,21 +142,25 @@ CONFIG_KEYS = {
 }
 
 
+def _read_lines(path, error, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a
+    # comment; a file that cannot be read or decoded raises ``error``."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+            if line and not line.startswith("#")]
+
+
 def load_config(path: str | None) -> dict:
     """The resolved configuration, key -> value: defaults overridden by a
     config file."""
     values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     if path is not None:
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _read_lines(path, ConfigError, "config file"):
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
@@ -200,11 +208,7 @@ def _chain_config_from(cfg: dict) -> ChainConfig:
 
 def _read_manifest(path) -> list[str]:
     """The stripped lines of a manifest, without blanks and # comments."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise AudioError(f"cannot read manifest {path}: {exc}") from exc
-    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    return [line for _, line in _read_lines(path, AudioError, "manifest")]
 
 
 def _load_pool(directory: str, rate: int) -> tuple:
@@ -371,6 +375,8 @@ def _corpus_sampler(manifest_path: str):
     if not paths:
         raise ConfigError(f"training manifest {manifest_path} lists no files")
     pool = np.concatenate([read_wav(p, downmix=True).samples for p in paths])
+    if not pool.size:
+        raise ConfigError(f"training manifest {manifest_path} holds no samples")
 
     def draw(rng, batch_size):
         idx = rng.integers(0, pool.size, size=batch_size)
@@ -465,18 +471,11 @@ def cmd_enhance(args, cfg: dict, seed: int, jobs: int) -> int:
 
 def cmd_eval(args, cfg: dict, seed: int, jobs: int) -> int:
     if args.pairs:
-        try:
-            text = Path(args.pairs).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise AudioError(f"cannot read pairs manifest {args.pairs}: {exc}") from exc
         pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _read_lines(args.pairs, AudioError, "pairs manifest"):
             parts = line.split()
             if len(parts) != 2:
-                raise ConfigError(f"{args.pairs}:{lineno}: expected 'ref est', got {raw!r}")
+                raise ConfigError(f"{args.pairs}:{lineno}: expected 'ref est', got {line!r}")
             pairs.append(tuple(parts))
     elif args.reference and args.estimate:
         pairs = [(args.reference, args.estimate)]

@@ -72,42 +72,29 @@ def peaking(f0: float, q: float, gain_db: float, rate: int):
     return b / a[0], a / a[0]
 
 
-def low_shelf(f0: float, gain_db: float, rate: int, q: float = 1.0 / np.sqrt(2.0)):
+def _shelf(f0: float, gain_db: float, rate: int, q: float, sign: int):
+    """The low shelf for sign 1; sign -1 negates cos(w0) and the two middle
+    coefficients, which is exactly the cookbook's high shelf, bit for bit."""
     _check(f0, rate, q)
     w0, alpha = _wa(f0, rate, q)
     big_a = 10.0 ** (gain_db / 40.0)
-    c = np.cos(w0)
+    c = sign * np.cos(w0)
     root = 2.0 * np.sqrt(big_a) * alpha
-    b = big_a * np.array(
-        [(big_a + 1) - (big_a - 1) * c + root,
-         2 * ((big_a - 1) - (big_a + 1) * c),
-         (big_a + 1) - (big_a - 1) * c - root]
-    )
-    a = np.array(
-        [(big_a + 1) + (big_a - 1) * c + root,
-         -2 * ((big_a - 1) + (big_a + 1) * c),
-         (big_a + 1) + (big_a - 1) * c - root]
-    )
+    b = big_a * np.array([(big_a + 1) - (big_a - 1) * c + root,
+                          sign * 2 * ((big_a - 1) - (big_a + 1) * c),
+                          (big_a + 1) - (big_a - 1) * c - root])
+    a = np.array([(big_a + 1) + (big_a - 1) * c + root,
+                  sign * -2 * ((big_a - 1) + (big_a + 1) * c),
+                  (big_a + 1) + (big_a - 1) * c - root])
     return b / a[0], a / a[0]
+
+
+def low_shelf(f0: float, gain_db: float, rate: int, q: float = 1.0 / np.sqrt(2.0)):
+    return _shelf(f0, gain_db, rate, q, 1)
 
 
 def high_shelf(f0: float, gain_db: float, rate: int, q: float = 1.0 / np.sqrt(2.0)):
-    _check(f0, rate, q)
-    w0, alpha = _wa(f0, rate, q)
-    big_a = 10.0 ** (gain_db / 40.0)
-    c = np.cos(w0)
-    root = 2.0 * np.sqrt(big_a) * alpha
-    b = big_a * np.array(
-        [(big_a + 1) + (big_a - 1) * c + root,
-         -2 * ((big_a - 1) + (big_a + 1) * c),
-         (big_a + 1) + (big_a - 1) * c - root]
-    )
-    a = np.array(
-        [(big_a + 1) - (big_a - 1) * c + root,
-         2 * ((big_a - 1) - (big_a + 1) * c),
-         (big_a + 1) - (big_a - 1) * c - root]
-    )
-    return b / a[0], a / a[0]
+    return _shelf(f0, gain_db, rate, q, -1)
 
 
 def two_pole(f0: float, r: float, rate: int):

@@ -25,6 +25,12 @@ Appliers return float64 arrays; most preserve length, the delaying ones
 (short delay, impulse-response convolution) are flagged so the chain
 runner knows to re-align against the clean reference afterwards.
 
+Types that share a computation share its code. The five spectral types are
+declared as edits of the STFT frames, `edit(spec, params, rng) -> frames`,
+which `_spectral` wraps in the STFT round trip; `mu_law`,
+`simple_compressor` and `simple_expander` are shapers of the peak-normalised
+input, `shape(u, params)`, which `_per_peak` scales to peak 1 and back.
+
 Frequency bounds are in Hz whatever the input's rate, so below 14.4 kHz a
 filter can be drawn at or above the Nyquist frequency. There it has no band
 of the input to shape, and no section is designed: `low_pass`,
@@ -136,15 +142,6 @@ def _colored(n: int, rate: int, slope_db_oct: float, rng) -> np.ndarray:
     return np.fft.irfft(spectrum * shape, n)
 
 
-def _spec_roundtrip(x: np.ndarray, rate: int, window: int):
-    spec = stft(Signal(samples=x, sample_rate=rate), frame=window, hop=window // 4)
-    return spec
-
-
-def _from_spec(spec, data):
-    return istft(replace(spec, data=data)).samples
-
-
 # -- appliers ---------------------------------------------------------------
 
 
@@ -197,17 +194,25 @@ def _apply_down_sample(x, rate, p, rng, assets):
     return up[: x.size]
 
 
-def _apply_mu_law(x, rate, p, rng, assets):
+def _per_peak(shape):
+    """Applier scaling x to peak 1, applying shape(u, params) and scaling
+    back by the peak; a silent input is returned as a copy."""
+
+    def apply(x, rate, p, rng, assets):
+        peak = np.max(np.abs(x))
+        if peak == 0.0:
+            return x.copy()
+        return shape(x / peak, p) * peak
+
+    return apply
+
+
+def _mu_law(u, p):
     mu = float(p["mu"])
-    levels = 2 ** int(p["bits"])
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
-        return x.copy()
-    u = x / peak
+    half = 2 ** int(p["bits"]) / 2.0
     comp = np.sign(u) * np.log1p(mu * np.abs(u)) / np.log1p(mu)
-    half = levels / 2.0
     q = np.round(comp * half) / half
-    return np.sign(q) * (np.expm1(np.abs(q) * np.log1p(mu)) / mu) * peak
+    return np.sign(q) * (np.expm1(np.abs(q) * np.log1p(mu)) / mu)
 
 
 def _apply_overdrive(x, rate, p, rng, assets):
@@ -246,20 +251,8 @@ def _apply_noise_gate(x, rate, p, rng, assets):
     return x * gate
 
 
-def _apply_simple_compressor(x, rate, p, rng, assets):
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
-        return x.copy()
-    u = x / peak
-    return np.sign(u) * np.abs(u) ** (1.0 / p["ratio"]) * peak
-
-
-def _apply_simple_expander(x, rate, p, rng, assets):
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
-        return x.copy()
-    u = x / peak
-    return np.sign(u) * np.abs(u) ** p["ratio"] * peak
+_apply_simple_compressor = _per_peak(lambda u, p: np.sign(u) * np.abs(u) ** (1.0 / p["ratio"]))
+_apply_simple_expander = _per_peak(lambda u, p: np.sign(u) * np.abs(u) ** p["ratio"])
 
 
 def _apply_tremolo(x, rate, p, rng, assets):
@@ -351,11 +344,23 @@ def _apply_short_delay(x, rate, p, rng, assets):
     return np.concatenate([np.zeros(d), p["gain"] * x])
 
 
-def _apply_griffin_lim(x, rate, p, rng, assets):
-    spec = _spec_roundtrip(x, rate, int(p["window"]))
+def _spectral(edit):
+    """Applier for a spectral type: ``edit(spec, params, rng)`` -> frames on
+    the STFT at the drawn window and hop window // 4, then the inverse STFT,
+    both through this module's names, looked up at call time."""
+
+    def apply(x, rate, p, rng, assets):
+        window = int(p["window"])
+        spec = stft(Signal(samples=x, sample_rate=rate), frame=window, hop=window // 4)
+        return istft(replace(spec, data=edit(spec, p, rng))).samples
+
+    return apply
+
+
+def _griffin_lim(spec, p, rng):
     iters = int(p["iterations"])
     if iters == 0:
-        return _from_spec(spec, spec.data)
+        return spec.data
     mag = np.abs(spec.data)
     phase = rng.uniform(-np.pi, np.pi, size=mag.shape)
     data = np.empty(mag.shape, dtype=np.complex128)
@@ -372,28 +377,25 @@ def _apply_griffin_lim(x, rate, p, rng, assets):
             silent = norm == 0.0
             data[silent], norm[silent] = 1.0, 1.0
         data *= np.divide(mag, norm, out=norm)
-    return roundtrip.synthesize(data)
+    return data
 
 
-def _apply_phase_randomization(x, rate, p, rng, assets):
-    spec = _spec_roundtrip(x, rate, int(p["window"]))
+def _phase_randomization(spec, p, rng):
     jitter = p["amount"] * rng.uniform(-np.pi, np.pi, size=spec.data.shape)
-    return _from_spec(spec, spec.data * np.exp(1j * jitter))
+    return spec.data * np.exp(1j * jitter)
 
 
-def _apply_phase_shuffle(x, rate, p, rng, assets):
-    spec = _spec_roundtrip(x, rate, int(p["window"]))
+def _phase_shuffle(spec, p, rng):
     mag = np.abs(spec.data)
     phase = np.angle(spec.data)
     for t in range(phase.shape[0]):
         if rng.uniform() < p["amount"]:
             partner = int(rng.integers(phase.shape[0]))
             phase[[t, partner]] = phase[[partner, t]]
-    return _from_spec(spec, mag * np.exp(1j * phase))
+    return mag * np.exp(1j * phase)
 
 
-def _apply_spectral_holes(x, rate, p, rng, assets):
-    spec = _spec_roundtrip(x, rate, int(p["window"]))
+def _spectral_holes(spec, p, rng):
     data = spec.data.copy()
     frames, bins_ = data.shape
     for _ in range(int(p["n_holes"])):
@@ -402,14 +404,13 @@ def _apply_spectral_holes(x, rate, p, rng, assets):
         t0 = int(rng.integers(max(frames - dt, 1)))
         k0 = int(rng.integers(max(bins_ - dk, 1)))
         data[t0 : t0 + dt, k0 : k0 + dk] = 0.0
-    return _from_spec(spec, data)
+    return data
 
 
-def _apply_spectral_noise(x, rate, p, rng, assets):
-    spec = _spec_roundtrip(x, rate, int(p["window"]))
+def _spectral_noise(spec, p, rng):
     scale = p["amount"] * _rms(np.abs(spec.data).ravel())
     noise = (rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape))
-    return _from_spec(spec, spec.data + scale * noise / np.sqrt(2.0))
+    return spec.data + scale * noise / np.sqrt(2.0)
 
 
 def _apply_colored_noise(x, rate, p, rng, assets):
@@ -569,7 +570,7 @@ PRIMITIVES: dict[str, Primitive] = {
                   {"freq": Log(800.0, 7200.0), "q": (0.5, 5.0)}),
         Primitive("down_sample", "band_limiting", 30, _apply_down_sample,
                   {"factor": [2, 4, 8], "method": ["hold", "poly"]}),
-        Primitive("mu_law", "codec", 3, _apply_mu_law, {"bits": (4, 8), "mu": 255.0}),
+        Primitive("mu_law", "codec", 3, _per_peak(_mu_law), {"bits": (4, 8), "mu": 255.0}),
         Primitive("plosive_boost", "distortion", 10,
                   _biquad(biquad.low_shelf, "freq", "gain_db", above_nyquist=_shelf_gain),
                   {"freq": Log(80.0, 300.0), "gain_db": (6.0, 18.0)}),
@@ -613,15 +614,15 @@ PRIMITIVES: dict[str, Primitive] = {
                    "predelay_ms": (0.0, 20.0), "wet": (0.3, 1.0)}, introduces_delay=True),
         Primitive("short_delay", "reverb_delay", 3, _apply_short_delay,
                   {"delay_ms": Log(0.5, 20.0), "gain": (0.7, 1.0)}, introduces_delay=True),
-        Primitive("griffin_lim", "spectral", 3, _apply_griffin_lim,
+        Primitive("griffin_lim", "spectral", 3, _spectral(_griffin_lim),
                   {"window": _WINDOW, "iterations": (5, 30)}),
-        Primitive("phase_randomization", "spectral", 1, _apply_phase_randomization,
+        Primitive("phase_randomization", "spectral", 1, _spectral(_phase_randomization),
                   {"window": _WINDOW, "amount": (0.3, 1.0)}),
-        Primitive("phase_shuffle", "spectral", 1, _apply_phase_shuffle,
+        Primitive("phase_shuffle", "spectral", 1, _spectral(_phase_shuffle),
                   {"window": _WINDOW, "amount": (0.3, 1.0)}),
-        Primitive("spectral_holes", "spectral", 1, _apply_spectral_holes,
+        Primitive("spectral_holes", "spectral", 1, _spectral(_spectral_holes),
                   {"window": _WINDOW, "n_holes": (3, 20), "max_bins": 40, "max_frames": 20}),
-        Primitive("spectral_noise", "spectral", 1, _apply_spectral_noise,
+        Primitive("spectral_noise", "spectral", 1, _spectral(_spectral_noise),
                   {"window": _WINDOW, "amount": (0.05, 0.5)}),
         Primitive("colored_noise", "synthetic_noise", 15, _apply_colored_noise,
                   {"snr_db": (-5.0, 25.0), "slope_db_oct": (-6.0, 6.0)}),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .oracle import _logsumexp
 from .scorenet import OptimizerConfig, adam_step, flatten, init_optimizer, pack
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -108,11 +109,6 @@ def _component_log_joint(params: MdnParams, y: np.ndarray):
     return log_joint, zscore
 
 
-def _logsumexp(a: np.ndarray, axis=-1):
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
 def mdn_nll(params: MdnParams, y):
     """Negative log-likelihood -ln sum_i alpha_i N(y; m_i, diag s_i^2).
 
@@ -149,8 +145,9 @@ def mdn_nll_grads(params: MdnParams, y):
     log_joint, zscore = _component_log_joint(params, y)
     m = np.max(log_joint, axis=-1, keepdims=True)
     resp = np.exp(log_joint - m)
-    resp /= resp.sum(axis=-1, keepdims=True)
-    loss = float(np.mean(-(m[..., 0] + np.log(np.sum(np.exp(log_joint - m), axis=-1)))))
+    total = resp.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(-(m[..., 0] + np.log(total[..., 0]))))
+    resp /= total
 
     flat_resp = resp.reshape(n, params.k)
     flat_z = zscore.reshape(n, params.k, params.d)

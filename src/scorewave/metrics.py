@@ -21,7 +21,7 @@ resolution. Its report is bit-identical to calling each metric separately.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,13 +139,7 @@ class MetricReport:
     mrstft_parts: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "snr": self.snr,
-            "si_snr": self.si_snr,
-            "lsd": self.lsd,
-            "mrstft": self.mrstft,
-            "mrstft_parts": list(self.mrstft_parts),
-        }
+        return asdict(self) | {"mrstft_parts": list(self.mrstft_parts)}
 
 
 def evaluate_pair(reference, estimate, resolutions=DEFAULT_RESOLUTIONS) -> MetricReport:

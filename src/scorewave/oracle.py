@@ -138,15 +138,19 @@ def _mixture_score(log_terms, diff, pvar):
     return np.sum(terms, axis=-2)
 
 
+def _logsumexp(a: np.ndarray, axis=-1):
+    """log sum exp(a) over axis, max-subtracted so no exponential overflows."""
+    m = np.max(a, axis=axis, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+
+
 def log_density(prior: GmmPrior, x, sigma=0.0):
     """log p_sigma(x) for the prior convolved with N(0, sigma^2 I).
 
     x may carry leading batch axes; for d = 1 the last axis may be omitted.
     sigma may be per-example (broadcast against the batch axes).
     """
-    log_terms, _, _ = _log_terms(prior.log_weights, prior.means, prior.variances, x, sigma)
-    m = np.max(log_terms, axis=-1, keepdims=True)
-    out = m[..., 0] + np.log(np.sum(np.exp(log_terms - m), axis=-1))
+    out = _logsumexp(_log_terms(prior.log_weights, prior.means, prior.variances, x, sigma)[0])
     return float(out) if out.ndim == 0 else out
 
 

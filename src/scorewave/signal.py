@@ -16,7 +16,9 @@ Everything here is deterministic plumbing for the enhancement pipeline:
   that fully covers the signal; configs whose window-power envelope has
   interior zeros are rejected as non-invertible. :class:`StftRoundTrip`
   repeats ``stft(istft(...))`` of one configuration, as Griffin-Lim does,
-  on the same synthesis code with the envelope and buffers made once.
+  on the same synthesis code with the envelope and buffers made once; it
+  has no synthesis-only call, and the last synthesis goes through
+  :func:`istft`, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -307,10 +309,6 @@ class StftRoundTrip:
         padded = np.zeros(spec.frame + spec.hop * (spec.n_frames - 1))
         self._interior = padded[pad : pad + spec.n_samples]
         self._frames = np.lib.stride_tricks.sliding_window_view(padded, spec.frame)[::spec.hop]
-
-    def synthesize(self, data: np.ndarray) -> np.ndarray:
-        """The samples of ``istft(replace(spec, data=data))``."""
-        return _synthesize(data, self._hop, self._window, self._support)
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         _synthesize(data, self._hop, self._window, self._support, out=self._interior)

@@ -591,6 +591,20 @@ class TestTrain:
                      "--data", str(manifest), "--config", cfg, "--seed", "2"])
         assert code == EXIT_OK
 
+    def test_corpus_without_samples_is_config_error_before_any_file(self, tmp_path, capsys):
+        """A manifest whose only WAV holds 0 samples exits 2, as one that
+        lists no files does, with no checkpoint, rng sidecar or trace."""
+        write_wav(tmp_path / "empty.wav", Signal(samples=np.zeros(0), sample_rate=16000),
+                  encoding="float32")
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text(f"{tmp_path}/empty.wav\n")
+        out = tmp_path / "out" / "ck.bin"
+        code = main(["train", "--out", str(out), "--iterations", "2", "--data", str(manifest),
+                     "--config", self.write_cfg(tmp_path), "--seed", "2"])
+        assert code == EXIT_CONFIG
+        assert "holds no samples" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("setting, argv", [
         ("", ["--iterations", "-3"]),
         ("train.iterations = -1\n", []),
@@ -746,6 +760,26 @@ class TestEnhance:
         out = tmp_path / "o.wav"
         code = main(["--config", str(tmp_path / "bad.cfg"), "enhance",
                      "--input", str(tmp_path / "noisy.wav"), "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert draws == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", "512:0", "1:1", "512:1024"])
+    def test_bad_resolutions_is_config_error_before_output(self, tmp_path, monkeypatch, value):
+        """An empty metrics.resolutions, or a resolution without frame >= 2
+        and 1 <= hop <= frame, exits 2 when the config is loaded: nothing is
+        sampled and no enhanced WAV is written."""
+        from scorewave import cli
+
+        make_noisy_pair(tmp_path, n=64, seed=3)
+        draws = []
+        monkeypatch.setattr(cli, "langevin_sample",
+                            lambda *a, **k: draws.append(a) or np.zeros((k["n_samples"], 1)))
+        (tmp_path / "bad.cfg").write_text(f"metrics.resolutions = {value}\n")
+        out = tmp_path / "o.wav"
+        code = main(["--config", str(tmp_path / "bad.cfg"), "enhance",
+                     "--input", str(tmp_path / "noisy.wav"), "--output", str(out),
+                     "--reference", str(tmp_path / "clean.wav")])
         assert code == EXIT_CONFIG
         assert draws == []
         assert not out.exists()

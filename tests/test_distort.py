@@ -61,6 +61,39 @@ def apply_direct(x, kind, params, seed=1234, assets=None):
     return prim.apply(x, RATE, params, np.random.default_rng(seed), assets or {})
 
 
+def reference_low_shelf(f0, gain_db, rate, q):
+    """The cookbook low shelf as written out before the shelves shared one
+    design."""
+    w0 = 2.0 * np.pi * f0 / rate
+    alpha = np.sin(w0) / (2.0 * q)
+    big_a = 10.0 ** (gain_db / 40.0)
+    c = np.cos(w0)
+    root = 2.0 * np.sqrt(big_a) * alpha
+    b = big_a * np.array([(big_a + 1) - (big_a - 1) * c + root,
+                          2 * ((big_a - 1) - (big_a + 1) * c),
+                          (big_a + 1) - (big_a - 1) * c - root])
+    a = np.array([(big_a + 1) + (big_a - 1) * c + root,
+                  -2 * ((big_a - 1) + (big_a + 1) * c),
+                  (big_a + 1) + (big_a - 1) * c - root])
+    return b / a[0], a / a[0]
+
+
+def reference_high_shelf(f0, gain_db, rate, q):
+    """The cookbook high shelf, likewise."""
+    w0 = 2.0 * np.pi * f0 / rate
+    alpha = np.sin(w0) / (2.0 * q)
+    big_a = 10.0 ** (gain_db / 40.0)
+    c = np.cos(w0)
+    root = 2.0 * np.sqrt(big_a) * alpha
+    b = big_a * np.array([(big_a + 1) + (big_a - 1) * c + root,
+                          -2 * ((big_a - 1) + (big_a + 1) * c),
+                          (big_a + 1) + (big_a - 1) * c - root])
+    a = np.array([(big_a + 1) - (big_a - 1) * c + root,
+                  2 * ((big_a - 1) - (big_a + 1) * c),
+                  (big_a + 1) - (big_a - 1) * c - root])
+    return b / a[0], a / a[0]
+
+
 class TestBiquadDesigns:
     """Closed-form transfer-function values for the filter designs.
 
@@ -117,6 +150,22 @@ class TestBiquadDesigns:
         assert biquad.magnitude_at(b, a, 7999.9, RATE) == pytest.approx(
             10.0 ** (gain_db / 20.0), rel=1e-3)
         assert biquad.magnitude_at(b, a, 1e-3, RATE) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 32000, 44100, 48000])
+    def test_shelves_equal_the_cookbook_formulas_bit_for_bit(self, rate):
+        """Both shelves come from one design; each must keep the bits of its
+        own cookbook formula over a sweep of f0, gain and q."""
+        rng = np.random.default_rng(rate)
+        for _ in range(300):
+            f0 = float(np.exp(rng.uniform(np.log(10.0), np.log(0.499 * rate))))
+            gain_db, q = rng.uniform(-30.0, 30.0), rng.uniform(0.1, 8.0)
+            for design, reference in ((biquad.low_shelf, reference_low_shelf),
+                                      (biquad.high_shelf, reference_high_shelf)):
+                for got, want in zip(design(f0, gain_db, rate, q), reference(f0, gain_db, rate, q)):
+                    assert got.tobytes() == want.tobytes(), (design.__name__, f0, gain_db, q)
+            for got, want in zip(biquad.high_shelf(f0, gain_db, rate),
+                                 reference_high_shelf(f0, gain_db, rate, 1.0 / np.sqrt(2.0))):
+                assert got.tobytes() == want.tobytes()
 
     def test_two_pole_unit_gain_at_resonance(self):
         b, a = biquad.two_pole(1200.0, 0.97, RATE)

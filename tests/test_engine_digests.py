@@ -576,3 +576,34 @@ def test_alignment_matches_the_table_of_this_engine_version():
     moved = [i for i, (row, want) in enumerate(zip(got, ALIGNMENT[ENGINE_VERSION]))
              if row != want]
     assert not moved, f"aligned chains moved: {[(i, got[i]) for i in moved]}"
+
+
+# -- long inputs -------------------------------------------------------------
+#
+# The frozen clip is shorter than 13 times any room response, and on such
+# inputs overlap-add and one whole FFT give the same bits, so the table
+# above cannot see how `rir_convolution` convolves a long input. LONG_RIR
+# pins, per ENGINE_VERSION, the output on the clip tiled to 6 s, over 13
+# times longer than the synthetic response of spec 0 (5,521 taps) and pool
+# IR 0 (1,601 taps, picked by applier seed 1).
+
+LONG_RIR = {4: ('b9a1dcab6a47c0cde282c63df8ac950e80e2b37d56e9c6207d9fb8beee14ceac',
+                '0dd7db33ce45baade4e9cc9009cb9806e1e50c75c72b6df53b6de31795c951a6')}
+
+
+def long_rir_digests() -> tuple:
+    """(digest with the synthetic response, digest with pool IR 0)."""
+    x, assets = np.tile(frozen_clip(), 6), frozen_assets()
+    out = []
+    for pool, seed in (((), None), (assets["rir_pool"], 1)):
+        kind, params, seed = spec_of("rir_convolution", 0, seed)
+        y = PRIMITIVES[kind].apply(x.copy(), RATE, params, np.random.default_rng(seed),
+                                   {"rir_pool": pool})
+        out.append(hashlib.sha256(np.ascontiguousarray(y, dtype="<f8").tobytes()).hexdigest())
+    return tuple(out)
+
+
+def test_long_input_rir_convolution_matches_the_table_of_this_engine_version():
+    assert ENGINE_VERSION in LONG_RIR, (
+        f"no long-input digests recorded for ENGINE_VERSION {ENGINE_VERSION}")
+    assert long_rir_digests() == LONG_RIR[ENGINE_VERSION]

@@ -213,6 +213,61 @@ class TestGradients:
         np.testing.assert_allclose(grads["logits"], 0.0, atol=1e-15)
 
 
+def reference_logsumexp(a):
+    m = np.max(a, axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True))).squeeze(-1)
+
+
+def reference_nll_grads(params, y):
+    """The NLL per row and (mean loss, grads) of mdn_nll and mdn_nll_grads
+    as first written: out of place, with the loss from a second
+    exponential of the log-joint."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1:] != (params.d,):
+        y = y[..., None]
+    n = int(np.prod(y.shape[:-1])) if y.shape[:-1] else 1
+    log_alpha = params.logits - reference_logsumexp(params.logits)
+    zscore = (y[..., None, :] - params.means) / params.scales
+    log_joint = (log_alpha - 0.5 * params.d * np.log(2.0 * np.pi)
+                 - params.log_scales.sum(axis=-1) - 0.5 * np.sum(zscore**2, axis=-1))
+    m = np.max(log_joint, axis=-1, keepdims=True)
+    resp = np.exp(log_joint - m)
+    resp /= resp.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(-(m[..., 0] + np.log(np.sum(np.exp(log_joint - m), axis=-1)))))
+    flat_resp = resp.reshape(n, params.k)
+    flat_z = zscore.reshape(n, params.k, params.d)
+    grads = {
+        "logits": params.alpha - flat_resp.mean(axis=0),
+        "means": -np.einsum("ni,nij->ij", flat_resp, flat_z / params.scales) / n,
+        "log_scales": -np.einsum("ni,nij->ij", flat_resp, flat_z**2 - 1.0) / n,
+    }
+    return -reference_logsumexp(log_joint), loss, grads
+
+
+class TestLossBits:
+    """The NLL and its gradients share oracle's log-sum-exp, and the
+    gradient path takes its loss from the exponentials it normalises; every
+    bit must stay that of the expressions they replaced."""
+
+    @pytest.mark.parametrize("shape", ["rows", "grid", "d1-no-axis", "point"])
+    def test_nll_and_grads_equal_reference(self, shape):
+        rng = np.random.default_rng(sum(map(ord, shape)))
+        for _ in range(60):
+            k = int(rng.integers(1, 13))  # from 8 terms on, sums are pairwise
+            d = 1 if shape == "d1-no-axis" else int(rng.integers(1, 4))
+            p = random_params(rng, k=k, d=d)
+            size = {"rows": (int(rng.integers(1, 50)), d), "grid": (3, 7, d),
+                    "d1-no-axis": (int(rng.integers(1, 50)),), "point": (d,)}[shape]
+            y = rng.normal(scale=3.0, size=size)
+            want_nll, want_loss, want_grads = reference_nll_grads(p, y)
+            got_nll = mdn_nll(p, y)
+            loss, grads = mdn_nll_grads(p, y)
+            assert np.array_equal(got_nll, want_nll) and np.shape(got_nll) == want_nll.shape
+            assert loss == want_loss
+            for key, want in want_grads.items():
+                assert grads[key].shape == want.shape and np.array_equal(grads[key], want), key
+
+
 class TestMeanAndSampling:
     def test_single_component_mean(self):
         p = MdnParams(logits=np.zeros(1), means=np.array([[1.0, -2.0]]),

@@ -291,6 +291,14 @@ def reference_mixture_score(log_terms, diff, pvar):
     return np.sum(resp[..., None] * (-diff) / pvar[..., None], axis=-2)
 
 
+def reference_log_density(prior, x, sigma):
+    """log_density's max-subtracted log-sum-exp as first written, out of
+    place over reference_log_terms."""
+    log_terms = reference_log_terms(prior.log_weights, prior.means, prior.variances, x, sigma)[0]
+    m = np.max(log_terms, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.sum(np.exp(log_terms - m), axis=-1))
+
+
 def assert_helpers_match_reference(log_weights, means, variances, x, sigma):
     args = (log_weights, means, variances, x, sigma)
     copies = [np.array(a, copy=True) for a in args[:4]]
@@ -351,6 +359,26 @@ class TestHelperBits:
         if sigma == "per-row":
             sigma = rng.uniform(1e-3, 5.0, size=100)
         assert_helpers_match_reference(prior.log_weights, prior.means, prior.variances, x, sigma)
+
+    @pytest.mark.parametrize("sigma", [*SIGMAS, "per-row"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_log_density(self, d, sigma):
+        """log_density goes through the shared log-sum-exp; its bits must
+        stay those of its own expression, on 9 components (layout-dependent
+        sums) and on single points, where it returns a float."""
+        rng = np.random.default_rng(15)
+        prior = self.prior if d == 1 else GmmPrior(
+            weights=np.full(9, 1 / 9), means=rng.normal(size=(9, 2)),
+            variances=rng.uniform(0.05, 0.5, size=9))
+        x = rng.uniform(-6.0, 6.0, size=(300, d))
+        if sigma == "per-row":
+            sigma = rng.uniform(1e-3, 5.0, size=300)
+        got = log_density(prior, x, sigma)
+        want = reference_log_density(prior, x, sigma)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for row, s in zip(x[:20], np.broadcast_to(sigma, (300,))):
+            point = log_density(prior, row, s)
+            assert type(point) is float and point == reference_log_density(prior, row, s)
 
     @pytest.mark.parametrize("x, score_shape", [(0.5, (3,)), (np.array([0.5]), (3, 1)),
                                                 (np.array([0.5, -0.25]), (3, 2))],
