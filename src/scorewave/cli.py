@@ -508,15 +508,17 @@ def cmd_eval(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 def cmd_sweep(args, cfg: dict, seed: int, jobs: int) -> int:
-    noisy, reference = _read_clips(args)
-    duration = len(noisy) / noisy.sample_rate
-    n_list = _p_ints(args.n_list)
-    eps_list = _p_floats(args.eps_list)
+    try:
+        n_list, eps_list = _p_ints(args.n_list), _p_floats(args.eps_list)
+    except ValueError as exc:
+        raise ConfigError(f"bad --n-list or --eps-list: {exc}") from exc
     if not n_list or not eps_list:
         raise ConfigError("sweep needs non-empty --n-list and --eps-list")
-    # every cell's plan first, so a bad (N, epsilon) exits 2 before any sampling
+    # every cell's plan first, so a bad (N, epsilon) exits 2 before any file is read
     schedule = _schedule_from(cfg)
     grid = [(n, eps, make_plan(schedule, n, eps)) for n in n_list for eps in eps_list]
+    noisy, reference = _read_clips(args)
+    duration = len(noisy) / noisy.sample_rate
     score = _enhancement_score(noisy.samples, cfg, args.checkpoint)
 
     rows = []

@@ -1001,9 +1001,11 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("n_list, eps_list", [("-2", "1.5"), ("4,2", "1.5,nan"),
-                                                  ("1", "nan"), ("1", "0.5")],
+                                                  ("1", "nan"), ("1", "0.5"), ("a", "1.5"),
+                                                  ("2", "x")],
                              ids=["negative_n", "nan_after_a_good_cell", "nan_at_one_step",
-                                  "below_one_at_one_step"])
+                                  "below_one_at_one_step", "n_not_a_number",
+                                  "eps_not_a_number"])
     def test_bad_grid_cell_rejected_before_sampling(self, tmp_path, monkeypatch, n_list,
                                                     eps_list):
         """Every (N, epsilon) cell's plan is built before the sampler draws
@@ -1024,6 +1026,14 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert draws == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_list, eps_list", [("a", "1.5"), ("2", "x"), ("-2", "1.5")])
+    def test_bad_grid_rejected_before_the_input_is_read(self, tmp_path, n_list, eps_list):
+        """The lists and every cell's plan are checked first: a missing input
+        clip is not even opened (that would exit 3)."""
+        code = main(["sweep", "--input", str(tmp_path / "missing.wav"), "--n-list", n_list,
+                     "--eps-list", eps_list])
+        assert code == EXIT_CONFIG
 
     def test_failed_run_leaves_no_new_directory(self, tmp_path):
         """A run that exits non-zero removes the empty output directories it

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import replace
+from math import gcd
 
 import numpy as np
 import pytest
 
-from scorewave import AudioError, ConfigError
+from scorewave import AudioError, ConfigError, signal
 from scorewave.signal import (
     Signal,
     istft,
@@ -18,6 +19,12 @@ from scorewave.signal import (
     stft,
     write_wav,
 )
+
+
+COMMON_RATES = (8000, 16000, 22050, 24000, 32000, 44100, 48000)
+RESAMPLE_PAIRS = sorted({(a, b) for a in COMMON_RATES for b in COMMON_RATES if a != b}
+                        | {pair for rate in COMMON_RATES for k in (2, 4, 8)
+                           for pair in ((rate, rate // k), (rate // k, rate))})
 
 
 def reference_istft(spec) -> np.ndarray:
@@ -227,6 +234,71 @@ class TestResample:
             resample(Signal(samples=np.zeros(10)), 0)
         with pytest.raises(AudioError):
             resample(Signal(samples=np.zeros(10)), -8000)
+
+    @pytest.mark.parametrize("source, target", RESAMPLE_PAIRS,
+                             ids=[f"{a}-{b}" for a, b in RESAMPLE_PAIRS])
+    def test_equals_scipy_resample_poly_bit_for_bit(self, source, target):
+        """Every rate pair among the common rates, plus the down_sample round
+        trips to rate // k and back (ratios such as 1378:11025 and
+        2756:11025), at lengths 0 to over a second. Inputs hold noise with
+        runs of +0.0 and -0.0, or are silent with either sign."""
+        import scipy.signal
+
+        g = gcd(source, target)
+        up, down = target // g, source // g
+        rng = np.random.default_rng(source * 7 + target)
+        for n in (0, 1, 2, 7, 1001, source + 3):
+            noisy = 0.3 * rng.standard_normal(n)
+            noisy[n // 4 : n // 2] = 0.0
+            noisy[n // 2 + 1 : 3 * n // 4] = -0.0
+            for x in (noisy, np.full(n, -0.0), np.zeros(n)):
+                want = scipy.signal.resample_poly(x, up, down, window=("kaiser", 12.0))
+                got = resample(Signal(samples=x, sample_rate=source), target)
+                assert got.samples.tobytes() == want.tobytes(), (n, x[:3])
+
+    @pytest.mark.parametrize("source, target", [(16000, 8000), (8000, 16000), (48000, 16000),
+                                                (44100, 16000), (16000, 44100), (22050, 5512)])
+    def test_a_sum_of_negative_zeros_is_positive_zero(self, source, target):
+        """Silence signed so that every product of one output is -0.0: the
+        accumulator starts at +0.0, so that output is +0.0 as scipy's is,
+        where a sum seeded with its first product would give -0.0."""
+        import scipy.signal
+
+        g = gcd(source, target)
+        up, down = target // g, source // g
+        half = 10 * max(up, down)
+        h = scipy.signal.firwin(2 * half + 1, 1 / max(up, down), window=("kaiser", 12.0)) * up
+        pre = down - half % down
+        taps = np.concatenate([np.zeros(pre), h])  # output k weights x[i] by taps[n_k - i * up]
+        n = 4 * (taps.size // up + 2) * down // min(up, down)
+        k = -(-n * up // down) // 2
+        n_k = (k + (half + pre) // down) * down
+        i = np.arange(-(-(n_k - taps.size + 1) // up), n_k // up + 1)
+        x = np.full(n, -0.0)
+        x[i[taps[n_k - i * up] < 0]] = 0.0
+        assert np.all(np.signbit(x[i] * taps[n_k - i * up]))
+        want = scipy.signal.resample_poly(x, up, down, window=("kaiser", 12.0))
+        got = resample(Signal(samples=x, sample_rate=source), target)
+        assert not np.signbit(want[k])
+        assert got.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source, target", [(16000, 8000), (8000, 16000), (48000, 16000),
+                                                (44100, 16000)])
+    def test_block_edges_equal_scipy_bit_for_bit(self, source, target):
+        """Lengths whose output rows end one column past a whole number of
+        the resampler's column blocks, or just short of one."""
+        import scipy.signal
+
+        g = gcd(source, target)
+        up, down = target // g, source // g
+        rng = np.random.default_rng(5)
+        block = signal._resample_plan(up, down)[-1]
+        for width in (block - 1, block, block + 1, 2 * block + 1):
+            n = -(-((width - 1) * up + 1) * down // up)  # the shortest input filling `width`
+            x = rng.standard_normal(n)
+            want = scipy.signal.resample_poly(x, up, down, window=("kaiser", 12.0))
+            got = resample(Signal(samples=x, sample_rate=source), target)
+            assert got.samples.tobytes() == want.tobytes(), width
 
 
 def reference_stft(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
