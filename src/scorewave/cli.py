@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import threading
@@ -227,6 +228,14 @@ def _header(command: str, cfg: dict, seed: int) -> dict:
     return {"command": command, "seed": seed, "config": dict(sorted(cfg.items()))}
 
 
+@functools.cache
+def _library_versions() -> tuple[tuple[str, str], ...]:
+    """numpy's and scipy's releases, from package metadata (imports neither)."""
+    from importlib import metadata
+
+    return tuple((name, metadata.version(name)) for name in ("numpy", "scipy"))
+
+
 def _make_parents(paths, created: list) -> None:
     """Create the parent directory of every output path given (None skipped),
     appending each directory made to ``created``, outermost first. Run
@@ -355,12 +364,9 @@ def cmd_distort(args, cfg: dict, seed: int, jobs: int) -> int:
         results = list(pool.map(process, enumerate(manifest)))
 
     # Replay also depends on the engine version and on the numpy and scipy
-    # builds (FFT and filter code can move the last bits of an output); the
-    # versions come from package metadata, which imports neither package.
-    from importlib import metadata
-
+    # builds (FFT and filter code can move the last bits of an output).
     header = {**_header("distort", cfg, seed), "engine_version": ENGINE_VERSION,
-              **{name: metadata.version(name) for name in ("numpy", "scipy")}}
+              **dict(_library_versions())}
     _write_jsonl(log_path, [header, *results])
     failures = [r for r in results if "error" in r]
     print(f"distort: {len(results) - len(failures)} pair(s) written to {out_dir}, "

@@ -44,6 +44,7 @@ input; `telephone` combines its high and low pass by the same rules.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -79,24 +80,40 @@ def _segment_mask(n: int, seg: int, prob: float, rng) -> np.ndarray:
     return mask
 
 
+# Samples of `_envelope`'s loop between GIL yields, about 0.2 ms of loop; each
+# yield sleeps for the kernel's timer slack (50 us by default on Linux).
+_ENVELOPE_BLOCK = 2048
+# Mean run length (samples) below which `_gate_envelope`'s per-run `lfilter`
+# (about 13 us a run) costs more than `_envelope`'s loop (about 0.09 us a
+# sample).
+_GATE_MIN_RUN = 150
+
+
 def _envelope(x: np.ndarray, rate: int, attack_ms: float, release_ms: float) -> np.ndarray:
     """One-pole peak follower with separate attack and release times.
 
     The recursion is inherently serial, so it runs over Python floats (a
     memoryview of |x|, overwritten in place with the envelope), which is
-    several times cheaper than indexing numpy scalars."""
+    several times cheaper than indexing numpy scalars. The loop holds the
+    GIL, so it gives it up (`time.sleep(0)`) after every block of
+    _ENVELOPE_BLOCK samples: a thread waiting on the GIL, such as another
+    `distort --jobs` worker back from an FFT, then takes it at once instead
+    of after the interpreter's switch interval (5 ms)."""
     ca = float(np.exp(-1.0 / (rate * attack_ms / 1000.0)))
     cr = float(np.exp(-1.0 / (rate * release_ms / 1000.0)))
     ga, gr = 1.0 - ca, 1.0 - cr
     env = np.abs(x)
     view = memoryview(env)
     level = 0.0
-    for i, a in enumerate(view):
-        if a > level:
-            level = ca * level + ga * a
-        else:
-            level = cr * level + gr * a
-        view[i] = level
+    for start in range(0, env.size, _ENVELOPE_BLOCK):
+        block = view[start : start + _ENVELOPE_BLOCK]
+        for i, a in enumerate(block):
+            if a > level:
+                level = ca * level + ga * a
+            else:
+                level = cr * level + gr * a
+            block[i] = level
+        time.sleep(0)
     return env
 
 
@@ -105,11 +122,15 @@ def _gate_envelope(gate: np.ndarray, rate: int, attack_ms: float, release_ms: fl
     equal values: there the loop keeps one pole c (attack on an open run),
     so it is the filter (1 - c) / (1 - c z^-1) started from c * level. An
     open run's level never passes 1.0, where both poles hold it, since
-    c + (1 - c) rounds to 1.0; a closed run's level never falls below 0."""
+    c + (1 - c) rounds to 1.0; a closed run's level never falls below 0.
+    A gate whose runs average fewer than _GATE_MIN_RUN samples goes to
+    `_envelope` itself, which is then the faster."""
     from scipy.signal import lfilter
 
-    env = np.empty(gate.size)
     starts = np.flatnonzero(np.diff(gate, prepend=np.nan)).tolist()
+    if len(starts) * _GATE_MIN_RUN > gate.size:
+        return _envelope(gate, rate, attack_ms, release_ms)
+    env = np.empty(gate.size)
     level = 0.0
     for start, stop in zip(starts, starts[1:] + [gate.size]):
         ms = attack_ms if gate[start] else release_ms
@@ -368,11 +389,12 @@ def _griffin_lim(spec, p, rng):
     np.sin(phase, out=data.imag)
     data *= mag
     roundtrip = StftRoundTrip(spec)
+    norm = np.empty(mag.shape)
     for _ in range(iters):
         data = roundtrip(data)
         # keep mag, take the estimate's phase: z * (mag / |z|), and mag where
         # z == 0, in place on the fresh estimate
-        norm = np.abs(data)
+        np.abs(data, out=norm)
         if not norm.all():
             silent = norm == 0.0
             data[silent], norm[silent] = 1.0, 1.0

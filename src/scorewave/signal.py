@@ -388,15 +388,18 @@ def stft(sig: Signal, frame: int = STFT_FRAME, hop: int = STFT_HOP) -> Spectrogr
     )
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum frame t into samples [t * hop, t * hop + frame), at least frame +
     hop * (n_frames - 1) samples long. Frames are cut into hop-wide
     segments and segment j of every frame is added to output block t + j in
     one whole-array step, latest segment first, so each sample sums its
-    frames in frame order: bit-identical to a per-frame loop."""
+    frames in frame order: bit-identical to a per-frame loop. A given `out`
+    is a C-contiguous (n_frames + ceil(frame / hop) - 1, hop) buffer."""
     n_frames, frame = frames.shape
     n_segments = -(-frame // hop)
-    out = np.zeros((n_frames + n_segments - 1, hop))
+    if out is None:
+        out = np.empty((n_frames + n_segments - 1, hop))
+    out.fill(0.0)
     for j in reversed(range(n_segments)):
         seg = frames[:, j * hop : (j + 1) * hop]
         out[j : j + n_frames, : seg.shape[1]] += seg
@@ -420,14 +423,17 @@ def _synthesis_envelope(frame: int, hop: int, n_frames: int,
 
 
 def _synthesize(data: np.ndarray, hop: int, window: np.ndarray, support: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse FFT of each frame, windowed again, overlap-added and divided
-    by the envelope `support` (into `out` when given)."""
+                out: np.ndarray | None = None, frames: np.ndarray | None = None,
+                summed: np.ndarray | None = None) -> np.ndarray:
+    """Inverse FFT of each frame (into `frames`), windowed again,
+    overlap-added (into `summed`) and divided by the envelope `support`
+    (into `out`); a stage whose buffer is None writes a new array."""
     frame = window.size
-    frames = np.fft.irfft(data, n=frame, axis=1)
+    frames = np.fft.irfft(data, n=frame, axis=1, out=frames)
     frames *= window
     pad = frame // 2
-    return np.divide(_overlap_add(frames, hop)[pad : pad + support.size], support, out=out)
+    return np.divide(_overlap_add(frames, hop, out=summed)[pad : pad + support.size], support,
+                     out=out)
 
 
 def istft(spec: Spectrogram) -> Signal:
@@ -447,20 +453,28 @@ def istft(spec: Spectrogram) -> Signal:
 class StftRoundTrip:
     """`stft(istft(...))` of one spectrogram's configuration, repeated, as
     an iterative phase reconstruction runs it: the window, the synthesis
-    envelope and its invertibility check, and the zero-padded analysis
-    buffer are made once. Each call synthesizes straight into the buffer's
+    envelope and its invertibility check, and every buffer are made once.
+    Each call synthesizes straight into the zero-padded analysis buffer's
     interior and returns the spectrum of its frames, the same bits as
-    ``stft(istft(replace(spec, data=data))).data``."""
+    ``stft(istft(replace(spec, data=data))).data``. The returned array is
+    the object's own buffer: the next call overwrites it, so copy a result
+    that must outlive it (the caller may pass it back in, or edit it in
+    place, between calls)."""
 
     def __init__(self, spec: Spectrogram):
-        self._hop = spec.hop
-        self._window, self._support = _synthesis_envelope(spec.frame, spec.hop, spec.n_frames,
-                                                          spec.n_samples)
-        pad = spec.frame // 2
-        padded = np.zeros(spec.frame + spec.hop * (spec.n_frames - 1))
+        frame, hop, n_frames = spec.frame, spec.hop, spec.n_frames
+        self._hop = hop
+        self._window, self._support = _synthesis_envelope(frame, hop, n_frames, spec.n_samples)
+        pad = frame // 2
+        padded = np.zeros(frame + hop * (n_frames - 1))
         self._interior = padded[pad : pad + spec.n_samples]
-        self._frames = np.lib.stride_tricks.sliding_window_view(padded, spec.frame)[::spec.hop]
+        self._frames = sliding_window_view(padded, frame)[::hop]
+        self._synthesis = np.empty((n_frames, frame))  # inverse FFTs, then analysis frames
+        self._summed = np.empty((n_frames + -(-frame // hop) - 1, hop))
+        self._spectrum = np.empty((n_frames, frame // 2 + 1), dtype=np.complex128)
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        _synthesize(data, self._hop, self._window, self._support, out=self._interior)
-        return np.fft.rfft(self._frames * self._window, axis=1)
+        _synthesize(data, self._hop, self._window, self._support, out=self._interior,
+                    frames=self._synthesis, summed=self._summed)
+        np.multiply(self._frames, self._window, out=self._synthesis)
+        return np.fft.rfft(self._synthesis, axis=1, out=self._spectrum)

@@ -773,13 +773,58 @@ class TestKernelReferences:
 
     @pytest.mark.parametrize("attack_ms,release_ms", [(1.0, 20.0), (5.0, 100.0), (10.0, 300.0)])
     def test_envelope_equals_per_sample_loop(self, attack_ms, release_ms):
+        """Also at lengths around the loop's block, where the level must
+        carry over from one block to the next."""
         x = noise_signal(n=RATE, seed=62)
         x[3000:5000] = 0.0
         gate = (np.abs(x) > 0.2).astype(np.float64)
-        for signal in (x, gate, np.zeros(10), np.zeros(0)):
+        block = primitives._ENVELOPE_BLOCK
+        edges = [x[:n] for n in (0, 1, block - 1, block, block + 1, 3 * block + 5)]
+        for signal in (x, gate, np.zeros(10), np.zeros(0), *edges):
             got = primitives._envelope(signal, RATE, attack_ms, release_ms)
             assert got.dtype == np.float64
             assert np.array_equal(got, reference_envelope(signal, RATE, attack_ms, release_ms))
+
+    def test_envelope_yields_the_gil_once_per_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(primitives.time, "sleep", calls.append)
+        block = primitives._ENVELOPE_BLOCK
+        for n, blocks in ((0, 0), (1, 1), (block, 1), (block + 1, 2), (3 * block + 5, 4)):
+            calls.clear()
+            primitives._envelope(noise_signal(n=n, seed=64), RATE, 1.0, 20.0)
+            assert calls == [0] * blocks, n
+
+    @pytest.mark.parametrize("runs_per_cutoff", [0.9, 1.1])
+    def test_busy_gate_goes_to_envelope_loop(self, monkeypatch, runs_per_cutoff):
+        """A gate whose runs average fewer than _GATE_MIN_RUN samples takes
+        `_envelope`'s loop, the others one `lfilter` per run; both give the
+        loop's bits. Runs of random lengths on either side of the cutoff."""
+        loops = []
+        envelope = primitives._envelope
+        monkeypatch.setattr(primitives, "_envelope", lambda *a: loops.append(1) or envelope(*a))
+        n = 16_000
+        n_runs = int(runs_per_cutoff * n / primitives._GATE_MIN_RUN)
+        edges = np.sort(np.random.default_rng(65).choice(np.arange(1, n), n_runs - 1, replace=False))
+        gate = (np.cumsum(np.isin(np.arange(n), edges)) % 2).astype(np.float64)
+        assert np.count_nonzero(np.diff(gate)) + 1 == n_runs
+        for attack_ms, release_ms in ((1.0, 20.0), (10.0, 100.0)):
+            got = primitives._gate_envelope(gate, RATE, attack_ms, release_ms)
+            assert got.tobytes() == reference_envelope(gate, RATE, attack_ms, release_ms).tobytes()
+        assert len(loops) == (2 if runs_per_cutoff > 1 else 0)
+
+    def test_noise_gate_at_its_threshold(self):
+        """Stationary noise right at the gate's threshold flips the gate
+        thousands of times: 10 s of noise of std 0.01 at 16 kHz, -36 dB,
+        attack 1 ms and release 20 ms, whose gate runs average under
+        _GATE_MIN_RUN samples, through the whole applier."""
+        x = noise_signal(n=10 * RATE, seed=66, amp=0.01)
+        p = {"threshold_db": -36.0, "attack_ms": 1.0, "release_ms": 20.0}
+        env = reference_envelope(x, RATE, p["attack_ms"], p["release_ms"])
+        open_ = (20.0 * np.log10(np.maximum(env, 1e-6)) > p["threshold_db"]).astype(np.float64)
+        assert np.count_nonzero(np.diff(open_)) * primitives._GATE_MIN_RUN > x.size
+        gate = reference_envelope(open_, RATE, p["attack_ms"], p["release_ms"])
+        got = apply_direct(x, "noise_gate", p)
+        assert got.tobytes() == (x * gate).tobytes()
 
     @pytest.mark.parametrize("attack_ms,release_ms",
                              [(1.0, 20.0), (1.0, 100.0), (10.0, 20.0), (10.0, 100.0),
