@@ -107,11 +107,3 @@ def two_pole(f0: float, r: float, rate: int):
     a = np.array([1.0, -2.0 * r * np.cos(w0), r * r])
     peak = 1.0 / abs(np.polyval(a[::-1], np.exp(-1j * w0)))
     return np.array([1.0 / peak]), a
-
-
-def magnitude_at(b: np.ndarray, a: np.ndarray, f0: float, rate: int) -> float:
-    """|H(e^{j w0})| — the transfer-function oracle the tests evaluate."""
-    import scipy.signal
-
-    _, h = scipy.signal.freqz(b, a, worN=[2.0 * np.pi * f0 / rate])
-    return float(np.abs(h[0]))

@@ -20,6 +20,7 @@ resolution. Its report is bit-identical to calling each metric separately.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
@@ -51,6 +52,17 @@ def _pair(reference, estimate) -> tuple[np.ndarray, np.ndarray]:
     return ref, est
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over every element, in einsum's own loop. ``np.dot`` and
+    ``np.linalg.norm`` call BLAS, whose threaded split reorders the sum, so
+    their last bits would depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
+
+
 def _clamped_ratio_db(num: float, den: float) -> float:
     if den <= 0.0:
         return DB_CAP
@@ -70,7 +82,7 @@ def si_snr(reference, estimate) -> float:
     ref, est = _pair(reference, estimate)
     if not np.any(est):
         raise MetricError("si_snr undefined for a silent estimate")
-    target = (np.dot(est, ref) / np.dot(ref, ref)) * ref
+    target = (_dot(est, ref) / _dot(ref, ref)) * ref
     residual = est - target
     return _clamped_ratio_db(float(np.sum(target**2)), float(np.sum(residual**2)))
 
@@ -118,10 +130,10 @@ def mrstft(reference, estimate, resolutions=DEFAULT_RESOLUTIONS):
     for frame, hop in resolutions:
         r = _magnitudes(ref, frame, hop)
         e = _magnitudes(est, frame, hop)
-        norm = float(np.linalg.norm(r))
+        norm = _norm(r)
         if norm == 0.0:
             raise MetricError("mrstft undefined for a silent reference")
-        convergence = float(np.linalg.norm(r - e)) / norm
+        convergence = _norm(r - e) / norm
         log_mag = float(np.mean(np.abs(
             np.log(np.maximum(r, MAG_FLOOR)) - np.log(np.maximum(e, MAG_FLOOR)))))
         parts.append(convergence + log_mag)

@@ -14,7 +14,7 @@ Three pieces, all double precision, all plain numpy:
 * :class:`ScoreNet` — the composition, exposing the (x, c, sigma) -> score
   interface the sampler and the DSM loss expect. The sampler calls it at
   one scalar sigma per step; outside training that sigma is embedded once
-  per call, not once per row.
+  per call, not once per row, and the rows go through the MLP in blocks.
 
 Backward passes are written out by hand and return gradients for every
 parameter (including PReLU slopes and FiLM projections); they are verified
@@ -30,7 +30,8 @@ Each backward pass writes its gradients into one fresh vector of the same
 layout (:class:`Gradients`), which Adam takes as it is. PReLU multiplies by
 a cached slope array (exactly 1 or a) instead of selecting with
 ``np.where``: a select on a random sign pattern costs its branch
-mispredictions, the multiply gives the same bits.
+mispredictions, the multiply gives the same bits. Outside training FiLM
+runs in place and PReLU keeps no slope array (:func:`_prelu_inference`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .schedule import NoiseSchedule
 
 _CKPT_MAGIC = b"SWCKPT01"
 _ADAM_BLOCK = 32768  # elements per Adam slice: 256 KB per vector, six vectors fit in L2
+_BLOCK_ROWS = 1024  # rows per inference block: a block's (rows, 64) activations fit in L2
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:
@@ -65,6 +67,17 @@ def _prelu(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slope *= a
     slope += pos
     return x * slope, slope
+
+
+def _prelu_inference(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """PReLU(x) without the slope array only backward needs. When every slope
+    lies in (0, 1], ``np.maximum(x * a, x)`` has the bits of ``np.where(x >
+    0, x, a * x)`` for every x, signed zeros, infinities and NaN included;
+    any other slope (negative, zero, above 1, NaN) takes :func:`_prelu`."""
+    if not np.all((a > 0.0) & (a <= 1.0)):
+        return _prelu(x, a)[0]
+    out = x * a
+    return np.maximum(out, x, out=out)
 
 
 def _prelu_backward(x: np.ndarray, slope: np.ndarray, dout: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -274,6 +287,11 @@ class FilmMlp:
             gamma += p[f"l{i}.gb"]
             shift = e @ p[f"l{i}.hw"]
             shift += p[f"l{i}.hb"]
+            if cache is None:  # inference: FiLM in place on the GEMM output, same bits
+                pre *= gamma
+                pre += shift
+                h = _prelu_inference(pre, p[f"l{i}.a"])
+                continue
             filmed = gamma * pre
             filmed += shift
             h, slope = _prelu(filmed, p[f"l{i}.a"])
@@ -371,21 +389,42 @@ class ScoreNet:
 
         A scalar sigma is embedded for one row when train=False, and its
         FiLM projections broadcast over the batch; train=True expands it to
-        one row per example, because backward needs per-row caches.
+        one row per example, because backward needs per-row caches. Outside
+        training, a scalar sigma's rows go through the MLP in blocks
+        (:meth:`_forward_blocks`).
         """
         x_in = np.asarray(x, dtype=np.float64)
         squeeze = x_in.ndim == 1
         x2 = x_in[None, :] if squeeze else x_in
         sig = np.asarray(sigma, dtype=np.float64)
-        if sig.ndim == 0:
+        scalar = sig.ndim == 0
+        if scalar:
             sig = np.full(x2.shape[0] if train else 1, float(sig))
         emb_cache: dict | None = {} if train else None
         mlp_cache: dict | None = {} if train else None
         e = self.embedding.forward(sig, emb_cache)
-        out = self.mlp.forward(x2, c, e, mlp_cache)
+        if train or not scalar or x2.ndim != 2:
+            out = self.mlp.forward(x2, c, e, mlp_cache)
+        else:
+            out = self._forward_blocks(x2, c, e)
         if train:
             self._cache = {"emb": emb_cache, "mlp": mlp_cache}
         return out[0] if squeeze else out
+
+    def _forward_blocks(self, x: np.ndarray, c, e: np.ndarray) -> np.ndarray:
+        """The MLP over blocks of ``_BLOCK_ROWS`` = B rows of x (and of c when
+        it has a row per x row), the last taking the remainder: B to 2B - 1
+        rows each, so memory stays bounded, and no block is small enough for
+        OpenBLAS's small-M kernel, whose bits would differ from one call's."""
+        n = len(x)
+        c_rows = c is not None and np.ndim(c) == 2 and len(c) == n
+        out = np.empty((n, self.config.dim_x))
+        n_blocks = max(1, n // _BLOCK_ROWS)
+        for k in range(n_blocks):
+            lo = k * _BLOCK_ROWS
+            hi = n if k == n_blocks - 1 else lo + _BLOCK_ROWS
+            out[lo:hi] = self.mlp.forward(x[lo:hi], c[lo:hi] if c_rows else c, e)
+        return out
 
     def backward(self, d_out: np.ndarray) -> Gradients:
         """Parameter gradients for the last forward(train=True) call, written

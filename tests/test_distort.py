@@ -39,6 +39,12 @@ from scorewave.signal import Signal, istft, stft
 RATE = 16000
 
 
+def magnitude_at(b: np.ndarray, a: np.ndarray, f0: float, rate: int) -> float:
+    """|H(e^{j w0})|: the transfer-function oracle the biquad tests evaluate."""
+    _, h = scipy.signal.freqz(b, a, worN=[2.0 * np.pi * f0 / rate])
+    return float(np.abs(h[0]))
+
+
 def noise_signal(n=RATE, seed=0, amp=0.3):
     return amp * np.random.default_rng(seed).standard_normal(n)
 
@@ -107,49 +113,49 @@ class TestBiquadDesigns:
 
     def test_low_pass_minus_3db_at_cutoff(self):
         b, a = biquad.low_pass(1000.0, 1.0 / np.sqrt(2.0), RATE)
-        mag = biquad.magnitude_at(b, a, 1000.0, RATE)
+        mag = magnitude_at(b, a, 1000.0, RATE)
         assert abs(20 * np.log10(mag) - (-3.0103)) < 0.1
-        assert abs(biquad.magnitude_at(b, a, 1.0, RATE) - 1.0) < 1e-3
-        assert biquad.magnitude_at(b, a, 7900.0, RATE) < 0.05
+        assert abs(magnitude_at(b, a, 1.0, RATE) - 1.0) < 1e-3
+        assert magnitude_at(b, a, 7900.0, RATE) < 0.05
 
     def test_high_pass_minus_3db_at_cutoff(self):
         b, a = biquad.high_pass(1000.0, 1.0 / np.sqrt(2.0), RATE)
-        mag = biquad.magnitude_at(b, a, 1000.0, RATE)
+        mag = magnitude_at(b, a, 1000.0, RATE)
         assert abs(20 * np.log10(mag) - (-3.0103)) < 0.1
-        assert biquad.magnitude_at(b, a, 20.0, RATE) < 0.01
-        assert abs(biquad.magnitude_at(b, a, 7990.0, RATE) - 1.0) < 1e-3
+        assert magnitude_at(b, a, 20.0, RATE) < 0.01
+        assert abs(magnitude_at(b, a, 7990.0, RATE) - 1.0) < 1e-3
 
     def test_band_pass_unit_peak(self):
         b, a = biquad.band_pass(2000.0, 2.0, RATE)
-        assert abs(biquad.magnitude_at(b, a, 2000.0, RATE) - 1.0) < 1e-9
-        assert biquad.magnitude_at(b, a, 50.0, RATE) < 0.05
-        assert biquad.magnitude_at(b, a, 7900.0, RATE) < 0.05
+        assert abs(magnitude_at(b, a, 2000.0, RATE) - 1.0) < 1e-9
+        assert magnitude_at(b, a, 50.0, RATE) < 0.05
+        assert magnitude_at(b, a, 7900.0, RATE) < 0.05
 
     def test_notch_exact_zero_and_unit_skirts(self):
         b, a = biquad.notch(1500.0, 3.0, RATE)
-        assert biquad.magnitude_at(b, a, 1500.0, RATE) < 1e-10
-        assert abs(biquad.magnitude_at(b, a, 1.0, RATE) - 1.0) < 1e-6
-        assert abs(biquad.magnitude_at(b, a, 7999.0, RATE) - 1.0) < 1e-6
+        assert magnitude_at(b, a, 1500.0, RATE) < 1e-10
+        assert abs(magnitude_at(b, a, 1.0, RATE) - 1.0) < 1e-6
+        assert abs(magnitude_at(b, a, 7999.0, RATE) - 1.0) < 1e-6
 
     @pytest.mark.parametrize("gain_db", [-12.0, -6.0, 6.0, 12.0])
     def test_peaking_center_gain_exact(self, gain_db):
         b, a = biquad.peaking(2500.0, 1.5, gain_db, RATE)
-        mag = biquad.magnitude_at(b, a, 2500.0, RATE)
+        mag = magnitude_at(b, a, 2500.0, RATE)
         assert mag == pytest.approx(10.0 ** (gain_db / 20.0), rel=1e-9)
 
     @pytest.mark.parametrize("gain_db", [-10.0, 8.0])
     def test_low_shelf_dc_and_nyquist(self, gain_db):
         b, a = biquad.low_shelf(500.0, gain_db, RATE)
-        assert biquad.magnitude_at(b, a, 1e-3, RATE) == pytest.approx(
+        assert magnitude_at(b, a, 1e-3, RATE) == pytest.approx(
             10.0 ** (gain_db / 20.0), rel=1e-6)
-        assert biquad.magnitude_at(b, a, 7999.9, RATE) == pytest.approx(1.0, rel=1e-3)
+        assert magnitude_at(b, a, 7999.9, RATE) == pytest.approx(1.0, rel=1e-3)
 
     @pytest.mark.parametrize("gain_db", [-10.0, 8.0])
     def test_high_shelf_dc_and_nyquist(self, gain_db):
         b, a = biquad.high_shelf(5000.0, gain_db, RATE)
-        assert biquad.magnitude_at(b, a, 7999.9, RATE) == pytest.approx(
+        assert magnitude_at(b, a, 7999.9, RATE) == pytest.approx(
             10.0 ** (gain_db / 20.0), rel=1e-3)
-        assert biquad.magnitude_at(b, a, 1e-3, RATE) == pytest.approx(1.0, rel=1e-6)
+        assert magnitude_at(b, a, 1e-3, RATE) == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 32000, 44100, 48000])
     def test_shelves_equal_the_cookbook_formulas_bit_for_bit(self, rate):
@@ -169,8 +175,8 @@ class TestBiquadDesigns:
 
     def test_two_pole_unit_gain_at_resonance(self):
         b, a = biquad.two_pole(1200.0, 0.97, RATE)
-        assert biquad.magnitude_at(b, a, 1200.0, RATE) == pytest.approx(1.0, rel=1e-9)
-        assert biquad.magnitude_at(b, a, 6000.0, RATE) < 0.5
+        assert magnitude_at(b, a, 1200.0, RATE) == pytest.approx(1.0, rel=1e-9)
+        assert magnitude_at(b, a, 6000.0, RATE) < 0.5
 
     @pytest.mark.parametrize(
         "call",

@@ -7,7 +7,11 @@ and in oracle mode at one step, and compares the sha256 of each enhanced
 WAV, and of the ``metrics`` record of its log, with digests recorded from
 the out-of-place sampler arithmetic (the one-step leg's from the separate
 N = 1 plan constructor that ``make_plan`` has since absorbed). A change
-that moves one bit of any leg fails here.
+that moves one bit of any leg fails here. The ``metrics`` records were
+recorded again when the metrics' dot products and norms left BLAS: a
+threaded BLAS reduction reordered the sum, so those records moved with the
+BLAS thread count. A second test computes every digest in two child
+interpreters, at one and at two OpenBLAS threads, and requires them equal.
 
 - Oracle mode: the analytic per-sample posterior score,
   ``sampling.n_realizations = 2`` (two spawned child streams, averaged).
@@ -27,10 +31,15 @@ does.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import metadata
+from pathlib import Path
 
 import numpy as np
 
+import scorewave
 from scorewave.cli import EXIT_OK, main
 from scorewave.oracle import GmmPrior
 from scorewave.oracle import sample as sample_prior
@@ -43,11 +52,11 @@ SEED = 2206
 # leg -> (sha256 of the enhanced WAV, sha256 of the log's metrics record)
 DIGESTS = {
     "oracle": ("25f2e654a6efd6708d6116a9fc8acdbd47094ed724852a0739c7096a96f3e55b",
-               "de33c2f1000b55ea005f179102b5f2ac8b2ff95a40bb60aa2004a265ae31f97f"),
+               "0623024f0b0376ba39b6bf2247db1b17205b8d7fe850552c93044914cee31b81"),
     "checkpoint": ("45fd81d8fec771ee7f3e8f275d277ff29197e72ada331c31bb1c38db1cc8548f",
-                   "b59af9038820b324fdc71e3ffde3d8e575e3c57204dc09f78fe8228b97f2558e"),
+                   "dde416a64482cb37229bcab322424631836749c45064c16a7ca5a4d0d1d481ac"),
     "one_step": ("94aabadad17e1188d97a77dc565a6f9273f3811a5b001d653bff9248566e7ed0",
-                 "a377ace7f1c35cc269dfe6ddccb99cf02561fedd265c89a16fc7617808192e62"),
+                 "7fd421368f6f232e2790303b2335fb1a0cc07f16e32cfbb1a73a782479ad4f89"),
 }
 RECORDED_ON = [{"numpy": "2.4.6"}]
 
@@ -104,3 +113,25 @@ def test_enhance_outputs_match_the_recorded_digests(tmp_path):
         + ("" if build in RECORDED_ON else
            f" (on the unrecorded build {build}; the digests were recorded on "
            f"{RECORDED_ON}, see the module docstring)"))
+
+
+# Runs in a fresh interpreter, so the OpenBLAS thread count is read at start-up.
+CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_enhance_digests import enhance_digests
+with tempfile.TemporaryDirectory() as d:
+    print(json.dumps(enhance_digests(Path(d))))
+"""
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count():
+    src = Path(scorewave.__file__).resolve().parents[1]
+    got = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, check=True)
+        got[threads] = json.loads(proc.stdout.splitlines()[-1])
+    assert got["1"] == got["2"]

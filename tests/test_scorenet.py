@@ -8,7 +8,11 @@ differences of the full batched DSM objective with the randomness frozen
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +30,11 @@ from scorewave import (
 )
 from scorewave import scorenet
 from scorewave.scorenet import (
+    _BLOCK_ROWS,
+    FilmMlp,
     SigmaEmbedding,
     _prelu,
+    _prelu_inference,
     _prelu_backward,
     adam_step,
     decay_mask,
@@ -37,6 +44,7 @@ from scorewave.scorenet import (
     lr_at,
     save_checkpoint,
 )
+from scorewave.signal import Signal, write_wav
 
 
 def frozen_dsm_loss(net, x_t, z, sig, c):
@@ -370,6 +378,138 @@ class TestScalarSigma:
         for _ in range(3):
             dsm_loss_and_grads(net, rng.normal(size=(32, 1)), None, NoiseSchedule(), rng)
         assert rows == [32, 32, 32]
+
+
+class TestInferencePrelu:
+    """The inference PReLU, max(x * a, x), against the np.where form on value
+    and sign bit, and the slopes that must fall back to the slope multiply."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324]
+
+    @pytest.mark.parametrize("slope", [0.25, 1.0, 5e-324, 0.999])
+    def test_matches_where_form_on_value_and_sign(self, slope, monkeypatch):
+        monkeypatch.setattr(scorenet, "_prelu", None)  # the fast path must not need it
+        x = np.array(self.SPECIAL)[:, None] * np.ones((1, 3))
+        a = np.full(3, slope)
+        got, want = _prelu_inference(x, a), reference_prelu(x, a)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.3, 1.7, np.nan])
+    def test_other_slopes_take_the_slope_multiply(self, bad, monkeypatch):
+        calls = []
+        prelu = scorenet._prelu
+        monkeypatch.setattr(scorenet, "_prelu", lambda x, a: calls.append(a) or prelu(x, a))
+        x = np.random.default_rng(8).standard_normal((16, 3))
+        x[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
+        a = np.array([0.25, bad, 0.5])
+        got = _prelu_inference(x, a)
+        assert len(calls) == 1
+        assert got.tobytes() == prelu(x, a)[0].tobytes()
+
+
+def slopes_in_unit_interval_net():
+    """A dim_c = 1 network of the default size with random weights and every
+    PReLU slope in (0, 1] (one of them exactly 1): the inference PReLU's
+    fast path."""
+    rng = np.random.default_rng(21)
+    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1), np.random.default_rng(1))
+    randomize(net, rng, scale=0.1)
+    for name, a in net.parameters().items():
+        if name.endswith(".a"):
+            a[...] = rng.uniform(0.05, 1.0, a.shape)
+            a[0] = 1.0
+    return net
+
+
+def frozen_digest_net():
+    """The network of test_enhance_digests: every parameter drawn from
+    N(0, 0.1^2), so some slopes are negative and take the fallback."""
+    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1), np.random.default_rng(0))
+    net.flat[...] = 0.1 * np.random.default_rng(20_221_007).standard_normal(net.flat.size)
+    return net
+
+
+class TestInferenceBlocks:
+    """At train=False and a scalar sigma the MLP runs over row blocks of
+    B = _BLOCK_ROWS, with FiLM in place and the inference PReLU; the output
+    must equal one training-formula call over all rows bit for bit."""
+
+    B = _BLOCK_ROWS
+
+    @pytest.mark.parametrize("make_net", [slopes_in_unit_interval_net, frozen_digest_net])
+    @pytest.mark.parametrize("n", [1, B - 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 16_000])
+    def test_blocks_equal_one_training_formula_call(self, make_net, n, monkeypatch):
+        net = make_net()
+        slopes = [a for name, a in net.mlp.params.items() if name.endswith(".a")]
+        fast = make_net is slopes_in_unit_interval_net
+        assert all(np.all((a > 0) & (a <= 1)) for a in slopes) == fast
+        rng = np.random.default_rng(n)
+        x, c = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+        blocks = []
+        forward = FilmMlp.forward
+
+        def recording(self, x, c, e, cache=None):
+            blocks.append(len(x))
+            return forward(self, x, c, e, cache)
+
+        monkeypatch.setattr(FilmMlp, "forward", recording)
+        for sigma in (0.05, 1.3):
+            e = net.embedding.forward(np.full(1, sigma))
+            want = net.mlp.forward(x, c, e, {})
+            blocks.clear()
+            got = net.forward(x, c, sigma)
+            assert got.tobytes() == want.tobytes(), sigma
+            assert sum(blocks) == n
+            assert len(blocks) == max(1, n // self.B)
+            assert len(blocks) == 1 or all(self.B <= b < 2 * self.B for b in blocks)
+
+    def test_shared_conditioning_row_is_broadcast_in_every_block(self):
+        net = slopes_in_unit_interval_net()
+        rng = np.random.default_rng(3)
+        x, c = rng.standard_normal((5000, 1)), np.array([0.7])
+        want = net.mlp.forward(x, c, net.embedding.forward(np.full(1, 0.4)), {})
+        assert net.forward(x, c, 0.4).tobytes() == want.tobytes()
+
+    def test_training_and_per_row_sigma_stay_one_call(self, monkeypatch):
+        net = slopes_in_unit_interval_net()
+        n = 3 * self.B
+        calls = []
+        forward = FilmMlp.forward
+        monkeypatch.setattr(FilmMlp, "forward",
+                            lambda self, *a: calls.append(len(a[0])) or forward(self, *a))
+        x = np.zeros((n, 1))
+        net.forward(x, x, np.full(n, 0.5))
+        net.forward(x, x, 0.5, train=True)
+        assert calls == [n, n]
+
+
+# A 60 s clip at 16 kHz through ``enhance --checkpoint`` at N = 2, in a fresh
+# interpreter that prints its own peak resident set (ru_maxrss, in KB).
+MEMORY_CHILD = """
+import resource, sys
+from scorewave.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_clip_checkpoint_enhance_memory_stays_bounded(tmp_path):
+    rng = np.random.default_rng(60)
+    write_wav(tmp_path / "noisy.wav", Signal(0.1 * rng.standard_normal(60 * 16000), 16000),
+              encoding="float32")
+    save_checkpoint(tmp_path / "net.bin", frozen_digest_net())
+    (tmp_path / "n2.cfg").write_text("sampling.n_steps = 2\n")
+    src = Path(scorenet.__file__).resolve().parents[1]
+    argv = ["--config", str(tmp_path / "n2.cfg"), "enhance", "--checkpoint",
+            str(tmp_path / "net.bin"), "--input", str(tmp_path / "noisy.wav"),
+            "--output", str(tmp_path / "out.wav")]
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CHILD, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0
+    assert peak_kb / 1024 <= 300, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 
 class TestOptimizer:
