@@ -13,10 +13,10 @@ mixtures are supported; that is enough to exercise every sampler and loss
 path while keeping quadrature oracles exact.
 
 It is also the score of oracle-mode enhancement, called once per sigma step
-on every sample of a clip. For d = 1 the shared helpers :func:`_log_terms`
-and :func:`_mixture_score` therefore write into their own temporaries
-instead of a new array per operation, with the same floating-point
-operations in the same order and so the same bits; ``tests/test_oracle.py``
+on every sample of a clip. The shared helpers :func:`_log_terms` and
+:func:`_mixture_score`, one code path for every d, therefore write into
+their own temporaries instead of a new array per operation, with the same
+floating-point operations and so the same bits; ``tests/test_oracle.py``
 keeps the out-of-place expressions as the reference.
 """
 
@@ -91,9 +91,8 @@ def _log_terms(log_weights, means, variances, x, sigma):
     log_weights (..., k), means (..., k, d) and variances (..., k) broadcast
     against x (..., d), whose last axis may be omitted for d = 1; sigma is a
     scalar or per-example. Returns (log_terms, diff, pvar), diff = x - mu
-    shaped (..., k, d). log_terms is a new array, which :func:`_mixture_score`
-    consumes. For d = 1, sq = diff^2 needs no sum over d, and the terms are
-    formed in place in the order of the general expression.
+    shaped (..., k, d). log_terms is a new array (for a scalar sigma, the
+    squared distances' own buffer), which :func:`_mixture_score` consumes.
     """
     x = np.asarray(x, dtype=np.float64)
     d = means.shape[-1]
@@ -103,38 +102,30 @@ def _log_terms(log_weights, means, variances, x, sigma):
         x = x[..., None]
     pvar = variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
     norm = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar)
-    if d == 1:
-        diff = x - means[..., 0]
-        sq = np.square(diff)
-        sq *= 0.5
-        # In place for a scalar sigma (pvar is (k,)). A sigma vector can
-        # outgrow diff's shape and set the quotient's memory order, which
-        # fixes the order of the sums over k, so numpy allocates it then.
-        terms = np.divide(sq, pvar, out=sq if pvar.ndim == 1 else None)
-        return np.subtract(norm, terms, out=terms), diff[..., None], pvar
     diff = x[..., None, :] - means
-    sq = np.sum(diff**2, axis=-1)
-    return norm - 0.5 * sq / pvar, diff, pvar
+    sq = np.square(diff[..., 0]) if d == 1 else np.sum(diff**2, axis=-1)
+    sq *= 0.5
+    # In place for a scalar sigma (pvar is (k,)). A sigma vector can outgrow
+    # sq's shape and set the quotient's memory order, which fixes the order
+    # of the sums over k, so numpy allocates it then.
+    terms = np.divide(sq, pvar, out=sq if pvar.ndim == 1 else None)
+    return np.subtract(norm, terms, out=terms), diff, pvar
 
 
 def _mixture_score(log_terms, diff, pvar):
     """sum_i r_i (mu_i - x) / pvar_i, r = softmax(log_terms), max-subtracted:
     sigma spans several orders of magnitude, so naive exponentials overflow.
 
-    Works in place in log_terms, which it consumes. For d = 1 the products
-    fit that buffer too; r (-diff) / pvar is formed as (r diff) / (-pvar),
+    Works in place in log_terms, which it consumes; for d = 1 the products
+    fit that buffer too. r (-diff) / pvar is formed as (r diff) / (-pvar),
     which moves the sign and rounds the same, bit for bit.
     """
     resp = log_terms
     resp -= np.max(resp, axis=-1, keepdims=True)
     np.exp(resp, out=resp)
     resp /= np.sum(resp, axis=-1, keepdims=True)
-    if diff.shape[-1] == 1:
-        terms = resp[..., None]
-        terms *= diff
-        terms /= -pvar[..., None]
-    else:
-        terms = resp[..., None] * (-diff) / pvar[..., None]
+    terms = np.multiply(resp[..., None], diff, out=resp[..., None] if diff.shape[-1] == 1 else None)
+    terms /= -pvar[..., None]
     return np.sum(terms, axis=-2)
 
 

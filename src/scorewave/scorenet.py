@@ -16,6 +16,9 @@ Three pieces, all double precision, all plain numpy:
   one scalar sigma per step; outside training that sigma is embedded once
   per call, not once per row, and the rows go through the MLP in blocks.
 
+Both MLPs are one PReLU layer stack written once (:func:`_layers_forward`,
+:func:`_layers_backward`); the score stack's layers add FiLM.
+
 Backward passes are written out by hand and return gradients for every
 parameter (including PReLU slopes and FiLM projections); they are verified
 against central finite differences in the test suite. The optimizer is
@@ -31,7 +34,7 @@ layout (:class:`Gradients`), which Adam takes as it is. PReLU multiplies by
 a cached slope array (exactly 1 or a) instead of selecting with
 ``np.where``: a select on a random sign pattern costs its branch
 mispredictions, the multiply gives the same bits. Outside training FiLM
-runs in place and PReLU keeps no slope array (:func:`_prelu_inference`).
+runs in place and no PReLU keeps a slope array (:func:`_prelu_inference`).
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def _rows(arr: np.ndarray) -> np.ndarray:
 
 def _prelu(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(PReLU(x), slope): slope is exactly 1 where x > 0 and a elsewhere, so
-    x * slope has the bits of ``np.where(x > 0, x, a * x)``."""
+    x * slope has the bits of ``np.where(x > 0, x, a * x)`` for finite slopes
+    other than -0.0; training stops at the non-finite loss a NaN slope gives."""
     pos = (x > 0).astype(np.float64)
     slope = np.subtract(1.0, pos)
     slope *= a
@@ -73,9 +77,9 @@ def _prelu_inference(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """PReLU(x) without the slope array only backward needs. When every slope
     lies in (0, 1], ``np.maximum(x * a, x)`` has the bits of ``np.where(x >
     0, x, a * x)`` for every x, signed zeros, infinities and NaN included;
-    any other slope (negative, zero, above 1, NaN) takes :func:`_prelu`."""
+    any other slope (negative, zero, above 1, NaN) takes that select."""
     if not np.all((a > 0.0) & (a <= 1.0)):
-        return _prelu(x, a)[0]
+        return np.where(x > 0, x, a * x)
     out = x * a
     return np.maximum(out, x, out=out)
 
@@ -120,9 +124,99 @@ def _affine_init(n_in: int, n_out: int, rng: np.random.Generator):
     return w, b
 
 
+# A stack of PReLU layers l0..l{n-1}, h -> PReLU(film(h @ w + b)), shared by
+# the sigma embedding (no FiLM) and the score MLP (FiLM from the embedding e).
+
+def _layer_shapes(sizes: list[int], film: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the layers mapping sizes[i] to sizes[i + 1], with FiLM
+    projections from a ``film``-wide embedding when ``film`` > 0."""
+    shapes = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes |= {f"l{i}.w": (n_in, n_out), f"l{i}.b": (n_out,), f"l{i}.a": (n_out,)}
+        if film:
+            shapes |= {f"l{i}.gw": (film, n_out), f"l{i}.gb": (n_out,),
+                       f"l{i}.hw": (film, n_out), f"l{i}.hb": (n_out,)}
+    return shapes
+
+
+def _init_layers(p: dict[str, np.ndarray], n: int, rng: np.random.Generator) -> None:
+    """Initial draw per layer: fan-in affine, slopes 0.25, identity FiLM if any."""
+    for i in range(n):
+        p[f"l{i}.w"][...], p[f"l{i}.b"][...] = _affine_init(*p[f"l{i}.w"].shape, rng)
+        p[f"l{i}.a"][...] = 0.25
+        if f"l{i}.gw" in p:
+            p[f"l{i}.gw"][...], p[f"l{i}.gb"][...] = 0.0, 1.0
+            p[f"l{i}.hw"][...], p[f"l{i}.hb"][...] = 0.0, 0.0
+
+
+def _layers_forward(p: dict[str, np.ndarray], n: int, h: np.ndarray, e: np.ndarray | None,
+                    cache: dict | None) -> np.ndarray:
+    """The stack's output for input h, FiLM-modulated by e unless it is None;
+    a cache (training) keeps what backward needs, else FiLM runs in place."""
+    if cache is not None:
+        cache.update(inputs=[h], layers=[], e=e)
+    for i in range(n):
+        pre = h @ p[f"l{i}.w"]
+        pre += p[f"l{i}.b"]
+        act, gamma = pre, None
+        if e is not None:
+            gamma = e @ p[f"l{i}.gw"]
+            gamma += p[f"l{i}.gb"]
+            shift = e @ p[f"l{i}.hw"]
+            shift += p[f"l{i}.hb"]
+            act = np.multiply(pre, gamma, out=pre if cache is None else None)
+            act += shift
+        if cache is None:
+            h = _prelu_inference(act, p[f"l{i}.a"])
+        else:
+            h, slope = _prelu(act, p[f"l{i}.a"])
+            cache["layers"].append((pre, gamma, act, slope))
+            cache["inputs"].append(h)
+    return h
+
+
+def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndarray,
+                     grads: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Writes the stack's parameter gradients into ``grads``, given the
+    gradient d_h w.r.t. its output, and returns the gradient w.r.t. the
+    embedding (None without FiLM). The stack's input gets no gradient."""
+    e = cache["e"]
+    d_e = None if e is None else np.zeros_like(e)
+    for i in reversed(range(n)):
+        pre, gamma, act, slope = cache["layers"][i]
+        d_act = _prelu_backward(act, slope, d_h, grads[f"l{i}.a"])  # with FiLM, also d shift
+        d_pre = d_act
+        if e is not None:
+            d_gamma = d_act * pre
+            d_pre = d_act * gamma
+            np.matmul(_rows(e).T, _rows(d_gamma), out=grads[f"l{i}.gw"])
+            _rows(d_gamma).sum(axis=0, out=grads[f"l{i}.gb"])
+            np.matmul(_rows(e).T, _rows(d_act), out=grads[f"l{i}.hw"])
+            _rows(d_act).sum(axis=0, out=grads[f"l{i}.hb"])
+            d_e += d_gamma @ p[f"l{i}.gw"].T
+            d_e += d_act @ p[f"l{i}.hw"].T
+        np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
+        _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
+        if i:
+            d_h = d_pre @ p[f"l{i}.w"].T
+    return d_e
+
+
+def _whole(name: str, value, low: int) -> int:
+    """``value`` as an int when it is a whole number from ``low`` to 2**53,
+    the float64-exact range (a JSON header may hold 2.0), else
+    :class:`ConfigError`; a bool is not a number here."""
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or not low <= value <= 2**53:
+        raise ConfigError(f"{name} must be a whole number in [{low}, 2**53], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScoreNetConfig:
-    """Layer-size configuration; the parameter count is a pure function of it."""
+    """Layer-size configuration, every size a whole number (dim_c >= 0, the
+    others >= 1); the parameter count is a pure function of it."""
 
     dim_x: int
     dim_c: int = 0
@@ -131,17 +225,11 @@ class ScoreNetConfig:
     embed_dim: int = 256
 
     def __post_init__(self):
-        if self.dim_x < 1 or self.dim_c < 0:
-            raise ConfigError(f"invalid dims: dim_x={self.dim_x}, dim_c={self.dim_c}")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
-        if self.n_pairs < 1 or self.embed_dim < 1:
-            raise ConfigError(
-                f"invalid embedding sizes: n_pairs={self.n_pairs}, embed_dim={self.embed_dim}"
-            )
-        for name in ("dim_x", "dim_c", "n_pairs", "embed_dim"):  # a JSON header may hold 2.0
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if not self.hidden:
+            raise ConfigError("at least one hidden layer is required")
+        for name, low in (("dim_x", 1), ("dim_c", 0), ("n_pairs", 1), ("embed_dim", 1)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
+        object.__setattr__(self, "hidden", tuple(_whole("hidden width", h, 1) for h in self.hidden))
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every trainable array in sorted-name order: the
@@ -173,17 +261,11 @@ class SigmaEmbedding:
             return
         self.frequencies = rng.standard_normal(n_pairs)
         self.frequencies.flags.writeable = False
-        for i in range(3):
-            self.params[f"l{i}.w"][...], self.params[f"l{i}.b"][...] = _affine_init(*shapes[f"l{i}.w"], rng)
-            self.params[f"l{i}.a"][...] = 0.25
+        _init_layers(self.params, 3, rng)
 
     @staticmethod
     def shapes(n_pairs: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
-        sizes = [2 * n_pairs, embed_dim, embed_dim, embed_dim]
-        shapes = {}
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            shapes |= {f"l{i}.w": (n_in, n_out), f"l{i}.b": (n_out,), f"l{i}.a": (n_out,)}
-        return shapes
+        return _layer_shapes([2 * n_pairs, embed_dim, embed_dim, embed_dim], 0)
 
     def features(self, sigma) -> np.ndarray:
         """[sin(f_i log sigma), cos(f_i log sigma)] — shape (..., 2*n_pairs)."""
@@ -194,18 +276,7 @@ class SigmaEmbedding:
         return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
     def forward(self, sigma, cache: dict | None = None) -> np.ndarray:
-        h = self.features(sigma)
-        if cache is not None:
-            cache.update(inputs=[h], pres=[], slopes=[])
-        for i in range(3):
-            pre = h @ self.params[f"l{i}.w"]
-            pre += self.params[f"l{i}.b"]
-            h, slope = _prelu(pre, self.params[f"l{i}.a"])
-            if cache is not None:
-                cache["pres"].append(pre)
-                cache["slopes"].append(slope)
-                cache["inputs"].append(h)
-        return h
+        return _layers_forward(self.params, 3, self.features(sigma), None, cache)
 
     def backward(self, cache: dict, d_out: np.ndarray,
                  grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
@@ -215,13 +286,7 @@ class SigmaEmbedding:
         input of the first layer."""
         if grads is None:
             grads = {k: np.empty_like(p) for k, p in self.params.items()}
-        d_h = d_out
-        for i in reversed(range(3)):
-            d_pre = _prelu_backward(cache["pres"][i], cache["slopes"][i], d_h, grads[f"l{i}.a"])
-            np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
-            _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
-            if i:
-                d_h = d_pre @ self.params[f"l{i}.w"].T
+        _layers_backward(self.params, 3, cache, d_out, grads)
         return grads
 
 
@@ -242,26 +307,15 @@ class FilmMlp:
         self.params = params if params is not None else {k: np.empty(s) for k, s in shapes.items()}
         if rng is None:
             return
-        p = self.params
-        for i in range(len(config.hidden)):
-            p[f"l{i}.w"][...], p[f"l{i}.b"][...] = _affine_init(*shapes[f"l{i}.w"], rng)
-            p[f"l{i}.a"][...] = 0.25
-            p[f"l{i}.gw"][...] = 0.0
-            p[f"l{i}.gb"][...] = 1.0
-            p[f"l{i}.hw"][...] = 0.0
-            p[f"l{i}.hb"][...] = 0.0
-        p["out.w"][...] = 0.0
-        p["out.b"][...] = 0.0
+        _init_layers(self.params, len(config.hidden), rng)
+        self.params["out.w"][...] = 0.0
+        self.params["out.b"][...] = 0.0
 
     @staticmethod
     def shapes(config: ScoreNetConfig) -> dict[str, tuple[int, ...]]:
-        shapes, n_in, e = {}, config.dim_x + config.dim_c, config.embed_dim
-        for i, width in enumerate(config.hidden):
-            shapes |= {f"l{i}.w": (n_in, width), f"l{i}.b": (width,), f"l{i}.a": (width,),
-                       f"l{i}.gw": (e, width), f"l{i}.gb": (width,),
-                       f"l{i}.hw": (e, width), f"l{i}.hb": (width,)}
-            n_in = width
-        return shapes | {"out.w": (n_in, config.dim_x), "out.b": (config.dim_x,)}
+        sizes = [config.dim_x + config.dim_c, *config.hidden]
+        return _layer_shapes(sizes, config.embed_dim) | {"out.w": (sizes[-1], config.dim_x),
+                                                         "out.b": (config.dim_x,)}
 
     def forward(self, x: np.ndarray, c, sigma_emb: np.ndarray, cache: dict | None = None):
         cfg, p = self.config, self.params
@@ -277,30 +331,7 @@ class FilmMlp:
             h = np.concatenate([x, np.broadcast_to(c, x.shape[:-1] + (cfg.dim_c,))], axis=-1)
         else:
             h = x
-        e = sigma_emb
-        if cache is not None:
-            cache.update(inputs=[h], pres=[], filmed=[], slopes=[], gammas=[], e=e)
-        for i in range(len(cfg.hidden)):
-            pre = h @ p[f"l{i}.w"]
-            pre += p[f"l{i}.b"]
-            gamma = e @ p[f"l{i}.gw"]
-            gamma += p[f"l{i}.gb"]
-            shift = e @ p[f"l{i}.hw"]
-            shift += p[f"l{i}.hb"]
-            if cache is None:  # inference: FiLM in place on the GEMM output, same bits
-                pre *= gamma
-                pre += shift
-                h = _prelu_inference(pre, p[f"l{i}.a"])
-                continue
-            filmed = gamma * pre
-            filmed += shift
-            h, slope = _prelu(filmed, p[f"l{i}.a"])
-            if cache is not None:
-                cache["pres"].append(pre)
-                cache["gammas"].append(gamma)
-                cache["filmed"].append(filmed)
-                cache["slopes"].append(slope)
-                cache["inputs"].append(h)
+        h = _layers_forward(p, len(cfg.hidden), h, sigma_emb, cache)
         out = h @ p["out.w"]
         out += p["out.b"]
         return out
@@ -312,27 +343,9 @@ class FilmMlp:
         p = self.params
         if grads is None:
             grads = {k: np.empty_like(v) for k, v in p.items()}
-        e = _rows(cache["e"])
         np.matmul(_rows(cache["inputs"][-1]).T, _rows(d_out), out=grads["out.w"])
         _rows(d_out).sum(axis=0, out=grads["out.b"])
-        d_h = d_out @ p["out.w"].T
-        d_e = np.zeros_like(cache["e"])
-        for i in reversed(range(len(self.config.hidden))):
-            # d_filmed is also the gradient w.r.t. shift
-            d_filmed = _prelu_backward(cache["filmed"][i], cache["slopes"][i], d_h, grads[f"l{i}.a"])
-            d_gamma = d_filmed * cache["pres"][i]
-            d_pre = d_filmed * cache["gammas"][i]
-            np.matmul(e.T, _rows(d_gamma), out=grads[f"l{i}.gw"])
-            _rows(d_gamma).sum(axis=0, out=grads[f"l{i}.gb"])
-            np.matmul(e.T, _rows(d_filmed), out=grads[f"l{i}.hw"])
-            _rows(d_filmed).sum(axis=0, out=grads[f"l{i}.hb"])
-            d_e += d_gamma @ p[f"l{i}.gw"].T
-            d_e += d_filmed @ p[f"l{i}.hw"].T
-            np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
-            _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
-            if i:
-                d_h = d_pre @ p[f"l{i}.w"].T
-        return grads, d_e
+        return grads, _layers_backward(p, len(self.config.hidden), cache, d_out @ p["out.w"].T, grads)
 
 
 class Gradients(dict):
@@ -446,9 +459,9 @@ class ScoreNet:
 class OptimizerConfig:
     """Adam + decoupled weight decay + warm-up/cosine learning-rate schedule.
 
-    Defaults: peak LR 2e-4, warm-up over the first 5% of total_steps
-    starting at peak/125, cosine decay to zero afterwards, weight decay
-    0.01 on weight matrices only.
+    Defaults: peak LR 2e-4, warm-up over the first 5% of total_steps (a
+    whole number >= 1) starting at peak/125, cosine decay to zero
+    afterwards, weight decay 0.01 on weight matrices only.
     """
 
     total_steps: int
@@ -461,8 +474,7 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+        object.__setattr__(self, "total_steps", _whole("total_steps", self.total_steps, 1))
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
         for name in ("peak_lr", "warmup_start_factor", "eps"):
@@ -643,9 +655,10 @@ def load_checkpoint(path):
     """Rebuild (net, opt_state or None) from a checkpoint file.
 
     A file that does not match the layout :func:`save_checkpoint` writes
-    (bad magic, short or undecodable header, parameter names or shapes
-    other than the header's config implies, payload longer or shorter than
-    the header implies) raises :class:`ConfigError`.
+    (bad magic, short or undecodable header, a size or optimizer step that
+    is not a whole number, parameter names or shapes other than the header's
+    config implies, payload longer or shorter than the header implies)
+    raises :class:`ConfigError`.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -659,7 +672,7 @@ def load_checkpoint(path):
             opt_config, step = None, 0
             if header["has_opt"]:
                 oh = dict(header["opt"])
-                step = oh.pop("step")
+                step = _whole("step", oh.pop("step"), 0)
                 opt_config = OptimizerConfig(**oh)
         except (struct.error, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from exc

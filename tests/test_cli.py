@@ -558,13 +558,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [("beta1", float("nan")), ("beta2", 2.0),
                                             ("eps", float("nan")),
-                                            ("warmup_start_factor", float("nan"))])
+                                            ("warmup_start_factor", float("nan")),
+                                            ("step", -5), ("step", 2.5)])
     def test_resume_from_bad_moment_header_is_config_error(self, tmp_path, capsys, key,
                                                           value):
         """An optimizer record with a beta outside [0, 1), or a non-finite
         eps or warm-up start factor, is a malformed header: ``train
         --resume`` exits 2 with nothing written (it used to train a step into
-        non-finite parameters and exit 0)."""
+        non-finite parameters and exit 0). So is a step that is not a whole
+        number >= 0 (-5 used to exit 1 on a ZeroDivisionError, 2.5 to exit 0)."""
         cfg = self.write_cfg(tmp_path)
         leg1 = tmp_path / "leg1.bin"
         assert main(["train", "--out", str(leg1), "--iterations", "2",

@@ -8,6 +8,7 @@ differences of the full batched DSM objective with the randomness frozen
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -382,7 +383,7 @@ class TestScalarSigma:
 
 class TestInferencePrelu:
     """The inference PReLU, max(x * a, x), against the np.where form on value
-    and sign bit, and the slopes that must fall back to the slope multiply."""
+    and sign bit, and the slopes that must fall back to that select."""
 
     SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324]
 
@@ -395,25 +396,23 @@ class TestInferencePrelu:
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("bad", [0.0, -0.3, 1.7, np.nan])
-    def test_other_slopes_take_the_slope_multiply(self, bad, monkeypatch):
-        calls = []
-        prelu = scorenet._prelu
-        monkeypatch.setattr(scorenet, "_prelu", lambda x, a: calls.append(a) or prelu(x, a))
+    @pytest.mark.parametrize("bad", [0.0, -0.3, 1.7, np.nan, -0.0])
+    def test_other_slopes_take_the_slope_multiply(self, bad):
+        """The fallback is the select itself: the training PReLU's slope
+        multiply turns a NaN slope into NaN for positive x and a -0.0 slope
+        into +0.0."""
         x = np.random.default_rng(8).standard_normal((16, 3))
         x[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
         a = np.array([0.25, bad, 0.5])
-        got = _prelu_inference(x, a)
-        assert len(calls) == 1
-        assert got.tobytes() == prelu(x, a)[0].tobytes()
+        assert _prelu_inference(x, a).tobytes() == reference_prelu(x, a).tobytes()
 
 
-def slopes_in_unit_interval_net():
+def slopes_in_unit_interval_net(hidden=(64, 64)):
     """A dim_c = 1 network of the default size with random weights and every
     PReLU slope in (0, 1] (one of them exactly 1): the inference PReLU's
     fast path."""
     rng = np.random.default_rng(21)
-    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1), np.random.default_rng(1))
+    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=hidden), np.random.default_rng(1))
     randomize(net, rng, scale=0.1)
     for name, a in net.parameters().items():
         if name.endswith(".a"):
@@ -422,12 +421,22 @@ def slopes_in_unit_interval_net():
     return net
 
 
-def frozen_digest_net():
+def frozen_digest_net(hidden=(64, 64)):
     """The network of test_enhance_digests: every parameter drawn from
     N(0, 0.1^2), so some slopes are negative and take the fallback."""
-    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1), np.random.default_rng(0))
+    net = ScoreNet(ScoreNetConfig(dim_x=1, dim_c=1, hidden=hidden), np.random.default_rng(0))
     net.flat[...] = 0.1 * np.random.default_rng(20_221_007).standard_normal(net.flat.size)
     return net
+
+
+def one_hidden_layer_net():
+    """:func:`slopes_in_unit_interval_net` with one hidden layer."""
+    return slopes_in_unit_interval_net(hidden=(64,))
+
+
+def three_hidden_layer_net():
+    """:func:`frozen_digest_net`'s draw with three hidden layers of uneven width."""
+    return frozen_digest_net(hidden=(48, 64, 32))
 
 
 class TestInferenceBlocks:
@@ -437,12 +446,13 @@ class TestInferenceBlocks:
 
     B = _BLOCK_ROWS
 
-    @pytest.mark.parametrize("make_net", [slopes_in_unit_interval_net, frozen_digest_net])
+    @pytest.mark.parametrize("make_net", [slopes_in_unit_interval_net, frozen_digest_net,
+                                          one_hidden_layer_net, three_hidden_layer_net])
     @pytest.mark.parametrize("n", [1, B - 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 16_000])
     def test_blocks_equal_one_training_formula_call(self, make_net, n, monkeypatch):
         net = make_net()
         slopes = [a for name, a in net.mlp.params.items() if name.endswith(".a")]
-        fast = make_net is slopes_in_unit_interval_net
+        fast = make_net in (slopes_in_unit_interval_net, one_hidden_layer_net)
         assert all(np.all((a > 0) & (a <= 1)) for a in slopes) == fast
         rng = np.random.default_rng(n)
         x, c = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
@@ -463,6 +473,26 @@ class TestInferenceBlocks:
             assert sum(blocks) == n
             assert len(blocks) == max(1, n // self.B)
             assert len(blocks) == 1 or all(self.B <= b < 2 * self.B for b in blocks)
+
+    @pytest.mark.parametrize("sigma", [0.3, np.geomspace(1e-3, 50.0, 256)], ids=["scalar", "256"])
+    @pytest.mark.parametrize("unit_slopes", [True, False], ids=["unit_slopes", "other_slopes"])
+    @pytest.mark.parametrize("n_pairs, embed_dim", [(32, 256), (3, 5)])
+    def test_embedding_without_cache_equals_training_formula(self, n_pairs, embed_dim,
+                                                             unit_slopes, sigma):
+        """The sigma embedding runs the same layer stack: without a cache
+        (inference PReLU) it gives the bits of the cached training formula."""
+        rng = np.random.default_rng(embed_dim)
+        emb = SigmaEmbedding(n_pairs, embed_dim, np.random.default_rng(9))
+        for name, p in emb.params.items():
+            p += 0.3 * rng.standard_normal(p.shape)
+            if name.endswith(".a") and unit_slopes:
+                p[...] = rng.uniform(0.05, 1.0, p.shape)
+                p[0] = 1.0
+        slopes = [a for name, a in emb.params.items() if name.endswith(".a")]
+        assert all(np.all((a > 0) & (a <= 1)) for a in slopes) == unit_slopes
+        got, want = emb.forward(sigma), emb.forward(sigma, {})
+        assert got.shape == want.shape == np.shape(sigma) + (embed_dim,)
+        assert got.tobytes() == want.tobytes()
 
     def test_shared_conditioning_row_is_broadcast_in_every_block(self):
         net = slopes_in_unit_interval_net()
@@ -882,6 +912,43 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(with_header("inf.ckpt", header.replace(b'"hidden": [4]',
                                                                    b'"hidden": [Infinity]')))
+
+    def _with_entry(self, tmp_path, record, key, value):
+        """A saved checkpoint whose header record ("config" or "opt") has
+        ``key`` set to ``value``."""
+        blob = self._saved(tmp_path, True)
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header[record][key] = value
+        text = json.dumps(header).encode()
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        return path
+
+    @pytest.mark.parametrize("key, value", [("step", "x"), ("step", None), ("step", -5),
+                                            ("step", 2.5), ("step", True), ("step", 10**400),
+                                            ("total_steps", 2.5), ("total_steps", True)])
+    def test_rejects_optimizer_count_that_is_not_a_whole_number(self, tmp_path, key, value):
+        """The Adam step must be a whole number >= 0 and total_steps one >= 1,
+        both at most 2**53: a string or null used to escape as a TypeError at
+        the first update, -5 as a ZeroDivisionError, 10**400 as an
+        OverflowError, and 2.5 or true trained on."""
+        with pytest.raises(ConfigError, match=f"{key} must be a whole number"):
+            load_checkpoint(self._with_entry(tmp_path, "opt", key, value))
+
+    @pytest.mark.parametrize("key", ["step", "total_steps"])
+    def test_optimizer_counts_written_as_floats(self, tmp_path, key):
+        _, state = load_checkpoint(self._with_entry(tmp_path, "opt", key, 3.0))
+        value = state.step if key == "step" else state.config.total_steps
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize("key, value", [("n_pairs", 2.5), ("embed_dim", 3.9),
+                                            ("hidden", [4.5]), ("dim_x", 1.5)])
+    def test_rejects_size_that_is_not_a_whole_number(self, tmp_path, key, value):
+        """A size such as 2.5 used to be truncated to 2, and the file loaded
+        whenever the truncated network matched its payload."""
+        with pytest.raises(ConfigError, match="must be a whole number"):
+            load_checkpoint(self._with_entry(tmp_path, "config", key, value))
 
     def test_rejects_short_or_undecodable_header(self, tmp_path):
         blob = self._saved(tmp_path, True)
