@@ -576,7 +576,9 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 # Every command runs as COMMANDS[name](args, cfg, seed, jobs); only distort
-# and eval fan out, the others leave jobs unused.
+# and eval fan out, the others leave jobs unused. The sampler's noise helper
+# thread (diffusion.langevin_sample) is not a fan-out: it does work the
+# calling thread would have done, whatever jobs is.
 COMMANDS = {
     "distort": cmd_distort,
     "train": cmd_train,

@@ -14,7 +14,10 @@ Langevin recursion over a :class:`~scorewave.schedule.SamplingPlan`
 
 for n = N..2, followed by a final noise-free empirical denoising step
 x + sigma_0^2 * S(x, c, sigma_0), the only step at N = 1. Averaging over
-realizations is left to the caller (``cli._enhance_samples``).
+realizations is left to the caller (``cli._enhance_samples``). The noise
+z_n depends only on the rng stream, so the sampler draws it in blocks of
+whole steps, the next block on a helper thread while the calling thread
+evaluates the score; the blocks hold the per-step draws' values in order.
 
 Score functions are plain callables ``(x, c, sigma) -> score`` returning an
 array of x's shape (the sampler raises SamplingError otherwise). ``sigma`` is
@@ -26,6 +29,9 @@ All stochastic operations are pure functions of (inputs, rng state).
 """
 
 from __future__ import annotations
+
+import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -90,6 +96,29 @@ def denoise_final(score_fn, x, c, sigma0: float):
     return x + sigma0**2 * _score(score_fn, x, c, sigma0)
 
 
+# Noise values per block: a block holds max(1, ceil(NOISE_BLOCK / values per
+# step)) whole steps, so small iterates hand off once per block, not per step.
+NOISE_BLOCK = 16_384
+
+
+def _noise(rng: np.random.Generator, shape: tuple, n_steps: int, helper: ThreadPoolExecutor):
+    """The next n_steps draws rng.standard_normal(shape), in stream order,
+    as views into two (k, *shape) buffers of k whole steps each. The caller
+    draws the first block; ``helper`` draws block b + 1 while the caller
+    uses block b. A view is valid until the caller asks for the next one."""
+    k = min(n_steps, -(-NOISE_BLOCK // max(1, math.prod(shape))))
+    bufs = np.empty((2, k, *shape))
+    rng.standard_normal(out=bufs[0])
+    for b, start in enumerate(range(0, n_steps, k)):
+        ahead = None
+        if start + k < n_steps:
+            nxt = bufs[(b + 1) % 2, :min(k, n_steps - start - k)]
+            ahead = helper.submit(rng.standard_normal, out=nxt)
+        yield from bufs[b % 2, :min(k, n_steps - start)]
+        if ahead is not None:
+            ahead.result()
+
+
 def langevin_sample(
     score_fn,
     c,
@@ -107,24 +136,35 @@ def langevin_sample(
     plan's beta is exactly zero the per-step noise draw is skipped, so the
     deterministic path consumes no extra RNG state.
 
-    The iterate is updated in place and the noise is drawn into one reused
-    buffer (the same stream and the same bits as fresh arrays), so a score
-    function must not keep a reference to the x it is given between calls.
+    The iterate is updated in place, so a score function must not keep a
+    reference to the x it is given between calls. The step noise is drawn
+    in blocks of max(1, ceil(NOISE_BLOCK / x.size)) whole steps into two
+    reused buffers: the first block on the calling thread, each next one on
+    a helper thread while the current block's steps run; a call whose noise
+    fits in one block starts no thread, and none outlives the call. The
+    values are the per-step draws', so the output bits and the rng state
+    after a return do not depend on thread timing. The rng belongs to the
+    sampler for the call's duration; after an exception its state may be
+    up to one block ahead of the step that raised.
     """
     shape = (dim,) if n_samples is None else (int(n_samples), dim)
     sigmas = plan.sigmas
     x = sigmas[-1] * rng.standard_normal(shape)
-    z = np.empty(shape) if plan.beta != 0.0 else None
-    for i in range(len(sigmas) - 1, 0, -1):
-        sig_n = sigmas[i]
-        s = _score(score_fn, x, c, sig_n)
-        x += plan.eta * sig_n**2 * s
-        if z is not None:
-            rng.standard_normal(out=z)
-            z *= plan.beta * sigmas[i - 1]
-            x += z
-        if not np.all(np.isfinite(x)):
-            raise SamplingError(f"non-finite iterate at step n={i + 1} (sigma={sig_n:.6g})")
+    drift = np.empty(shape)
+    n_noisy = len(sigmas) - 1 if plan.beta != 0.0 else 0
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        noise = _noise(rng, shape, n_noisy, helper) if n_noisy else None
+        for i in range(len(sigmas) - 1, 0, -1):
+            sig_n = sigmas[i]
+            s = _score(score_fn, x, c, sig_n)
+            np.multiply(s, plan.eta * sig_n**2, out=drift)  # never into s: it may be x
+            x += drift
+            if noise is not None:
+                z = next(noise)
+                z *= plan.beta * sigmas[i - 1]
+                x += z
+            if not np.all(np.isfinite(x)):
+                raise SamplingError(f"non-finite iterate at step n={i + 1} (sigma={sig_n:.6g})")
     out = denoise_final(score_fn, x, c, sigmas[0])
     if not np.all(np.isfinite(out)):
         raise SamplingError(f"non-finite iterate at final denoising step (sigma={sigmas[0]:.6g})")

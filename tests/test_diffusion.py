@@ -12,13 +12,17 @@ estimator's standard error. The Gaussian closed forms used as references:
 
 from __future__ import annotations
 
+import re
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from scorewave import GmmPrior, NoiseSchedule, NumericError, SamplingError, langevin_sample, make_plan
-from scorewave.cli import EXIT_CONFIG, _enhance_samples, main
-from scorewave.diffusion import denoise_final, dsm_loss_batch, perturb
+from scorewave.cli import (EXIT_CONFIG, EXIT_OK, _enhance_samples, _prior_from, _schedule_from,
+                           load_config, main)
+from scorewave.diffusion import NOISE_BLOCK, denoise_final, dsm_loss_batch, perturb
 from scorewave.oracle import posterior_prior, posterior_score, score_function
 from scorewave.oracle import sample as sample_prior
 from scorewave.scorenet import ScoreNet, ScoreNetConfig
@@ -347,9 +351,101 @@ class TestInPlaceStepBits:
         plan = make_plan(NoiseSchedule(), 24, epsilon)
         assert (plan.beta == 0.0) == (epsilon == 1.0)
         score_fn, c = sampler_score(kind, n_samples)
-        got = langevin_sample(score_fn, c, plan, 1, np.random.default_rng(7), n_samples)
-        want = reference_langevin_sample(score_fn, c, plan, 1, np.random.default_rng(7),
-                                          n_samples)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = langevin_sample(score_fn, c, plan, 1, rng, n_samples)
+        want = reference_langevin_sample(score_fn, c, plan, 1, ref_rng, n_samples)
         assert got.shape == want.shape
         assert np.all(np.isfinite(got)) and np.any(got != 0.0)
         assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def gaussian_score(x, c, sigma):
+    """The exact score of N(0, 1) data at noise level sigma, for any shape."""
+    return -x / (1.0 + sigma**2)
+
+
+class TestNoiseBlocks:
+    """The step noise is drawn in blocks of whole steps, the next block on a
+    helper thread: the same stream, bits and rng state as one draw per step,
+    and no thread left behind."""
+
+    @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 24, 25])
+    @pytest.mark.parametrize("n_samples", [None, 0, 1, 4096, NOISE_BLOCK + 1, 3 * NOISE_BLOCK])
+    def test_stream_and_bits_across_block_edges(self, n_samples, n_steps, epsilon):
+        """Odd and even counts of noisy steps end on either buffer; at
+        beta = 0 only the initial draw is consumed; 0 rows give (0, 1)."""
+        plan = make_plan(NoiseSchedule(), n_steps, epsilon)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = langevin_sample(gaussian_score, None, plan, 1, rng, n_samples)
+        want = reference_langevin_sample(gaussian_score, None, plan, 1, ref_rng, n_samples)
+        assert got.shape == want.shape == ((1,) if n_samples is None else (n_samples, 1))
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sample_prior_writes_the_reference_bytes(self, tmp_path):
+        """20,000 rows: more than one block's values per step."""
+        out = tmp_path / "draws.txt"
+        assert main(["sample-prior", "--n", "20000", "--method", "langevin", "--out", str(out),
+                     "--seed", "23"]) == EXIT_OK
+        cfg = load_config(None)
+        prior = _prior_from(cfg)
+        plan = make_plan(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
+        want = reference_langevin_sample(score_function(prior), None, plan, prior.dim,
+                                         np.random.default_rng(23), 20000)
+        np.savetxt(tmp_path / "want.txt", want, fmt="%.17g")
+        assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def counting(self, score_fn, seen):
+        """score_fn that appends the live thread count to ``seen`` per call."""
+        def score(x, c, sigma):
+            seen.append(threading.active_count())
+            return score_fn(x, c, sigma)
+        return score
+
+    def test_normal_return_leaves_no_thread(self):
+        before, seen = threading.active_count(), []
+        langevin_sample(self.counting(gaussian_score, seen), None,
+                        make_plan(NoiseSchedule(), 8, 1.5), 1, np.random.default_rng(0),
+                        NOISE_BLOCK)
+        assert max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_noise_in_one_block_starts_no_thread(self):
+        """16 rows at N = 64, the shape of the enhance set-up probe."""
+        before, seen = threading.active_count(), []
+        langevin_sample(self.counting(gaussian_score, seen), None,
+                        make_plan(NoiseSchedule(), 64, 1.5), 1, np.random.default_rng(0), 16)
+        assert len(seen) == 64 and set(seen) == {before}
+        assert threading.active_count() == before
+
+    def test_sampling_error_mid_call_leaves_no_thread(self):
+        plan = make_plan(NoiseSchedule(), 64, 1.5)
+        cut = plan.sigmas[10]
+
+        def nan_below(x, c, sigma):
+            return np.full_like(x, np.nan) if sigma <= cut else gaussian_score(x, c, sigma)
+
+        before, seen = threading.active_count(), []
+        message = f"non-finite iterate at step n=11 (sigma={cut:.6g})"
+        with pytest.raises(SamplingError, match=f"^{re.escape(message)}$"):
+            langevin_sample(self.counting(nan_below, seen), None, plan, 1,
+                            np.random.default_rng(0), NOISE_BLOCK)
+        assert len(seen) == 54 and max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_raising_score_leaves_no_thread(self):
+        plan = make_plan(NoiseSchedule(), 64, 1.5)
+
+        def raise_below(x, c, sigma):
+            if sigma <= plan.sigmas[30]:
+                raise ValueError(f"no score at sigma={sigma}")
+            return gaussian_score(x, c, sigma)
+
+        before, seen = threading.active_count(), []
+        with pytest.raises(ValueError, match=f"^{re.escape(f'no score at sigma={plan.sigmas[30]}')}$"):
+            langevin_sample(self.counting(raise_below, seen), None, plan, 1,
+                            np.random.default_rng(0), NOISE_BLOCK)
+        assert len(seen) == 34 and max(seen) == before + 1
+        assert threading.active_count() == before
