@@ -20,10 +20,11 @@ files; commands that measure wall time stay sequential).
 
 Every command echoes its fully-resolved configuration and seed as the
 first line of its JSON-lines log, so any output can be replayed from its
-log alone. Every command creates the parent directory of each output it
-names before any work, so an output that cannot be placed exits 3 with
-nothing written; a run that does not exit 0 removes the directories it
-made, if they are still empty.
+log alone. Every command creates the directory of each output it names
+(the parent of an output file, distort's out_dir itself) before any work,
+so an output that cannot be placed exits 3 with nothing written; a run
+that does not exit 0 removes the directories it made, if they are still
+empty.
 
 Exit codes: 0 success; 2 configuration error; 3 I/O error (including
 per-file distortion failures); 4 numeric failure (non-finite loss or
@@ -36,6 +37,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 import threading
@@ -144,8 +146,8 @@ CONFIG_KEYS = {
 
 
 def _read_lines(path, error, what: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) of each line that is neither blank nor a
-    # comment; a file that cannot be read or decoded raises ``error``."""
+    """(line number, stripped line) of each line that is neither blank nor
+    a ``#`` comment; a file that cannot be read or decoded raises ``error``."""
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -236,16 +238,17 @@ def _library_versions() -> tuple[tuple[str, str], ...]:
     return tuple((name, metadata.version(name)) for name in ("numpy", "scipy"))
 
 
-def _make_parents(paths, created: list) -> None:
-    """Create the parent directory of every output path given (None skipped),
-    appending each directory made to ``created``, outermost first. Run
+def _make_parents(args, created: list) -> None:
+    """Create the directory of every output that ``args.outputs`` names (None
+    skipped): an ``*_dir`` output itself, else the output file's parent.
+    Each directory made is appended to ``created``, outermost first. Run
     before a command does any work, so an output that cannot be placed (its
     parent is a regular file, say) exits 3 with nothing written."""
-    for path in paths:
-        if path:
-            parent = Path(path).parent
-            missing = [d for d in (parent, *parent.parents) if not d.exists()]
-            parent.mkdir(parents=True, exist_ok=True)
+    for name in args.outputs:
+        if path := getattr(args, name):
+            directory = Path(path) if name.endswith("_dir") else Path(path).parent
+            missing = [d for d in (directory, *directory.parents) if not d.exists()]
+            directory.mkdir(parents=True, exist_ok=True)
             created.extend(reversed(missing))
 
 
@@ -316,10 +319,9 @@ def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.nd
 
 def cmd_distort(args, cfg: dict, seed: int, jobs: int) -> int:
     base_cfg = _chain_config_from(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = Path(args.log) if args.log else out_dir / "distort_log.jsonl"
     manifest = _read_manifest(args.manifest)
+    out_dir = Path(args.out_dir)  # made by main, like every output's directory
+    log_path = Path(args.log) if args.log else out_dir / "distort_log.jsonl"
 
     chain_cfg_cache: dict[int, ChainConfig] = {}
     cache_lock = threading.Lock()
@@ -391,6 +393,16 @@ def _corpus_sampler(manifest_path: str):
     return draw
 
 
+def _sidecar(checkpoint) -> Path:
+    """The checkpoint's resume state: JSON of its sha256 and the data stream's
+    PCG64 state, so ``--resume`` takes no other checkpoint's stream."""
+    return Path(str(checkpoint) + ".rng.json")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
     iterations = cfg["train.iterations"] if args.iterations is None else args.iterations
     if iterations < 0:
@@ -405,11 +417,13 @@ def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
         if opt_state is None:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
         opt_config = opt_state.config
-        rng_state_path = Path(args.resume).with_suffix(Path(args.resume).suffix + ".rng.json")
         try:
-            rng.bit_generator.state = json.loads(rng_state_path.read_text())
+            saved = json.loads(_sidecar(args.resume).read_text())
+            named, rng.bit_generator.state = saved["checkpoint_sha256"], saved["state"]
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"missing or malformed rng sidecar for resume: {exc!r}") from exc
+        if named != _sha256(args.resume):
+            raise ConfigError(f"the rng sidecar of {args.resume} belongs to another checkpoint")
     else:
         net = ScoreNet(
             ScoreNetConfig(
@@ -441,9 +455,8 @@ def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
 
     out = Path(args.out)
     save_checkpoint(out, net, net.opt_state)
-    rng_sidecar = out.with_suffix(out.suffix + ".rng.json")
-    with replacing(rng_sidecar, "w") as fh:
-        fh.write(json.dumps(rng.bit_generator.state))
+    with replacing(_sidecar(out), "w") as fh:
+        fh.write(json.dumps({"checkpoint_sha256": _sha256(out), "state": rng.bit_generator.state}))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace.jsonl")
     _write_jsonl(trace_path, lines)
     print(f"train: {iterations} iteration(s); checkpoint: {out}; trace: {trace_path}")
@@ -618,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="text file: one input WAV path per line")
     p.add_argument("out_dir", help="directory for paired WAVs and the chain log")
     p.add_argument("--log", default=None, help="chain log path (default: out_dir/distort_log.jsonl)")
-    p.set_defaults(outputs=("log",))
+    p.set_defaults(outputs=("log", "out_dir"))
 
     p = sub.add_parser("train", parents=[common], help="train the toy score network")
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -681,7 +694,7 @@ def main(argv=None) -> int:
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-        _make_parents((getattr(args, name) for name in args.outputs), created)
+        _make_parents(args, created)
         code = COMMANDS[args.command](args, cfg, seed, jobs)
     except ConfigError as exc:
         print(f"scorewave: config error: {exc}", file=sys.stderr)

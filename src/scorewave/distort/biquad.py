@@ -1,9 +1,11 @@
 """Audio-cookbook biquad sections used by the distortion primitives.
 
 Each design function returns (b, a) coefficient arrays (a normalized so
-a[0] = 1) for the standard second-order recursion; poles stay inside the
-unit circle for every parameter a design accepts (q > 0, 0 < f0 <
-Nyquist, |r| < 1), which the stability tests sweep. The appliers in
+a[0] = 1) for the standard second-order recursion. The low pass, high
+pass, band pass and notch share one cookbook section (:func:`_cookbook`)
+and pass only their numerators. Poles stay inside the unit circle for
+every parameter a design accepts (q > 0, 0 < f0 < Nyquist, |r| < 1),
+which the stability tests sweep. The appliers in
 :mod:`.primitives` do not design a section at or above Nyquist.
 """
 
@@ -14,56 +16,44 @@ import numpy as np
 from ..errors import ConfigError
 
 
-def _check(f0: float, rate: int, q: float = 1.0) -> None:
+def _wa(f0: float, rate: int, q: float = 1.0):
+    """(w0, alpha) of a section at f0 with quality q, both checked first."""
     if not 0.0 < f0 < rate / 2.0:
         raise ConfigError(f"center frequency {f0} outside (0, {rate / 2})")
     if not q > 0.0:
         raise ConfigError(f"q must be > 0, got {q}")
-
-
-def _wa(f0: float, rate: int, q: float):
     w0 = 2.0 * np.pi * f0 / rate
     return w0, np.sin(w0) / (2.0 * q)
 
 
-def low_pass(f0: float, q: float, rate: int):
-    _check(f0, rate, q)
+def _cookbook(f0: float, q: float, rate: int, numerator):
+    """The section numerator(cos w0, alpha) over the cookbook's common
+    denominator (1 + alpha, -2 cos w0, 1 - alpha), normalized by a[0]."""
     w0, alpha = _wa(f0, rate, q)
     c = np.cos(w0)
-    b = np.array([(1 - c) / 2, 1 - c, (1 - c) / 2])
+    b = np.array(numerator(c, alpha))
     a = np.array([1 + alpha, -2 * c, 1 - alpha])
     return b / a[0], a / a[0]
+
+
+def low_pass(f0: float, q: float, rate: int):
+    return _cookbook(f0, q, rate, lambda c, alpha: [(1 - c) / 2, 1 - c, (1 - c) / 2])
 
 
 def high_pass(f0: float, q: float, rate: int):
-    _check(f0, rate, q)
-    w0, alpha = _wa(f0, rate, q)
-    c = np.cos(w0)
-    b = np.array([(1 + c) / 2, -(1 + c), (1 + c) / 2])
-    a = np.array([1 + alpha, -2 * c, 1 - alpha])
-    return b / a[0], a / a[0]
+    return _cookbook(f0, q, rate, lambda c, alpha: [(1 + c) / 2, -(1 + c), (1 + c) / 2])
 
 
 def band_pass(f0: float, q: float, rate: int):
     """Constant 0 dB peak-gain band pass."""
-    _check(f0, rate, q)
-    w0, alpha = _wa(f0, rate, q)
-    b = np.array([alpha, 0.0, -alpha])
-    a = np.array([1 + alpha, -2 * np.cos(w0), 1 - alpha])
-    return b / a[0], a / a[0]
+    return _cookbook(f0, q, rate, lambda c, alpha: [alpha, 0.0, -alpha])
 
 
 def notch(f0: float, q: float, rate: int):
-    _check(f0, rate, q)
-    w0, alpha = _wa(f0, rate, q)
-    c = np.cos(w0)
-    b = np.array([1.0, -2 * c, 1.0])
-    a = np.array([1 + alpha, -2 * c, 1 - alpha])
-    return b / a[0], a / a[0]
+    return _cookbook(f0, q, rate, lambda c, alpha: [1.0, -2 * c, 1.0])
 
 
 def peaking(f0: float, q: float, gain_db: float, rate: int):
-    _check(f0, rate, q)
     w0, alpha = _wa(f0, rate, q)
     big_a = 10.0 ** (gain_db / 40.0)
     c = np.cos(w0)
@@ -75,7 +65,6 @@ def peaking(f0: float, q: float, gain_db: float, rate: int):
 def _shelf(f0: float, gain_db: float, rate: int, q: float, sign: int):
     """The low shelf for sign 1; sign -1 negates cos(w0) and the two middle
     coefficients, which is exactly the cookbook's high shelf, bit for bit."""
-    _check(f0, rate, q)
     w0, alpha = _wa(f0, rate, q)
     big_a = 10.0 ** (gain_db / 40.0)
     c = sign * np.cos(w0)
@@ -100,10 +89,9 @@ def high_shelf(f0: float, gain_db: float, rate: int, q: float = 1.0 / np.sqrt(2.
 def two_pole(f0: float, r: float, rate: int):
     """Resonant two-pole 1 / (1 - 2 r cos(w0) z^-1 + r^2 z^-2), scaled so the
     peak gain at the resonance is 1."""
-    _check(f0, rate)
+    w0, _ = _wa(f0, rate)
     if not 0.0 < r < 1.0:
         raise ConfigError(f"pole radius must be in (0, 1), got {r}")
-    w0 = 2.0 * np.pi * f0 / rate
     a = np.array([1.0, -2.0 * r * np.cos(w0), r * r])
     peak = 1.0 / abs(np.polyval(a[::-1], np.exp(-1j * w0)))
     return np.array([1.0 / peak]), a

@@ -11,7 +11,8 @@ log-likelihood is evaluated in log space with max-subtracted log-sum-exp;
 its gradients w.r.t. logits, means, and log-scales are closed-form in the
 posterior responsibilities and are verified against finite differences in
 the test suite. :func:`fit_mdn` fits one static head to data rows by
-full-batch Adam on the mean NLL.
+full-batch Adam on the mean NLL. Its targets take the oracle's row rule
+and its samples the oracle's ancestral draw.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .oracle import _logsumexp
+from .oracle import _draw, _logsumexp, _points
 from .scorenet import OptimizerConfig, adam_step, flatten, init_optimizer, pack
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -81,17 +82,6 @@ class MdnParams:
         return np.exp(self.log_scales)
 
 
-def _as_targets(params: MdnParams, y) -> np.ndarray:
-    """Coerce y to (..., d), promoting the missing last axis when d = 1."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1:] != (params.d,):
-        if params.d == 1:
-            y = y[..., None]
-        else:
-            raise ConfigError(f"y last axis must be {params.d}, got shape {y.shape}")
-    return y
-
-
 def _component_log_joint(params: MdnParams, y: np.ndarray):
     """log alpha_i + log N(y; m_i, diag s_i^2) per component.
 
@@ -116,7 +106,7 @@ def mdn_nll(params: MdnParams, y):
     axis may be omitted. Log-sum-exp keeps the evaluation finite wherever
     the inputs are.
     """
-    y = _as_targets(params, y)
+    y = _points(y, params.d, "y")
     log_joint, _ = _component_log_joint(params, y)
     out = -_logsumexp(log_joint)
     return float(out) if out.ndim == 0 else out
@@ -139,7 +129,7 @@ def mdn_nll_grads(params: MdnParams, y):
     each averaged over the batch. Returns (loss, grads) with grads keyed
     "logits" / "means" / "log_scales".
     """
-    y = _as_targets(params, y)
+    y = _points(y, params.d, "y")
     batch_shape = y.shape[:-1]
     n = int(np.prod(batch_shape)) if batch_shape else 1
     log_joint, zscore = _component_log_joint(params, y)
@@ -169,9 +159,7 @@ def mdn_sample(params: MdnParams, rng: np.random.Generator, n: int | None = None
 
     Returns (d,) for n=None, else (n, d).
     """
-    size = 1 if n is None else int(n)
-    comp = rng.choice(params.k, size=size, p=params.alpha)
-    out = params.means[comp] + params.scales[comp] * rng.standard_normal((size, params.d))
+    out = _draw(params.alpha, params.means, params.scales, 1 if n is None else int(n), rng)
     return out[0] if n is None else out
 
 

@@ -10,7 +10,8 @@ with posterior responsibilities r_i computed via log-sum-exp. This is the
 ground-truth score function used to validate the sampler, the loss, and
 trained networks. Only diagonal (isotropic per component), low-dimensional
 mixtures are supported; that is enough to exercise every sampler and loss
-path while keeping quadrature oracles exact.
+path while keeping quadrature oracles exact. The mixture heads of
+:mod:`.mdn` share its input rule (:func:`_points`) and draw (:func:`_draw`).
 
 It is also the score of oracle-mode enhancement, called once per sigma step
 on every sample of a clip. The shared helpers :func:`_log_terms` and
@@ -85,6 +86,17 @@ class GmmPrior:
         return self.means.shape[1]
 
 
+def _points(x, d: int, name: str) -> np.ndarray:
+    """x as float64 with last axis d, which for d = 1 may be omitted; any
+    other last axis raises :class:`ConfigError` naming x by ``name``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != (d,):
+        if d != 1:
+            raise ConfigError(f"{name} last axis must be {d}, got shape {x.shape}")
+        x = x[..., None]
+    return x
+
+
 def _log_terms(log_weights, means, variances, x, sigma):
     """Per-component log w_i + log N(x; mu_i, (v_i + sigma^2) I), shaped (..., k).
 
@@ -94,12 +106,8 @@ def _log_terms(log_weights, means, variances, x, sigma):
     shaped (..., k, d). log_terms is a new array (for a scalar sigma, the
     squared distances' own buffer), which :func:`_mixture_score` consumes.
     """
-    x = np.asarray(x, dtype=np.float64)
     d = means.shape[-1]
-    if x.shape[-1:] != (d,):
-        if d != 1:
-            raise ConfigError(f"x last axis must be {d}, got shape {x.shape}")
-        x = x[..., None]
+    x = _points(x, d, "x")
     pvar = variances + np.asarray(sigma, dtype=np.float64)[..., None] ** 2
     norm = log_weights - 0.5 * d * np.log(2.0 * np.pi * pvar)
     diff = x[..., None, :] - means
@@ -155,11 +163,16 @@ def perturbed_score(prior: GmmPrior, x, sigma=0.0):
     return float(score) if score.ndim == 0 else score
 
 
+def _draw(weights, means, stds, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n ancestral draws, (n, d): components by one ``rng.choice`` over
+    weights, then means + stds * one ``rng.standard_normal`` block."""
+    comp = rng.choice(len(weights), size=n, p=weights)
+    return means[comp] + stds[comp] * rng.standard_normal((n, means.shape[1]))
+
+
 def sample(prior: GmmPrior, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points from the (unperturbed) mixture; returns (n, d)."""
-    comp = rng.choice(prior.k, size=n, p=prior.weights)
-    std = np.sqrt(prior.variances[comp])[:, None]
-    return prior.means[comp] + std * rng.standard_normal((n, prior.dim))
+    return _draw(prior.weights, prior.means, np.sqrt(prior.variances)[:, None], n, rng)
 
 
 def score_function(prior: GmmPrior):

@@ -30,11 +30,10 @@ decay from the peak learning rate of 2e-4.
 Parameters live in one float64 vector, ``ScoreNet.flat``, in sorted-name
 order; layers hold views into it, and one in-place Adam update trains all.
 Each backward pass writes its gradients into one fresh vector of the same
-layout (:class:`Gradients`), which Adam takes as it is. PReLU multiplies by
-a cached slope array (exactly 1 or a) instead of selecting with
-``np.where``: a select on a random sign pattern costs its branch
-mispredictions, the multiply gives the same bits. Outside training FiLM
-runs in place and no PReLU keeps a slope array (:func:`_prelu_inference`).
+layout (:class:`Gradients`), which Adam takes as it is. One PReLU formula
+(:func:`_prelu`) serves training and inference, so both give the same bits
+for every slope; backward rebuilds the slope from the cached activation.
+Outside training FiLM runs in place.
 """
 
 from __future__ import annotations
@@ -62,36 +61,30 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, arr.shape[-1])
 
 
-def _prelu(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(PReLU(x), slope): slope is exactly 1 where x > 0 and a elsewhere, so
-    x * slope has the bits of ``np.where(x > 0, x, a * x)`` for finite slopes
-    other than -0.0; training stops at the non-finite loss a NaN slope gives."""
-    pos = (x > 0).astype(np.float64)
-    slope = np.subtract(1.0, pos)
-    slope *= a
-    slope += pos
-    return x * slope, slope
-
-
-def _prelu_inference(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """PReLU(x) without the slope array only backward needs. When every slope
-    lies in (0, 1], ``np.maximum(x * a, x)`` has the bits of ``np.where(x >
-    0, x, a * x)`` for every x, signed zeros, infinities and NaN included;
-    any other slope (negative, zero, above 1, NaN) takes that select."""
+def _prelu(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """PReLU(x), the bits of ``np.where(x > 0, x, a * x)``. When every slope
+    lies in (0, 1], ``np.maximum(x * a, x)`` has them for every x, signed
+    zeros, infinities and NaN included; any other slope (negative, zero,
+    above 1, NaN) takes that select."""
     if not np.all((a > 0.0) & (a <= 1.0)):
         return np.where(x > 0, x, a * x)
     out = x * a
     return np.maximum(out, x, out=out)
 
 
-def _prelu_backward(x: np.ndarray, slope: np.ndarray, dout: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. x; the slope gradient sum(dout * min(0, x)) goes into
-    ``da``. ``np.minimum(0.0, x)`` keeps the sign of a zero x, as the select
-    ``np.where(x > 0, 0.0, x)`` did."""
+def _prelu_backward(x: np.ndarray, a: np.ndarray, dout: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x: dout times a slope of 1 where x > 0 and a elsewhere,
+    multiplied, not selected (a select mispredicts on random signs). The
+    slope gradient sum(dout * min(0, x)) goes into ``da``; the min keeps the
+    sign of a zero x, as the select ``np.where(x > 0, 0.0, x)`` did."""
     neg = np.minimum(0.0, x)
     neg *= dout
     _rows(neg).sum(axis=0, out=da)
-    return dout * slope
+    pos = (x > 0).astype(np.float64)
+    slope = np.subtract(1.0, pos)
+    slope *= a
+    slope += pos
+    return np.multiply(slope, dout, out=slope)
 
 
 def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -166,11 +159,9 @@ def _layers_forward(p: dict[str, np.ndarray], n: int, h: np.ndarray, e: np.ndarr
             shift += p[f"l{i}.hb"]
             act = np.multiply(pre, gamma, out=pre if cache is None else None)
             act += shift
-        if cache is None:
-            h = _prelu_inference(act, p[f"l{i}.a"])
-        else:
-            h, slope = _prelu(act, p[f"l{i}.a"])
-            cache["layers"].append((pre, gamma, act, slope))
+        h = _prelu(act, p[f"l{i}.a"])
+        if cache is not None:
+            cache["layers"].append((pre, gamma, act))
             cache["inputs"].append(h)
     return h
 
@@ -183,8 +174,8 @@ def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndar
     e = cache["e"]
     d_e = None if e is None else np.zeros_like(e)
     for i in reversed(range(n)):
-        pre, gamma, act, slope = cache["layers"][i]
-        d_act = _prelu_backward(act, slope, d_h, grads[f"l{i}.a"])  # with FiLM, also d shift
+        pre, gamma, act = cache["layers"][i]
+        d_act = _prelu_backward(act, p[f"l{i}.a"], d_h, grads[f"l{i}.a"])  # with FiLM, also d shift
         d_pre = d_act
         if e is not None:
             d_gamma = d_act * pre

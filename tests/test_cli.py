@@ -260,6 +260,20 @@ class TestDistort:
         assert code == EXIT_IO
         assert "error" in read_lines(log)[1]
 
+    def test_missing_manifest_leaves_no_output_directory(self, tmp_path):
+        """A manifest that cannot be read exits 3 and leaves none of the
+        output directories the run made."""
+        code = main(["distort", str(tmp_path / "missing.txt"), str(tmp_path / "a" / "b" / "out")])
+        assert code == EXIT_IO
+        assert not (tmp_path / "a").exists()
+
+    def test_run_whose_files_all_fail_keeps_its_log(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{tmp_path}/absent.wav\n")
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["distort", str(manifest), str(out)]) == EXIT_IO
+        assert "error" in read_lines(out / "distort_log.jsonl")[1]
+
     def test_bad_distort_setting_is_config_error(self, tmp_path):
         """A bad distort.* value fails the command once, before any file is
         processed, rather than as a per-file I/O failure."""
@@ -443,6 +457,10 @@ class TestDistort:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# The sidecar's older form: a PCG64 state that names no checkpoint.
+BARE_STATE = json.dumps(np.random.default_rng(3).bit_generator.state).encode()
+
+
 class TestTrain:
     CFG = ("model.hidden = 16\nmodel.n_pairs = 4\nmodel.embed_dim = 16\n"
            "train.batch_size = 32\n")
@@ -506,8 +524,9 @@ class TestTrain:
                      "--resume", str(ckpt), "--config", cfg, "--seed", "1"])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("sidecar", [b"{bad", b'{"a": 1}', b"[1, 2]", b"\xff\xfe"],
-                             ids=["not_json", "not_pcg64", "not_a_dict", "not_utf8"])
+    @pytest.mark.parametrize("sidecar", [b"{bad", b'{"a": 1}', b"[1, 2]", b"\xff\xfe", BARE_STATE],
+                             ids=["not_json", "not_pcg64", "not_a_dict", "not_utf8",
+                                  "names_no_checkpoint"])
     def test_resume_with_malformed_rng_sidecar_is_config_error(self, tmp_path, sidecar):
         cfg = self.write_cfg(tmp_path)
         leg1 = tmp_path / "leg1.bin"
@@ -519,6 +538,35 @@ class TestTrain:
                      "--resume", str(leg1), "--config", cfg, "--seed", "3"])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_resume_refuses_another_runs_sidecar(self, tmp_path, monkeypatch, capsys):
+        """Run B fails writing its sidecar after its checkpoint replaced run
+        A's, so A's sidecar sits beside B's checkpoint: --resume exits 2 and
+        writes nothing instead of continuing B's network with A's stream."""
+        from scorewave import cli
+
+        cfg = self.write_cfg(tmp_path)
+        ckpt = tmp_path / "ck.bin"
+        assert main(["train", "--out", str(ckpt), "--iterations", "2",
+                     "--config", cfg, "--seed", "1"]) == EXIT_OK
+        replacing = cli.replacing
+
+        def failing_sidecar(path, *args):
+            if str(path).endswith(".rng.json"):
+                raise OSError(f"injected: cannot write {path}")
+            return replacing(path, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "replacing", failing_sidecar)
+            assert main(["train", "--out", str(ckpt), "--iterations", "2",
+                         "--config", cfg, "--seed", "2"]) == EXIT_IO
+        out = tmp_path / "out" / "resumed.bin"
+        capsys.readouterr()
+        code = main(["train", "--out", str(out), "--iterations", "2",
+                     "--resume", str(ckpt), "--config", cfg, "--seed", "2"])
+        assert code == EXIT_CONFIG
+        assert "another checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting", ["optimizer.peak_lr = nan", "optimizer.peak_lr = inf",
                                          "optimizer.weight_decay = nan",

@@ -126,7 +126,7 @@ class TestNll:
 
     def test_dim_mismatch_raises(self):
         p = MdnParams(logits=np.zeros(1), means=np.zeros((1, 2)), log_scales=np.zeros((1, 2)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="y last axis must be 2"):
             mdn_nll(p, np.zeros(3))
 
     def test_nll_decreasing_in_scale_at_mode(self):

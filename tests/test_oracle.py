@@ -152,7 +152,7 @@ class TestShapesAndBatching:
 
     def test_wrong_dim_rejected(self):
         prior = GmmPrior(weights=[1.0], means=[[0.0, 0.0, 0.0]], variances=[1.0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="x last axis must be 3"):
             perturbed_score(prior, np.zeros(2), 0.1)
 
     def test_adapter_ignores_conditioning(self):

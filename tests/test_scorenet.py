@@ -34,8 +34,9 @@ from scorewave.scorenet import (
     _BLOCK_ROWS,
     FilmMlp,
     SigmaEmbedding,
+    _layers_forward,
+    _layer_shapes,
     _prelu,
-    _prelu_inference,
     _prelu_backward,
     adam_step,
     decay_mask,
@@ -135,10 +136,10 @@ class TestPrelu:
         x[:, 1] = np.abs(x[:, 1])
         a = np.full(5, slope)
         dout = rng.standard_normal(x.shape)
-        out, slopes = _prelu(x, a)
+        out = _prelu(x, a)
         assert out.tobytes() == reference_prelu(x, a).tobytes()
         da = np.empty(5)
-        dx = _prelu_backward(x, slopes, dout, da)
+        dx = _prelu_backward(x, a, dout, da)
         ref_dx, ref_da = reference_prelu_backward(x, a, dout)
         assert dx.tobytes() == ref_dx.tobytes()
         assert da.tobytes() == ref_da.tobytes()
@@ -382,29 +383,46 @@ class TestScalarSigma:
 
 
 class TestInferencePrelu:
-    """The inference PReLU, max(x * a, x), against the np.where form on value
-    and sign bit, and the slopes that must fall back to that select."""
+    """The PReLU's max(x * a, x) path against the np.where form on value and
+    sign bit, and the slopes that must fall back to that select."""
 
     SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324]
 
     @pytest.mark.parametrize("slope", [0.25, 1.0, 5e-324, 0.999])
-    def test_matches_where_form_on_value_and_sign(self, slope, monkeypatch):
-        monkeypatch.setattr(scorenet, "_prelu", None)  # the fast path must not need it
+    def test_matches_where_form_on_value_and_sign(self, slope):
         x = np.array(self.SPECIAL)[:, None] * np.ones((1, 3))
         a = np.full(3, slope)
-        got, want = _prelu_inference(x, a), reference_prelu(x, a)
+        got, want = _prelu(x, a), reference_prelu(x, a)
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, 1.7, np.nan, -0.0])
     def test_other_slopes_take_the_slope_multiply(self, bad):
-        """The fallback is the select itself: the training PReLU's slope
-        multiply turns a NaN slope into NaN for positive x and a -0.0 slope
-        into +0.0."""
+        """The fallback is the select itself: a slope multiply would turn a
+        NaN slope into NaN for positive x and a -0.0 slope into +0.0."""
         x = np.random.default_rng(8).standard_normal((16, 3))
         x[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
         a = np.array([0.25, bad, 0.5])
-        assert _prelu_inference(x, a).tobytes() == reference_prelu(x, a).tobytes()
+        assert _prelu(x, a).tobytes() == reference_prelu(x, a).tobytes()
+
+
+class TestOnePrelu:
+    """Training (a layer stack with a cache) and inference (without one) run
+    one PReLU, so they give the same bits for every slope."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("slope", [0.25, 1.0, 0.0, -0.0, -0.3, 1.7, np.nan])
+    def test_cache_does_not_change_the_bits(self, n_layers, slope):
+        rng = np.random.default_rng(24)
+        film = 4
+        p = {k: rng.standard_normal(s) for k, s in _layer_shapes([3] + [5] * n_layers, film).items()}
+        for i in range(n_layers):
+            p[f"l{i}.a"][...] = slope
+        h = rng.standard_normal((32, 3))
+        h[:4], h[4:8] = 0.0, -0.0
+        e = rng.standard_normal((32, film))
+        trained = _layers_forward(p, n_layers, h, e, {})
+        assert trained.tobytes() == _layers_forward(p, n_layers, h, e, None).tobytes()
 
 
 def slopes_in_unit_interval_net(hidden=(64, 64)):
