@@ -300,16 +300,35 @@ def _read_clips(args) -> tuple[Signal, Signal | None]:
 
 # The toolkit's one realization-averaging loop. It calls the sampler through
 # this module's name ``langevin_sample``, which perfbench/tracing.py patches
-# to time the sampler and its score calls.
+# to time the sampler and its score calls, and hands the helper its work
+# through this module's ``ThreadPoolExecutor(...).map``, which the tracer
+# replaces so that work nests under the command's span.
 def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.ndarray:
-    """Average of sampling.n_realizations Langevin samples along ``plan``
-    through ``score`` = :func:`_enhancement_score` of ``observed``."""
+    """Average of sampling.n_realizations (R) Langevin samples along ``plan``
+    through ``score`` = :func:`_enhancement_score` of ``observed``, one per
+    child of ``rng.spawn(R)`` (spawned two at a time: the same children).
+
+    Realizations run in pairs, the lower index on the calling thread and the
+    other on one helper thread, each drawing its noise inline; a last odd one
+    (all of R = 1) runs alone with the sampler's block-ahead noise helper. So
+    a call uses two threads whatever ``--jobs`` is. Outputs are added in
+    index order, never in completion order, so the bits equal the sequential
+    loop's; the lowest failing index's error is raised, the helper joined.
+    """
     score_fn, c = score
     n = observed.size
     n_realizations = cfg["sampling.n_realizations"]
+    sample = functools.partial(langevin_sample, score_fn, c, plan, 1, n_samples=n)
+    inline = functools.partial(sample, noise_ahead=False)
     acc = np.zeros((n, 1))
-    for child in rng.spawn(n_realizations):
-        acc += langevin_sample(score_fn, c, plan, dim=1, rng=child, n_samples=n)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for _ in range(n_realizations // 2):
+            first, second = rng.spawn(2)
+            ahead = helper.map(inline, [second])
+            acc += inline(first)
+            acc += next(ahead)
+    if n_realizations % 2:
+        acc += sample(rng.spawn(1)[0])
     return (acc / n_realizations).ravel()
 
 
@@ -589,9 +608,10 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 # Every command runs as COMMANDS[name](args, cfg, seed, jobs); only distort
-# and eval fan out, the others leave jobs unused. The sampler's noise helper
-# thread (diffusion.langevin_sample) is not a fan-out: it does work the
-# calling thread would have done, whatever jobs is.
+# and eval fan out, the others leave jobs unused. A sampling call's second
+# thread (_enhance_samples' realization helper, or the noise helper of
+# diffusion.langevin_sample when one realization runs alone) is not a
+# fan-out: it does work the calling thread would have done, whatever jobs is.
 COMMANDS = {
     "distort": cmd_distort,
     "train": cmd_train,

@@ -11,9 +11,11 @@ import concurrent.futures
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scorewave import cli, diffusion, metrics, oracle, scorenet, signal
+from scorewave.signal import Signal, write_wav
 from scorewave.distort import PRIMITIVES, chain, primitives
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -96,3 +98,38 @@ def test_traced_train_records_every_training_span(tracing, tmp_path):
     assert {"scorenet.train", "scorenet.dsm_loss_and_grads", "scorenet.adam_step",
             "scorenet.forward", "scorenet.backward", "scorenet.sigma_embed",
             "scorenet.film_mlp", "scorenet.save_checkpoint", "oracle.sample"} <= names
+
+
+def test_traced_enhance_nests_every_realization_under_the_command(tracing, tmp_path):
+    """Three realizations: a pair on the calling thread and the helper, then
+    one alone. Each sampler span has the command's span as an ancestor, and
+    every score call is counted, N per realization."""
+    n_steps, n_rows = 8, 400
+    config = tmp_path / "r3.cfg"
+    config.write_text(f"sampling.n_realizations = 3\nsampling.n_steps = {n_steps}\n")
+    noisy = np.random.default_rng(3).standard_normal(n_rows)
+    write_wav(tmp_path / "in.wav", Signal(samples=noisy, sample_rate=8000), encoding="float32")
+    tracer = tracing.Tracer()
+    traced_main = tracer.wrap("cli.main", cli.main)
+    tracer.install()
+    try:
+        code = traced_main(["--config", str(config), "enhance", "--input",
+                            str(tmp_path / "in.wav"), "--output", str(tmp_path / "out.wav")])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    spans = tracer.take()
+    parents = {sid: parent for sid, _, _, _, parent, _ in spans}
+    (command,) = [sid for sid, name, *_ in spans if name == "cli.main"]
+
+    def ancestors(sid):
+        while sid:
+            sid = parents[sid]
+            yield sid
+
+    samplers = [sid for sid, name, *_ in spans if name == "diffusion.langevin_sample"]
+    assert len(samplers) == 3
+    assert all(command in ancestors(sid) for sid in samplers)
+    scores = [(parent, rows) for _, name, _, _, parent, rows in spans if name == "oracle.score"]
+    assert len(scores) == 3 * n_steps and {rows for _, rows in scores} == {n_rows}
+    assert {parent for parent, _ in scores} == set(samplers)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -448,4 +449,153 @@ class TestNoiseBlocks:
             langevin_sample(self.counting(raise_below, seen), None, plan, 1,
                             np.random.default_rng(0), NOISE_BLOCK)
         assert len(seen) == 34 and max(seen) == before + 1
+        assert threading.active_count() == before
+
+
+def averaged_reference(score_fn, c, plan, rng, n, n_realizations, order=None):
+    """Mean of reference_langevin_sample over rng.spawn's children, added in
+    ``order`` (index order by default) to a zero (n, 1) accumulator."""
+    outs = [reference_langevin_sample(score_fn, c, plan, 1, child, n)
+            for child in rng.spawn(n_realizations)]
+    acc = np.zeros((n, 1))
+    for i in order or range(n_realizations):
+        acc += outs[i]
+    return (acc / n_realizations).ravel()
+
+
+def realization_scores(score_fn, plan, seed, n, n_realizations):
+    """(index, score): index() is the realization the calling thread is
+    running, read off the iterate at its first score call, which is the
+    initial draw sigma_max * z of that realization's spawned child."""
+    firsts = [plan.sigmas[-1] * child.standard_normal((n, 1))[0, 0]
+              for child in np.random.default_rng(seed).spawn(n_realizations)]
+    local = threading.local()
+
+    def score(x, c, sigma):
+        if sigma == plan.sigmas[-1]:
+            local.index = firsts.index(x[0, 0])
+        return score_fn(x, c, sigma)
+
+    return (lambda: local.index), score
+
+
+class TestRealizationPairs:
+    """``cli._enhance_samples`` runs realizations two at a time on the calling
+    thread and one helper, each drawing its noise inline, and a last odd one
+    alone with the sampler's own noise helper: the bits of one realization
+    after the other, two threads at most, none left behind, and the error
+    the sequential loop would raise."""
+
+    @pytest.mark.parametrize("n_samples", [None, 300, NOISE_BLOCK + 1])
+    @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
+    def test_inline_noise_keeps_stream_and_bits(self, n_samples, epsilon):
+        plan = make_plan(NoiseSchedule(), 12, epsilon)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        before, seen = threading.active_count(), []
+
+        def score(x, c, sigma):
+            seen.append(threading.active_count())
+            return gaussian_score(x, c, sigma)
+
+        got = langevin_sample(score, None, plan, 1, rng, n_samples, noise_ahead=False)
+        want = reference_langevin_sample(gaussian_score, None, plan, 1, ref_rng, n_samples)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert set(seen) == {before}
+
+    @pytest.mark.parametrize("kind", ["posterior", "network"])
+    @pytest.mark.parametrize("n_realizations", [1, 2, 3, 4, 5])
+    def test_equals_sequential_reference(self, kind, n_realizations):
+        """2,100 rows: the network's forward runs in two row blocks."""
+        n = 2100
+        score_fn, c = sampler_score(kind, n)
+        plan = make_plan(NoiseSchedule(), 16, 2.3)
+        got = _enhance_samples(np.zeros(n), {"sampling.n_realizations": n_realizations},
+                               (score_fn, c), plan, np.random.default_rng(19))
+        want = averaged_reference(score_fn, c, plan, np.random.default_rng(19), n,
+                                  n_realizations)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_realizations", [4, 5])
+    def test_sum_follows_index_not_completion_order(self, n_realizations):
+        """The calling thread's realization sleeps at every step, so in each
+        pair the helper's realization (the higher index) finishes first. The
+        second pair's two additions then differ in order, and in bits."""
+        n, seed = 300, 23
+        plan = make_plan(NoiseSchedule(), 8, 2.3)
+        score_fn, _ = sampler_score("posterior", n)
+        index, tagged = realization_scores(score_fn, plan, seed, n, n_realizations)
+        caller, finished = threading.current_thread(), []
+
+        def score(x, c, sigma):
+            s = tagged(x, c, sigma)
+            if threading.current_thread() is caller:
+                time.sleep(0.005)
+            if sigma == plan.sigmas[0]:
+                finished.append(index())
+            return s
+
+        got = _enhance_samples(np.zeros(n), {"sampling.n_realizations": n_realizations},
+                               (score, None), plan, np.random.default_rng(seed))
+        assert finished[:4] == [1, 0, 3, 2]
+        want = averaged_reference(score_fn, None, plan, np.random.default_rng(seed), n,
+                                  n_realizations)
+        completion = averaged_reference(score_fn, None, plan, np.random.default_rng(seed), n,
+                                        n_realizations, order=finished)
+        assert not np.array_equal(completion, want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_realizations", [3, 4])
+    def test_at_most_one_thread_beyond_the_caller(self, n_realizations):
+        before, seen = threading.active_count(), []
+
+        def score(x, c, sigma):
+            seen.append(threading.active_count())
+            return gaussian_score(x, c, sigma)
+
+        _enhance_samples(np.zeros(NOISE_BLOCK), {"sampling.n_realizations": n_realizations},
+                         (score, None), make_plan(NoiseSchedule(), 8, 1.5),
+                         np.random.default_rng(0))
+        assert len(seen) == 8 * n_realizations and max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_sampling_error_in_realization_2_of_3(self):
+        """Realization 2 (index 1) turns NaN below sigma_10: the sequential
+        loop's message, from the helper's realization, and no thread left."""
+        n, seed = 300, 29
+        plan = make_plan(NoiseSchedule(), 64, 1.5)
+        cut = plan.sigmas[10]
+        index, tagged = realization_scores(gaussian_score, plan, seed, n, 3)
+
+        def score(x, c, sigma):
+            s = tagged(x, c, sigma)
+            return np.full_like(x, np.nan) if index() == 1 and sigma <= cut else s
+
+        before = threading.active_count()
+        message = f"non-finite iterate at step n=11 (sigma={cut:.6g})"
+        with pytest.raises(SamplingError, match=f"^{re.escape(message)}$"):
+            _enhance_samples(np.zeros(n), {"sampling.n_realizations": 3}, (score, None), plan,
+                             np.random.default_rng(seed))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("late", [0, 1])
+    def test_lowest_failing_realization_raises(self, late):
+        """Realizations 1 and 2 (indices 0 and 1) both raise ValueError, the
+        ``late`` one only at the last noisy step, so either may fail first in
+        time; index 0's error is raised and the helper is joined."""
+        n, seed = 300, 31
+        plan = make_plan(NoiseSchedule(), 16, 2.3)
+        index, tagged = realization_scores(gaussian_score, plan, seed, n, 4)
+
+        def score(x, c, sigma):
+            s = tagged(x, c, sigma)
+            at = plan.sigmas[1] if index() == late else plan.sigmas[-1]
+            if index() < 2 and sigma == at:
+                raise ValueError(f"realization {index()} has no score")
+            return s
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^realization 0 has no score$"):
+            _enhance_samples(np.zeros(n), {"sampling.n_realizations": 4}, (score, None), plan,
+                             np.random.default_rng(seed))
         assert threading.active_count() == before
