@@ -308,27 +308,27 @@ def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.nd
     through ``score`` = :func:`_enhancement_score` of ``observed``, one per
     child of ``rng.spawn(R)`` (spawned two at a time: the same children).
 
-    Realizations run in pairs, the lower index on the calling thread and the
-    other on one helper thread, each drawing its noise inline; a last odd one
-    (all of R = 1) runs alone with the sampler's block-ahead noise helper. So
-    a call uses two threads whatever ``--jobs`` is. Outputs are added in
-    index order, never in completion order, so the bits equal the sequential
-    loop's; the lowest failing index's error is raised, the helper joined.
+    A call starts one helper thread and no other, whatever ``--jobs`` is.
+    Pairs run the lower index on the calling thread, the other on the
+    helper, each drawing its noise inline (a draw the helper's own run
+    handed it would wait on itself); a last odd one (all of R = 1) draws its
+    next noise block on the helper. Outputs are added in index order, so the
+    bits equal the sequential loop's; the lowest failing index's error is
+    raised, the helper joined.
     """
     score_fn, c = score
     n = observed.size
     n_realizations = cfg["sampling.n_realizations"]
     sample = functools.partial(langevin_sample, score_fn, c, plan, 1, n_samples=n)
-    inline = functools.partial(sample, noise_ahead=False)
     acc = np.zeros((n, 1))
     with ThreadPoolExecutor(max_workers=1) as helper:
         for _ in range(n_realizations // 2):
             first, second = rng.spawn(2)
-            ahead = helper.map(inline, [second])
-            acc += inline(first)
+            ahead = helper.map(sample, [second])
+            acc += sample(first)
             acc += next(ahead)
-    if n_realizations % 2:
-        acc += sample(rng.spawn(1)[0])
+        if n_realizations % 2:
+            acc += sample(rng.spawn(1)[0], helper=helper)
     return (acc / n_realizations).ravel()
 
 
@@ -595,8 +595,11 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
         draws = sample_prior(prior, args.n, rng)
     else:
         plan = make_plan(_schedule_from(cfg), cfg["sampling.n_steps"], cfg["sampling.epsilon"])
-        draws = langevin_sample(score_function(prior), None, plan, dim=prior.dim, rng=rng,
-                                n_samples=args.n)
+        # Not through _enhance_samples: its lone realization samples from
+        # rng.spawn(1)[0], and sample-prior's draws come from rng itself.
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            draws = langevin_sample(score_function(prior), None, plan, dim=prior.dim, rng=rng,
+                                    n_samples=args.n, helper=helper)
     out = Path(args.out)
     with replacing(out, "w") as fh:
         np.savetxt(fh, draws, fmt="%.17g")
@@ -608,10 +611,9 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 # Every command runs as COMMANDS[name](args, cfg, seed, jobs); only distort
-# and eval fan out, the others leave jobs unused. A sampling call's second
-# thread (_enhance_samples' realization helper, or the noise helper of
-# diffusion.langevin_sample when one realization runs alone) is not a
-# fan-out: it does work the calling thread would have done, whatever jobs is.
+# and eval fan out, the others leave jobs unused. A sampling call's one
+# helper thread (see _enhance_samples) is not a fan-out: it does work the
+# calling thread would have done.
 COMMANDS = {
     "distort": cmd_distort,
     "train": cmd_train,

@@ -14,14 +14,11 @@ Langevin recursion over a :class:`~scorewave.schedule.SamplingPlan`
 
 for n = N..2, followed by a final noise-free empirical denoising step
 x + sigma_0^2 * S(x, c, sigma_0), the only step at N = 1. Averaging over
-realizations is left to the caller (``cli._enhance_samples``), which runs
-two realizations at a time, one on its own thread and one on one helper.
-The noise z_n depends only on the rng stream, so the sampler draws it in
-blocks of whole steps: by default the next block on a helper thread while
-the calling thread evaluates the score, or, when the caller already keeps
-both cores busy, on the calling thread. The blocks hold the per-step
-draws' values in order, so neither choice moves a bit. A sampling call
-thus uses two threads, whatever the CLI's ``--jobs``.
+realizations is left to the caller (``cli._enhance_samples``, which owns
+a sampling call's one helper thread; this module starts none). The noise
+z_n depends only on the rng stream, so the sampler draws it in blocks of
+whole steps, the next on the caller's helper, if given, while the score
+runs; the blocks hold the per-step draws' values in order, moving no bit.
 
 Score functions are plain callables ``(x, c, sigma) -> score`` returning an
 array of x's shape (the sampler raises SamplingError otherwise). ``sigma`` is
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -106,12 +103,12 @@ def denoise_final(score_fn, x, c, sigma0: float):
 NOISE_BLOCK = 16_384
 
 
-def _noise(rng: np.random.Generator, shape: tuple, n_steps: int, helper: ThreadPoolExecutor | None):
+def _noise(rng: np.random.Generator, shape: tuple, n_steps: int, helper: Executor | None):
     """The next n_steps draws rng.standard_normal(shape), in stream order,
-    as views into two (k, *shape) buffers of k whole steps each. The caller
-    draws the first block; ``helper`` draws block b + 1 while the caller
-    uses block b, or with no helper the caller draws it first. A view is
-    valid until the caller asks for the next one."""
+    as views into two (k, *shape) buffers of k whole steps each, each valid
+    until the next is asked for. The caller draws the first block; ``helper``
+    draws block b + 1 while the caller uses block b, or with no helper the
+    caller draws it first. Closing waits for a block still being drawn."""
     k = min(n_steps, -(-NOISE_BLOCK // max(1, math.prod(shape))))
     bufs = np.empty((2, k, *shape))
     rng.standard_normal(out=bufs[0])
@@ -123,9 +120,11 @@ def _noise(rng: np.random.Generator, shape: tuple, n_steps: int, helper: ThreadP
                 rng.standard_normal(out=nxt)
             else:
                 ahead = helper.submit(rng.standard_normal, out=nxt)
-        yield from bufs[b % 2, :min(k, n_steps - start)]
-        if ahead is not None:
-            ahead.result()
+        try:
+            yield from bufs[b % 2, :min(k, n_steps - start)]
+        finally:
+            if ahead is not None:
+                ahead.result()
 
 
 def langevin_sample(
@@ -136,7 +135,7 @@ def langevin_sample(
     rng: np.random.Generator,
     n_samples: int | None = None,
     *,
-    noise_ahead: bool = True,
+    helper: Executor | None = None,
 ) -> np.ndarray:
     """Consistent annealed Langevin sampling over the plan's sigma ladder.
 
@@ -150,30 +149,27 @@ def langevin_sample(
     The iterate is updated in place, so a score function must not keep a
     reference to the x it is given between calls. The step noise is drawn
     in blocks of max(1, ceil(NOISE_BLOCK / x.size)) whole steps into two
-    reused buffers: the first block on the calling thread, each next one on
-    a helper thread while the current block's steps run; a call whose noise
-    fits in one block starts no thread, and none outlives the call. With
-    ``noise_ahead=False`` every block is drawn on the calling thread and no
-    thread is started; a caller that runs two samplings side by side on two
-    threads (``cli._enhance_samples``) asks for that. The values are the
-    per-step draws' either way, so the output bits and the rng state after a
-    return do not depend on the thread that drew them or on its timing. The
-    rng belongs to the sampler for the call's duration; after an exception
-    its state may be up to one block ahead of the step that raised.
+    reused buffers: the first on the calling thread, each next one on
+    ``helper`` while the current block's steps run (``cli._enhance_samples``
+    passes its one thread), or with ``helper=None`` on the calling thread.
+    The values are the per-step draws' either way, so the bits and the rng
+    state after a return do not depend on the thread that drew them. The
+    rng belongs to the sampler for the call's duration: no draw it submitted
+    runs on once it returns or raises, and after an exception its state may
+    be up to one block ahead of the step that raised.
     """
     shape = (dim,) if n_samples is None else (int(n_samples), dim)
     sigmas = plan.sigmas
     x = sigmas[-1] * rng.standard_normal(shape)
     drift = np.empty(shape)
     n_noisy = len(sigmas) - 1 if plan.beta != 0.0 else 0
-    with ThreadPoolExecutor(max_workers=1) if noise_ahead else contextlib.nullcontext() as helper:
-        noise = _noise(rng, shape, n_noisy, helper) if n_noisy else None
+    with contextlib.closing(_noise(rng, shape, n_noisy, helper)) as noise:
         for i in range(len(sigmas) - 1, 0, -1):
             sig_n = sigmas[i]
             s = _score(score_fn, x, c, sig_n)
             np.multiply(s, plan.eta * sig_n**2, out=drift)  # never into s: it may be x
             x += drift
-            if noise is not None:
+            if n_noisy:
                 z = next(noise)
                 z *= plan.beta * sigmas[i - 1]
                 x += z

@@ -100,13 +100,18 @@ def test_traced_train_records_every_training_span(tracing, tmp_path):
             "scorenet.film_mlp", "scorenet.save_checkpoint", "oracle.sample"} <= names
 
 
-def test_traced_enhance_nests_every_realization_under_the_command(tracing, tmp_path):
-    """Three realizations: a pair on the calling thread and the helper, then
-    one alone. Each sampler span has the command's span as an ancestor, and
-    every score call is counted, N per realization."""
-    n_steps, n_rows = 8, 400
-    config = tmp_path / "r3.cfg"
-    config.write_text(f"sampling.n_realizations = 3\nsampling.n_steps = {n_steps}\n")
+@pytest.mark.parametrize("n_realizations", [1, 2, 3])
+def test_traced_enhance_nests_every_realization_under_the_command(tracing, tmp_path,
+                                                                  n_realizations):
+    """Pairs on the calling thread and the helper, a last odd one alone. At
+    4,096 rows a lone realization's noise spans two blocks, so the helper
+    reaches it through the tracer's sampler wrapper. Each sampler span has
+    the command's span as an ancestor, and every score call is counted, N
+    per realization."""
+    n_steps, n_rows = 8, 4096
+    config = tmp_path / "r.cfg"
+    config.write_text(f"sampling.n_realizations = {n_realizations}\n"
+                      f"sampling.n_steps = {n_steps}\n")
     noisy = np.random.default_rng(3).standard_normal(n_rows)
     write_wav(tmp_path / "in.wav", Signal(samples=noisy, sample_rate=8000), encoding="float32")
     tracer = tracing.Tracer()
@@ -128,8 +133,8 @@ def test_traced_enhance_nests_every_realization_under_the_command(tracing, tmp_p
             yield sid
 
     samplers = [sid for sid, name, *_ in spans if name == "diffusion.langevin_sample"]
-    assert len(samplers) == 3
+    assert len(samplers) == n_realizations
     assert all(command in ancestors(sid) for sid in samplers)
     scores = [(parent, rows) for _, name, _, _, parent, rows in spans if name == "oracle.score"]
-    assert len(scores) == 3 * n_steps and {rows for _, rows in scores} == {n_rows}
+    assert len(scores) == n_realizations * n_steps and {rows for _, rows in scores} == {n_rows}
     assert {parent for parent, _ in scores} == set(samplers)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -366,10 +367,28 @@ def gaussian_score(x, c, sigma):
     return -x / (1.0 + sigma**2)
 
 
+class SlowHelper(ThreadPoolExecutor):
+    """A one-worker pool that keeps every future it hands out and sleeps
+    before each task, so a draw the sampler submits is still running when
+    the step after it raises."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        def slow():
+            time.sleep(0.005)
+            return fn(*args, **kwargs)
+
+        self.futures.append(super().submit(slow))
+        return self.futures[-1]
+
+
 class TestNoiseBlocks:
     """The step noise is drawn in blocks of whole steps, the next block on a
-    helper thread: the same stream, bits and rng state as one draw per step,
-    and no thread left behind."""
+    helper the caller passes: the same stream, bits and rng state as one
+    draw per step, and no draw still running when the sampler exits."""
 
     @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
     @pytest.mark.parametrize("n_steps", [1, 2, 24, 25])
@@ -384,6 +403,20 @@ class TestNoiseBlocks:
         assert got.shape == want.shape == ((1,) if n_samples is None else (n_samples, 1))
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
+    @pytest.mark.parametrize("n_steps", [2, 24, 25])
+    @pytest.mark.parametrize("n_samples", [None, 4096, NOISE_BLOCK + 1])
+    def test_helper_keeps_stream_and_bits(self, n_samples, n_steps, epsilon):
+        """The same bits and rng state when a helper draws the next block."""
+        plan = make_plan(NoiseSchedule(), n_steps, epsilon)
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        with SlowHelper() as helper:
+            got = langevin_sample(gaussian_score, None, plan, 1, rng, n_samples, helper=helper)
+        want = reference_langevin_sample(gaussian_score, None, plan, 1, ref_rng, n_samples)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert bool(helper.futures) == (epsilon != 1.0 and n_samples is not None and n_steps > 2)
 
     def test_sample_prior_writes_the_reference_bytes(self, tmp_path):
         """20,000 rows: more than one block's values per step."""
@@ -405,19 +438,35 @@ class TestNoiseBlocks:
             return score_fn(x, c, sigma)
         return score
 
+    def sample_settled(self, score_fn, plan, n_samples):
+        """Futures a :class:`SlowHelper` got from one sampler call, asserting
+        that when the call exits, by a return or a raise, each is done and
+        the rng state read at once is the state after the helper shuts
+        down. The call's exception, if any, propagates after the checks."""
+        rng, helper = np.random.default_rng(0), SlowHelper()
+        try:
+            langevin_sample(score_fn, None, plan, 1, rng, n_samples, helper=helper)
+        finally:
+            done, state = [f.done() for f in helper.futures], rng.bit_generator.state
+            helper.shutdown()
+            assert all(done) and state == rng.bit_generator.state
+        return helper.futures
+
     def test_normal_return_leaves_no_thread(self):
+        """After the helper's shutdown no thread is left: the sampler started none."""
         before, seen = threading.active_count(), []
-        langevin_sample(self.counting(gaussian_score, seen), None,
-                        make_plan(NoiseSchedule(), 8, 1.5), 1, np.random.default_rng(0),
-                        NOISE_BLOCK)
-        assert max(seen) == before + 1
+        futures = self.sample_settled(self.counting(gaussian_score, seen),
+                                      make_plan(NoiseSchedule(), 8, 1.5), NOISE_BLOCK)
+        assert len(futures) == 6 and max(seen) == before + 1
         assert threading.active_count() == before
 
     def test_noise_in_one_block_starts_no_thread(self):
-        """16 rows at N = 64, the shape of the enhance set-up probe."""
+        """16 rows at N = 64, the shape of the enhance set-up probe: nothing
+        is submitted, so the helper never starts its thread."""
         before, seen = threading.active_count(), []
-        langevin_sample(self.counting(gaussian_score, seen), None,
-                        make_plan(NoiseSchedule(), 64, 1.5), 1, np.random.default_rng(0), 16)
+        futures = self.sample_settled(self.counting(gaussian_score, seen),
+                                      make_plan(NoiseSchedule(), 64, 1.5), 16)
+        assert futures == []
         assert len(seen) == 64 and set(seen) == {before}
         assert threading.active_count() == before
 
@@ -431,8 +480,7 @@ class TestNoiseBlocks:
         before, seen = threading.active_count(), []
         message = f"non-finite iterate at step n=11 (sigma={cut:.6g})"
         with pytest.raises(SamplingError, match=f"^{re.escape(message)}$"):
-            langevin_sample(self.counting(nan_below, seen), None, plan, 1,
-                            np.random.default_rng(0), NOISE_BLOCK)
+            self.sample_settled(self.counting(nan_below, seen), plan, NOISE_BLOCK)
         assert len(seen) == 54 and max(seen) == before + 1
         assert threading.active_count() == before
 
@@ -446,8 +494,7 @@ class TestNoiseBlocks:
 
         before, seen = threading.active_count(), []
         with pytest.raises(ValueError, match=f"^{re.escape(f'no score at sigma={plan.sigmas[30]}')}$"):
-            langevin_sample(self.counting(raise_below, seen), None, plan, 1,
-                            np.random.default_rng(0), NOISE_BLOCK)
+            self.sample_settled(self.counting(raise_below, seen), plan, NOISE_BLOCK)
         assert len(seen) == 34 and max(seen) == before + 1
         assert threading.active_count() == before
 
@@ -482,9 +529,9 @@ def realization_scores(score_fn, plan, seed, n, n_realizations):
 class TestRealizationPairs:
     """``cli._enhance_samples`` runs realizations two at a time on the calling
     thread and one helper, each drawing its noise inline, and a last odd one
-    alone with the sampler's own noise helper: the bits of one realization
-    after the other, two threads at most, none left behind, and the error
-    the sequential loop would raise."""
+    alone, drawing its noise ahead on the same helper: the bits of one
+    realization after the other, one pool of one thread, none left behind,
+    and the error the sequential loop would raise."""
 
     @pytest.mark.parametrize("n_samples", [None, 300, NOISE_BLOCK + 1])
     @pytest.mark.parametrize("epsilon", [2.3, 1.0], ids=["beta>0", "beta=0"])
@@ -497,7 +544,7 @@ class TestRealizationPairs:
             seen.append(threading.active_count())
             return gaussian_score(x, c, sigma)
 
-        got = langevin_sample(score, None, plan, 1, rng, n_samples, noise_ahead=False)
+        got = langevin_sample(score, None, plan, 1, rng, n_samples)
         want = reference_langevin_sample(gaussian_score, None, plan, 1, ref_rng, n_samples)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -545,8 +592,26 @@ class TestRealizationPairs:
         assert not np.array_equal(completion, want)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n_realizations", [3, 4])
+    @pytest.mark.parametrize("n_realizations", [1, 2, 3, 4, 5])
+    def test_one_pool_of_one_worker_per_call(self, n_realizations, monkeypatch):
+        """Every ThreadPoolExecutor built during the call, wherever its module
+        imported the class: one, of one worker, whatever R is."""
+        sizes, init = [], ThreadPoolExecutor.__init__
+
+        def counting_init(pool, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            init(pool, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        _enhance_samples(np.zeros(NOISE_BLOCK), {"sampling.n_realizations": n_realizations},
+                         (gaussian_score, None), make_plan(NoiseSchedule(), 8, 1.5),
+                         np.random.default_rng(0))
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("n_realizations", [3, 4, 1, 2])
     def test_at_most_one_thread_beyond_the_caller(self, n_realizations):
+        """NOISE_BLOCK rows: one step's noise per block, so even R = 1 sees
+        its helper, drawing the next block."""
         before, seen = threading.active_count(), []
 
         def score(x, c, sigma):
