@@ -308,11 +308,11 @@ def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.nd
     through ``score`` = :func:`_enhancement_score` of ``observed``, one per
     child of ``rng.spawn(R)`` (spawned two at a time: the same children).
 
-    A call starts one helper thread and no other, whatever ``--jobs`` is.
-    Pairs run the lower index on the calling thread, the other on the
-    helper, each drawing its noise inline (a draw the helper's own run
-    handed it would wait on itself); a last odd one (all of R = 1) draws its
-    next noise block on the helper. Outputs are added in index order, so the
+    A call opens the one helper of the rule above COMMANDS. Pairs run the
+    lower index on the calling thread, the other on the helper, each
+    drawing its noise inline (a draw the helper's own run handed it would
+    wait on itself); a last odd one (all of R = 1) draws its next noise
+    block on the helper. Outputs are added in index order, so the
     bits equal the sequential loop's; the lowest failing index's error is
     raised, the helper joined.
     """
@@ -467,13 +467,15 @@ def cmd_train(args, cfg: dict, seed: int, jobs: int) -> int:
 
     lines = [_header("train", cfg, seed)]
     if iterations > 0:
-        trace = train(net, data, schedule, opt_config, iterations,
-                      cfg["train.batch_size"], rng, opt_state=opt_state)
+        with ThreadPoolExecutor(max_workers=1) as helper:  # see COMMANDS
+            trace = train(net, data, schedule, opt_config, iterations,
+                          cfg["train.batch_size"], rng, opt_state=opt_state, helper=helper)
+        opt_state = net.opt_state
         lines += [{"iteration": i, "loss": float(loss)} for i, loss in enumerate(trace)]
         lines.append({"final_loss": float(trace[-1]), "iterations": iterations})
 
     out = Path(args.out)
-    save_checkpoint(out, net, net.opt_state)
+    save_checkpoint(out, net, opt_state)  # a resume of 0 iterations keeps its moments
     with replacing(_sidecar(out), "w") as fh:
         fh.write(json.dumps({"checkpoint_sha256": _sha256(out), "state": rng.bit_generator.state}))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace.jsonl")
@@ -611,9 +613,12 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
 
 
 # Every command runs as COMMANDS[name](args, cfg, seed, jobs); only distort
-# and eval fan out, the others leave jobs unused. A sampling call's one
-# helper thread (see _enhance_samples) is not a fan-out: it does work the
-# calling thread would have done.
+# and eval fan out, the others leave jobs unused. Each enhancement (an
+# _enhance_samples call, sample-prior's Langevin call) and each train run of
+# one or more iterations opens one one-worker ThreadPoolExecutor and no other
+# thread, whatever jobs is, and joins it before it returns or raises. That
+# helper is not a fan-out: it does work the calling thread would have done,
+# with the same bits.
 COMMANDS = {
     "distort": cmd_distort,
     "train": cmd_train,

@@ -34,6 +34,11 @@ layout (:class:`Gradients`), which Adam takes as it is. One PReLU formula
 (:func:`_prelu`) serves training and inference, so both give the same bits
 for every slope; backward rebuilds the slope from the cached activation.
 Outside training FiLM runs in place.
+
+With a ``helper`` executor (the ``train`` command's one helper thread),
+backward hands it each layer's weight and bias gradients, and Adam the upper
+half of its slices; both join it before they return or raise, and the bits
+are the inline calls'.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from concurrent.futures import Executor, Future, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -166,28 +172,46 @@ def _layers_forward(p: dict[str, np.ndarray], n: int, h: np.ndarray, e: np.ndarr
     return h
 
 
+def _affine_grads(*terms) -> None:
+    """For each (x, d, w, b): the gradients of an affine map x @ w + b given
+    d, its output's gradient, written into the views w and b."""
+    for x, d, w, b in terms:
+        np.matmul(_rows(x).T, _rows(d), out=w)
+        _rows(d).sum(axis=0, out=b)
+
+
+def _inline(fn, *args) -> None:
+    fn(*args)
+
+
 def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndarray,
-                     grads: dict[str, np.ndarray]) -> np.ndarray | None:
+                     grads: dict[str, np.ndarray], run=_inline) -> np.ndarray | None:
     """Writes the stack's parameter gradients into ``grads``, given the
     gradient d_h w.r.t. its output, and returns the gradient w.r.t. the
-    embedding (None without FiLM). The stack's input gets no gradient."""
+    embedding (None without FiLM). The stack's input gets no gradient.
+
+    The chain (PReLU backward, d_gamma, d_pre, d_e, d_h) runs here; each
+    layer's weight and bias gradients go to ``run(fn, *args)``, which may
+    hand them to another thread. Until the caller joins those tasks, the
+    chain must write nothing a pending task reads: a task reads the
+    forward's cache and the gradient backward was given, which backward
+    never writes, and arrays made new for its layer, which the chain only
+    reads after handing them on."""
     e = cache["e"]
     d_e = None if e is None else np.zeros_like(e)
     for i in reversed(range(n)):
         pre, gamma, act = cache["layers"][i]
         d_act = _prelu_backward(act, p[f"l{i}.a"], d_h, grads[f"l{i}.a"])  # with FiLM, also d shift
-        d_pre = d_act
+        d_pre, terms = d_act, []
         if e is not None:
             d_gamma = d_act * pre
             d_pre = d_act * gamma
-            np.matmul(_rows(e).T, _rows(d_gamma), out=grads[f"l{i}.gw"])
-            _rows(d_gamma).sum(axis=0, out=grads[f"l{i}.gb"])
-            np.matmul(_rows(e).T, _rows(d_act), out=grads[f"l{i}.hw"])
-            _rows(d_act).sum(axis=0, out=grads[f"l{i}.hb"])
+            terms = [(e, d_gamma, grads[f"l{i}.gw"], grads[f"l{i}.gb"]),
+                     (e, d_act, grads[f"l{i}.hw"], grads[f"l{i}.hb"])]
+        run(_affine_grads, *terms, (cache["inputs"][i], d_pre, grads[f"l{i}.w"], grads[f"l{i}.b"]))
+        if e is not None:
             d_e += d_gamma @ p[f"l{i}.gw"].T
             d_e += d_act @ p[f"l{i}.hw"].T
-        np.matmul(_rows(cache["inputs"][i]).T, _rows(d_pre), out=grads[f"l{i}.w"])
-        _rows(d_pre).sum(axis=0, out=grads[f"l{i}.b"])
         if i:
             d_h = d_pre @ p[f"l{i}.w"].T
     return d_e
@@ -270,14 +294,14 @@ class SigmaEmbedding:
         return _layers_forward(self.params, 3, self.features(sigma), None, cache)
 
     def backward(self, cache: dict, d_out: np.ndarray,
-                 grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+                 grads: dict[str, np.ndarray] | None = None, run=_inline) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. the MLP parameters, given the
         gradient w.r.t. the embedding output, written into ``grads`` (new
         arrays when None). Frequencies receive none, and neither does the
-        input of the first layer."""
+        input of the first layer. ``run`` is :func:`_layers_backward`'s."""
         if grads is None:
             grads = {k: np.empty_like(p) for k, p in self.params.items()}
-        _layers_backward(self.params, 3, cache, d_out, grads)
+        _layers_backward(self.params, 3, cache, d_out, grads, run)
         return grads
 
 
@@ -327,16 +351,18 @@ class FilmMlp:
         out += p["out.b"]
         return out
 
-    def backward(self, cache: dict, d_out: np.ndarray, grads: dict[str, np.ndarray] | None = None):
+    def backward(self, cache: dict, d_out: np.ndarray, grads: dict[str, np.ndarray] | None = None,
+                 run=_inline):
         """Returns (parameter gradients, gradient w.r.t. the sigma embedding);
         the parameter gradients are written into ``grads`` (new arrays when
-        None). The input of the first layer gets no gradient."""
+        None). The input of the first layer gets no gradient. ``run`` is
+        :func:`_layers_backward`'s, and takes the output layer's too."""
         p = self.params
         if grads is None:
             grads = {k: np.empty_like(v) for k, v in p.items()}
-        np.matmul(_rows(cache["inputs"][-1]).T, _rows(d_out), out=grads["out.w"])
-        _rows(d_out).sum(axis=0, out=grads["out.b"])
-        return grads, _layers_backward(p, len(self.config.hidden), cache, d_out @ p["out.w"].T, grads)
+        run(_affine_grads, (cache["inputs"][-1], d_out, grads["out.w"], grads["out.b"]))
+        d_h = d_out @ p["out.w"].T
+        return grads, _layers_backward(p, len(self.config.hidden), cache, d_h, grads, run)
 
 
 class Gradients(dict):
@@ -430,9 +456,14 @@ class ScoreNet:
             out[lo:hi] = self.mlp.forward(x[lo:hi], c[lo:hi] if c_rows else c, e)
         return out
 
-    def backward(self, d_out: np.ndarray) -> Gradients:
+    def backward(self, d_out: np.ndarray, *, helper: Executor | None = None) -> Gradients:
         """Parameter gradients for the last forward(train=True) call, written
-        into one new vector per call."""
+        into one new vector per call.
+
+        With a ``helper`` executor, each layer's weight and bias gradients
+        run on it while the calling thread goes down the chain; every task
+        is joined before the call returns or raises, and the first task
+        error is raised. The bits are the inline call's."""
         if self._cache is None:
             raise TrainingError("backward called without a cached forward pass (train=True)")
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -441,8 +472,16 @@ class ScoreNet:
         flat = np.empty_like(self.flat)
         grads = Gradients(flat, _views(flat, self._shapes))
         layer = self._by_layer(grads)
-        _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"])
-        self.embedding.backward(self._cache["emb"], d_e, layer["emb"])
+        pending: list[Future] = []
+        run = _inline if helper is None else (
+            lambda fn, *args: pending.append(helper.submit(fn, *args)))
+        try:
+            _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"], run)
+            self.embedding.backward(self._cache["emb"], d_e, layer["emb"], run)
+        finally:  # the first task error, in handing order, wins over the chain's
+            wait(pending)
+            for task in pending:
+                task.result()
         return grads
 
 
@@ -522,51 +561,71 @@ def init_optimizer(params: dict[str, np.ndarray], config: OptimizerConfig) -> Op
     return OptimizerState(config=config, m=np.zeros(mask.size), v=np.zeros(mask.size), mask=mask)
 
 
-def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> float:
+def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray, *,
+              helper: Executor | None = None) -> float:
     """One in-place Adam update of a parameter vector, with decoupled weight
     decay where ``state.mask`` is set; returns the learning rate used.
 
     The vector is updated in slices of ``_ADAM_BLOCK`` elements, each through
     two scratch buffers with ``out=`` ufuncs: one slice of all six vectors
-    stays in cache, and no whole-vector temporary is allocated.
+    stays in cache, and no whole-vector temporary is allocated. With a
+    ``helper`` executor and b > 1 slices, the first ceil(b/2) run on the
+    calling thread and the rest on the helper, each half with its own two
+    buffers; both are joined before the step count moves, and the bits are
+    the inline call's.
     """
     cfg = state.config
     lr = lr_at(cfg, state.step)
     t = state.step + 1
     bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
-    buffers = np.empty((2, min(_ADAM_BLOCK, params.size)))
-    for lo in range(0, params.size, _ADAM_BLOCK):
-        p, g, m, v, mask = (a[lo:lo + _ADAM_BLOCK]
-                            for a in (params, grads, state.m, state.v, state.mask))
-        update, scratch = buffers[:, : p.size]
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=scratch)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=scratch), g, out=scratch)
-        np.divide(m, bc1, out=update)
-        np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
-        update /= np.add(scratch, cfg.eps, out=scratch)
-        if cfg.weight_decay:
-            np.add(update, np.multiply(cfg.weight_decay, p, out=scratch), out=update, where=mask)
-        p -= np.multiply(lr, update, out=update)
+
+    def update_slices(start: int, stop: int) -> None:
+        buffers = np.empty((2, min(_ADAM_BLOCK, stop - start)))
+        for lo in range(start, stop, _ADAM_BLOCK):
+            p, g, m, v, mask = (a[lo:lo + _ADAM_BLOCK]  # split is whole slices
+                                for a in (params, grads, state.m, state.v, state.mask))
+            update, scratch = buffers[:, : p.size]
+            m *= cfg.beta1
+            m += np.multiply(1.0 - cfg.beta1, g, out=scratch)
+            v *= cfg.beta2
+            v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=scratch), g, out=scratch)
+            np.divide(m, bc1, out=update)
+            np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+            update /= np.add(scratch, cfg.eps, out=scratch)
+            if cfg.weight_decay:
+                decay = np.multiply(cfg.weight_decay, p, out=scratch)
+                np.add(update, decay, out=update, where=mask)
+            p -= np.multiply(lr, update, out=update)
+
+    split = -(-params.size // _ADAM_BLOCK // 2) * _ADAM_BLOCK  # ceil(b/2) slices
+    if helper is None or split >= params.size:
+        update_slices(0, params.size)
+    else:
+        upper = helper.submit(update_slices, split, params.size)
+        try:
+            update_slices(0, split)
+        finally:
+            wait([upper])
+        upper.result()
     state.step = t
     return float(lr)
 
 
-def dsm_loss_and_grads(net: ScoreNet, x0: np.ndarray, c, schedule: NoiseSchedule, rng: np.random.Generator):
+def dsm_loss_and_grads(net: ScoreNet, x0: np.ndarray, c, schedule: NoiseSchedule,
+                       rng: np.random.Generator, *, helper: Executor | None = None):
     """Batch-mean DSM loss and its parameter gradients.
 
     Per example: draw (t, z) through :func:`~scorewave.diffusion.dsm_draw`,
     form x_t = x0 + sigma_t z, and accumulate 1/2 ||sigma_t S(x_t, c,
     sigma_t) + z||^2; the upstream gradient into the network is
-    sigma_t (sigma_t S + z) / B.
+    sigma_t (sigma_t S + z) / B. ``helper`` goes to :meth:`ScoreNet.backward`.
     """
     _, sig, x_t, z = dsm_draw(x0, schedule, rng)
     batch = x_t.shape[0]
     s = net.forward(x_t, c, sig, train=True)
     resid = sig[:, None] * s + z
     loss = float(0.5 * np.sum(resid * resid) / batch)
-    grads = net.backward(sig[:, None] * resid / batch)
+    grads = net.backward(sig[:, None] * resid / batch, helper=helper)
     return loss, grads
 
 
@@ -579,13 +638,15 @@ def train(
     batch_size: int,
     rng: np.random.Generator,
     opt_state: OptimizerState | None = None,
+    *,
+    helper: Executor | None = None,
 ) -> np.ndarray:
     """Run batched DSM descent; returns the loss trace (one entry per iter).
 
     `data` is either a GmmPrior (unconditional: c = None) or a callable
     (rng, batch_size) -> (x0, c) producing training pairs. Deterministic
     given the rng; aborts with the iteration index if the loss goes
-    non-finite.
+    non-finite. ``helper`` goes to each backward pass and Adam step.
     """
     if isinstance(data, GmmPrior):
         prior = data
@@ -604,10 +665,10 @@ def train(
     trace = np.empty(n_iters)
     for it in range(n_iters):
         x0, c = draw(rng, batch_size)
-        loss, grads = dsm_loss_and_grads(net, x0, c, schedule, rng)
+        loss, grads = dsm_loss_and_grads(net, x0, c, schedule, rng, helper=helper)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        adam_step(state, net.flat, grads.flat)
+        adam_step(state, net.flat, grads.flat, helper=helper)
         trace[it] = loss
     net.opt_state = state
     return trace

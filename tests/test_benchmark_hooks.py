@@ -100,6 +100,33 @@ def test_traced_train_records_every_training_span(tracing, tmp_path):
             "scorenet.film_mlp", "scorenet.save_checkpoint", "oracle.sample"} <= names
 
 
+def test_traced_default_size_train_nests_its_steps_under_train(tracing, tmp_path):
+    """Default-size net: Adam has 7 slices and backward hands its gradient
+    work to the traced pool. One backward and one Adam span per iteration,
+    each under the run's ``scorenet.train`` span."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["train", "--iterations", "2", "--out", str(tmp_path / "ck.bin")])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    assert -(-scorenet.ScoreNetConfig(dim_x=1).n_parameters() // scorenet._ADAM_BLOCK) == 7
+    spans = tracer.take()
+    parents = {sid: parent for sid, _, _, _, parent, _ in spans}
+    (run,) = [sid for sid, name, *_ in spans if name == "scorenet.train"]
+
+    def ancestors(sid):
+        while sid:
+            sid = parents[sid]
+            yield sid
+
+    for name in ("scorenet.backward", "scorenet.adam_step"):
+        steps = [sid for sid, span, *_ in spans if span == name]
+        assert len(steps) == 2, name
+        assert all(run in ancestors(sid) for sid in steps), name
+
+
 @pytest.mark.parametrize("n_realizations", [1, 2, 3])
 def test_traced_enhance_nests_every_realization_under_the_command(tracing, tmp_path,
                                                                   n_realizations):

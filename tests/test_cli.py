@@ -7,12 +7,18 @@ Exit codes: 0 success, 2 config, 3 I/O, 4 numeric.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scorewave import scorenet
 from scorewave.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -28,7 +34,7 @@ from scorewave.distort import (
     apply_chain,
     chain_from_record,
 )
-from scorewave.errors import ConfigError
+from scorewave.errors import ConfigError, TrainingError
 from scorewave.metrics import evaluate_pair, snr
 from scorewave.oracle import GmmPrior
 from scorewave.oracle import sample as sample_prior
@@ -515,6 +521,21 @@ class TestTrain:
                      "--resume", str(leg1), "--config", cfg, "--seed", "33"]) == EXIT_OK
         assert straight.read_bytes() == leg2.read_bytes()
 
+    def test_resume_of_zero_iterations_keeps_the_checkpoint(self, tmp_path):
+        """--resume with 0 iterations writes the resumed checkpoint and its
+        sidecar byte for byte, Adam's moments included, so it resumes again
+        (it used to drop the moments, and a further resume exited 2)."""
+        cfg = self.write_cfg(tmp_path)
+        a, b, c = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin"
+        assert main(["train", "--out", str(a), "--iterations", "3",
+                     "--config", cfg, "--seed", "4"]) == EXIT_OK
+        assert main(["train", "--out", str(b), "--iterations", "0", "--resume", str(a),
+                     "--config", cfg, "--seed", "4"]) == EXIT_OK
+        assert b.read_bytes() == a.read_bytes()
+        assert Path(f"{b}.rng.json").read_bytes() == Path(f"{a}.rng.json").read_bytes()
+        assert main(["train", "--out", str(c), "--iterations", "1", "--resume", str(b),
+                     "--config", cfg, "--seed", "4"]) == EXIT_OK
+
     def test_resume_without_opt_state_rejected(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         ckpt = tmp_path / "init.bin"
@@ -669,6 +690,98 @@ class TestTrain:
         code = main(["train", "--out", str(out), *argv, "--config", cfg, "--seed", "2"])
         assert code == EXIT_CONFIG
         assert not out.parent.exists()
+
+
+# Runs in a fresh interpreter, so the OpenBLAS thread count is read at start-up.
+TRAIN_CHILD = """
+import sys
+from scorewave.cli import main
+sys.exit(main(["train", "--out", sys.argv[1], "--iterations", "3", "--seed", "12"]))
+"""
+
+
+class TestTrainHelper:
+    """A train run of one or more iterations opens one one-worker pool,
+    which takes part of each backward pass and Adam step: no thread is
+    left after a return or a raise, and the checkpoint's bytes are the
+    helper-less training loop's at one and at two OpenBLAS threads."""
+
+    CFG = TestTrain.CFG
+
+    def train(self, tmp_path, iterations="2"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.CFG)
+        return main(["train", "--out", str(tmp_path / "ck.bin"), "--iterations", iterations,
+                     "--config", str(cfg), "--seed", "5"])
+
+    @pytest.mark.parametrize("iterations, pools", [("2", [1]), ("0", [])])
+    def test_one_pool_of_one_worker_per_run(self, tmp_path, monkeypatch, iterations, pools):
+        """Every ThreadPoolExecutor built during the run, wherever its module
+        imported the class."""
+        sizes, init = [], ThreadPoolExecutor.__init__
+
+        def counting_init(pool, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            init(pool, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        assert self.train(tmp_path, iterations) == EXIT_OK
+        assert sizes == pools
+
+    @pytest.mark.parametrize("outcome", ["return", "non_finite_loss", "raising_task"])
+    def test_no_thread_left(self, tmp_path, monkeypatch, capsys, outcome):
+        """The handed gradient tasks see one thread beyond the caller, and
+        none is left after a normal return, a non-finite loss at iteration
+        1 or a task that raises on the helper (whose error is the run's)."""
+        before, caller, seen = threading.active_count(), threading.current_thread(), []
+        affine_grads, forward, calls = scorenet._affine_grads, ScoreNet.forward, []
+
+        def counting_grads(*terms):
+            seen.append(threading.active_count())
+            if outcome == "raising_task" and threading.current_thread() is not caller:
+                raise TrainingError("injected: helper task failed")
+            affine_grads(*terms)
+
+        def nan_at_iteration_1(net, x, c, sigma, train=False):
+            out = forward(net, x, c, sigma, train)
+            calls.append(train)
+            return out * np.nan if outcome == "non_finite_loss" and calls.count(True) == 2 else out
+
+        monkeypatch.setattr(scorenet, "_affine_grads", counting_grads)
+        monkeypatch.setattr(ScoreNet, "forward", nan_at_iteration_1)
+        code = self.train(tmp_path)
+        assert threading.active_count() == before
+        assert seen and max(seen) == before + 1
+        assert code == (EXIT_OK if outcome == "return" else EXIT_NUMERIC)
+        err = capsys.readouterr().err
+        if outcome == "non_finite_loss":
+            assert "non-finite loss at iteration 1" in err
+        if outcome == "raising_task":
+            assert "injected: helper task failed" in err
+
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Default-size net, so Adam splits its 7 slices: the CLI's
+        checkpoint from two child interpreters, at 1 and 2 OpenBLAS threads,
+        equals the one helper-less ``scorenet.train`` writes."""
+        from scorewave.cli import _prior_from, _schedule_from
+        from scorewave.scorenet import OptimizerConfig, train
+
+        src = Path(scorenet.__file__).resolve().parents[1]
+        got = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / f"ck{threads}.bin"
+            subprocess.run([sys.executable, "-c", TRAIN_CHILD, str(out)], env=env,
+                           capture_output=True, text=True, check=True)
+            got[threads] = out.read_bytes()
+        cfg, rng = load_config(None), np.random.default_rng(12)
+        net = ScoreNet(ScoreNetConfig(dim_x=1, hidden=tuple(cfg["model.hidden"]),
+                                      n_pairs=cfg["model.n_pairs"],
+                                      embed_dim=cfg["model.embed_dim"]), rng)
+        train(net, _prior_from(cfg), _schedule_from(cfg), OptimizerConfig(total_steps=3), 3,
+              cfg["train.batch_size"], rng)
+        save_checkpoint(tmp_path / "want.bin", net, net.opt_state)
+        assert got["1"] == got["2"] == (tmp_path / "want.bin").read_bytes()
 
 
 def make_noisy_pair(tmp_path, n=400, noise_std=1.0, seed=11, rate=8000):

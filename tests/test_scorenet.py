@@ -13,6 +13,8 @@ import os
 import struct
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from scorewave import (
 )
 from scorewave import scorenet
 from scorewave.scorenet import (
+    _ADAM_BLOCK,
     _BLOCK_ROWS,
     FilmMlp,
     SigmaEmbedding,
@@ -723,6 +726,143 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(net, object(), NoiseSchedule(), OptimizerConfig(total_steps=10),
                   n_iters=10, batch_size=4, rng=np.random.default_rng(31))
+
+
+class RecordingHelper(ThreadPoolExecutor):
+    """A one-worker pool that keeps every future it hands out and, with a
+    ``delay``, sleeps that long before each task, so a task is still
+    pending when the submitting thread moves on."""
+
+    def __init__(self, delay=0.0):
+        super().__init__(max_workers=1)
+        self.futures, self.delay = [], delay
+
+    def submit(self, fn, /, *args, **kwargs):
+        def slow():
+            time.sleep(self.delay)
+            return fn(*args, **kwargs)
+
+        self.futures.append(super().submit(slow))
+        return self.futures[-1]
+
+
+def gmm_task():
+    from scorewave import GmmPrior
+
+    return GmmPrior(weights=[0.3, 0.7], means=[-2.0, 2.0], variances=[0.1, 0.1])
+
+
+def conditional_task(rng, batch):
+    """(x0, c) pairs for a dim_c = 1 net: c is the mean x0 is drawn around."""
+    c = rng.choice([-1.0, 1.0], size=(batch, 1))
+    return c + 0.2 * rng.standard_normal((batch, 1)), c
+
+
+class TestHelperBits:
+    """A helper executor moves no bit: backward's gradient vector, an Adam
+    step and a training run equal the inline calls', and every task handed
+    to the helper is done when the call returns or raises."""
+
+    @pytest.mark.parametrize("batch", [1, 128, 1000])
+    @pytest.mark.parametrize("dim_c", [0, 1])
+    @pytest.mark.parametrize("size", ["default", "small"])
+    def test_backward_gradient_vector(self, size, dim_c, batch):
+        if size == "default":
+            cfg = ScoreNetConfig(dim_x=1, dim_c=dim_c)
+        else:
+            cfg = ScoreNetConfig(dim_x=2, dim_c=dim_c, hidden=(6, 5, 4), n_pairs=3, embed_dim=7)
+        net = ScoreNet(cfg, np.random.default_rng(60))
+        randomize(net, np.random.default_rng(61), scale=0.1)
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((batch, cfg.dim_x))
+        c = rng.standard_normal((batch, dim_c)) if dim_c else None
+        sig = NoiseSchedule().sigma_at(rng.uniform(size=batch))
+        d_out = rng.standard_normal((batch, cfg.dim_x)) / batch
+        net.forward(x, c, sig, train=True)
+        inline = net.backward(d_out).flat
+        with RecordingHelper() as helper:
+            handed = net.backward(d_out, helper=helper).flat
+        # one task per layer: the output affine, each hidden layer, 3 embedding layers
+        assert len(helper.futures) == len(cfg.hidden) + 4
+        assert handed.tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("n_slices", [0.5, 2, 7.25], ids=["part", "2", "7+tail"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_step(self, n_slices, weight_decay):
+        """Three steps on random gradients; under one slice nothing is
+        submitted, else one task, the upper half."""
+        size = int(n_slices * _ADAM_BLOCK)
+        params = {"a.w": np.zeros(size // 3), "b.b": np.zeros(size - size // 3)}
+        cfg = OptimizerConfig(total_steps=10, warmup_frac=0.0, weight_decay=weight_decay)
+        rng = np.random.default_rng(63)
+        start = rng.standard_normal(size)
+        grads = [rng.standard_normal(size) for _ in range(3)]
+        runs = []
+        with RecordingHelper() as helper:
+            for h in (None, helper):
+                flat, state = start.copy(), init_optimizer(params, cfg)
+                lrs = [adam_step(state, flat, g, helper=h) for g in grads]
+                runs.append((flat.tobytes(), state.m.tobytes(), state.v.tobytes(),
+                             state.step, lrs))
+        assert len(helper.futures) == (0 if n_slices < 1 else 3)
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("short", [5, _ADAM_BLOCK + 5], ids=["caller", "helper"])
+    def test_adam_step_raising_half_is_joined(self, short):
+        """Gradients too short for one half: that half raises, the other
+        half's task is done by then, and the step count does not move."""
+        size = 2 * _ADAM_BLOCK
+        state = init_optimizer({"a.w": np.zeros(size)}, OptimizerConfig(total_steps=10))
+        with RecordingHelper(delay=0.02) as helper:
+            with pytest.raises(ValueError, match="broadcast"):
+                adam_step(state, np.zeros(size), np.zeros(short), helper=helper)
+            assert [f.done() for f in helper.futures] == [True]
+        assert state.step == 0
+
+    @pytest.mark.parametrize("raising", ["chain", "task"])
+    def test_backward_joins_every_task_before_raising(self, raising, monkeypatch):
+        """The chain raises at its third PReLU backward, or the second
+        handed task raises, while slow tasks are pending: backward raises
+        that error only after every task is done."""
+        net = ScoreNet(ScoreNetConfig(dim_x=1), np.random.default_rng(64))
+        x = np.random.default_rng(65).standard_normal((128, 1))
+        net.forward(x, None, np.full(128, 0.5), train=True)
+        calls = []
+        name = "_prelu_backward" if raising == "chain" else "_affine_grads"
+        original = getattr(scorenet, name)
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == (3 if raising == "chain" else 2):
+                raise TrainingError(f"{raising} failed")
+            return original(*args)
+
+        monkeypatch.setattr(scorenet, name, failing)
+        with RecordingHelper(delay=0.02) as helper:
+            with pytest.raises(TrainingError, match=f"^{raising} failed$"):
+                net.backward(x, helper=helper)
+            done = [f.done() for f in helper.futures]
+        assert len(done) >= 2 and all(done)
+
+    @pytest.mark.parametrize("data", ["gmm", "callable"])
+    @pytest.mark.parametrize("size", ["default", "small"])
+    def test_train(self, data, size):
+        """Trace, parameters, moments, step and the rng state after the call."""
+        dim_c = 0 if data == "gmm" else 1
+        cfg = (ScoreNetConfig(dim_x=1, dim_c=dim_c) if size == "default" else
+               ScoreNetConfig(dim_x=1, dim_c=dim_c, hidden=(8,), n_pairs=4, embed_dim=8))
+        task = gmm_task() if data == "gmm" else conditional_task
+        runs = []
+        with RecordingHelper() as helper:
+            for h in (None, helper):
+                net, rng = ScoreNet(cfg, np.random.default_rng(66)), np.random.default_rng(67)
+                trace = train(net, task, NoiseSchedule(), OptimizerConfig(total_steps=4), 4, 64,
+                              rng, helper=h)
+                state = net.opt_state
+                runs.append((trace.tobytes(), net.flat.tobytes(), state.m.tobytes(),
+                             state.v.tobytes(), state.step, rng.bit_generator.state))
+        assert helper.futures
+        assert runs[1] == runs[0]
 
 
 class TestParameterStore:
