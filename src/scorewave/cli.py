@@ -300,9 +300,9 @@ def _read_clips(args) -> tuple[Signal, Signal | None]:
 
 # The toolkit's one realization-averaging loop. It calls the sampler through
 # this module's name ``langevin_sample``, which perfbench/tracing.py patches
-# to time the sampler and its score calls, and hands the helper its work
-# through this module's ``ThreadPoolExecutor(...).map``, which the tracer
-# replaces so that work nests under the command's span.
+# to time the sampler and its score calls. It hands the helper its pairs
+# through ``helper.map``, not ``diffusion.handing``: the tracer's pool
+# overrides only ``map``, so that work nests under the command's span.
 def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.ndarray:
     """Average of sampling.n_realizations (R) Langevin samples along ``plan``
     through ``score`` = :func:`_enhancement_score` of ``observed``, one per
@@ -314,7 +314,7 @@ def _enhance_samples(observed: np.ndarray, cfg: dict, score, plan, rng) -> np.nd
     wait on itself); a last odd one (all of R = 1) draws its next noise
     block on the helper. Outputs are added in index order, so the
     bits equal the sequential loop's; the lowest failing index's error is
-    raised, the helper joined.
+    raised.
     """
     score_fn, c = score
     n = observed.size
@@ -618,7 +618,8 @@ def cmd_sample_prior(args, cfg: dict, seed: int, jobs: int) -> int:
 # one or more iterations opens one one-worker ThreadPoolExecutor and no other
 # thread, whatever jobs is, and joins it before it returns or raises. That
 # helper is not a fan-out: it does work the calling thread would have done,
-# with the same bits.
+# with the same bits, handed to it through diffusion.handing (or, for
+# _enhance_samples's pairs, its map).
 COMMANDS = {
     "distort": cmd_distort,
     "train": cmd_train,

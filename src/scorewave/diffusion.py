@@ -14,11 +14,10 @@ Langevin recursion over a :class:`~scorewave.schedule.SamplingPlan`
 
 for n = N..2, followed by a final noise-free empirical denoising step
 x + sigma_0^2 * S(x, c, sigma_0), the only step at N = 1. Averaging over
-realizations is left to the caller (``cli._enhance_samples``, which owns
-a sampling call's one helper thread; this module starts none). The noise
+realizations is left to the caller (``cli._enhance_samples``). The noise
 z_n depends only on the rng stream, so the sampler draws it in blocks of
-whole steps, the next on the caller's helper, if given, while the score
-runs; the blocks hold the per-step draws' values in order, moving no bit.
+whole steps, the next handed to the caller's helper (:func:`handing`)
+while the score runs; the blocks hold the per-step draws, moving no bit.
 
 Score functions are plain callables ``(x, c, sigma) -> score`` returning an
 array of x's shape (the sampler raises SamplingError otherwise). ``sigma`` is
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import Executor
+from concurrent.futures import Executor, wait
 
 import numpy as np
 
@@ -98,6 +97,31 @@ def denoise_final(score_fn, x, c, sigma0: float):
     return x + sigma0**2 * _score(score_fn, x, c, sigma0)
 
 
+@contextlib.contextmanager
+def handing(helper: Executor | None):
+    """``with handing(helper) as hand:`` — ``hand(fn, *args, **kwargs)`` runs
+    fn on ``helper``, or at once (raising into the block) when ``helper`` is
+    None. Leaving the block waits for every handed call, then raises the
+    block's own error if it has one, else the first handed call's error in
+    handing order. Every hand-off to a command's helper thread (the one
+    rule above ``cli.COMMANDS``) goes through here; a handed call must
+    touch nothing the block writes before it ends."""
+    handed = []
+
+    def hand(fn, *args, **kwargs) -> None:
+        if helper is None:
+            fn(*args, **kwargs)
+        else:
+            handed.append(helper.submit(fn, *args, **kwargs))
+
+    try:
+        yield hand
+    finally:
+        wait(handed)
+    for call in handed:
+        call.result()
+
+
 # Noise values per block: a block holds max(1, ceil(NOISE_BLOCK / values per
 # step)) whole steps, so small iterates hand off once per block, not per step.
 NOISE_BLOCK = 16_384
@@ -106,25 +130,17 @@ NOISE_BLOCK = 16_384
 def _noise(rng: np.random.Generator, shape: tuple, n_steps: int, helper: Executor | None):
     """The next n_steps draws rng.standard_normal(shape), in stream order,
     as views into two (k, *shape) buffers of k whole steps each, each valid
-    until the next is asked for. The caller draws the first block; ``helper``
-    draws block b + 1 while the caller uses block b, or with no helper the
-    caller draws it first. Closing waits for a block still being drawn."""
+    until the next is asked for. The caller draws the first block; each
+    block hands the next block's draw to ``helper`` (:func:`handing`) before
+    its own steps run."""
     k = min(n_steps, -(-NOISE_BLOCK // max(1, math.prod(shape))))
     bufs = np.empty((2, k, *shape))
     rng.standard_normal(out=bufs[0])
     for b, start in enumerate(range(0, n_steps, k)):
-        ahead = None
-        if start + k < n_steps:
-            nxt = bufs[(b + 1) % 2, :min(k, n_steps - start - k)]
-            if helper is None:
-                rng.standard_normal(out=nxt)
-            else:
-                ahead = helper.submit(rng.standard_normal, out=nxt)
-        try:
+        with handing(helper) as hand:
+            if start + k < n_steps:
+                hand(rng.standard_normal, out=bufs[(b + 1) % 2, :min(k, n_steps - start - k)])
             yield from bufs[b % 2, :min(k, n_steps - start)]
-        finally:
-            if ahead is not None:
-                ahead.result()
 
 
 def langevin_sample(
@@ -148,15 +164,12 @@ def langevin_sample(
 
     The iterate is updated in place, so a score function must not keep a
     reference to the x it is given between calls. The step noise is drawn
-    in blocks of max(1, ceil(NOISE_BLOCK / x.size)) whole steps into two
-    reused buffers: the first on the calling thread, each next one on
-    ``helper`` while the current block's steps run (``cli._enhance_samples``
-    passes its one thread), or with ``helper=None`` on the calling thread.
-    The values are the per-step draws' either way, so the bits and the rng
-    state after a return do not depend on the thread that drew them. The
-    rng belongs to the sampler for the call's duration: no draw it submitted
-    runs on once it returns or raises, and after an exception its state may
-    be up to one block ahead of the step that raised.
+    in blocks of max(1, ceil(NOISE_BLOCK / x.size)) whole steps, each next
+    block handed to ``helper`` (:func:`handing`) while the current one's
+    steps run; the values are the per-step draws' on any thread, so the
+    bits and the rng state after a return are too. The rng belongs to the
+    sampler for the call; after an exception its state may be up to one
+    block ahead of the step that raised.
     """
     shape = (dim,) if n_samples is None else (int(n_samples), dim)
     sigmas = plan.sigmas

@@ -35,10 +35,9 @@ layout (:class:`Gradients`), which Adam takes as it is. One PReLU formula
 for every slope; backward rebuilds the slope from the cached activation.
 Outside training FiLM runs in place.
 
-With a ``helper`` executor (the ``train`` command's one helper thread),
-backward hands it each layer's weight and bias gradients, and Adam the upper
-half of its slices; both join it before they return or raise, and the bits
-are the inline calls'.
+Backward hands each layer's weight and bias gradients, and Adam the upper
+half of its slices, to a ``helper`` through
+:func:`~scorewave.diffusion.handing`; the bits are the inline calls'.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffusion import dsm_draw
+from .diffusion import dsm_draw, handing
 from .errors import ConfigError, TrainingError
 from .files import replacing
 from .oracle import GmmPrior
@@ -191,12 +190,11 @@ def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndar
     embedding (None without FiLM). The stack's input gets no gradient.
 
     The chain (PReLU backward, d_gamma, d_pre, d_e, d_h) runs here; each
-    layer's weight and bias gradients go to ``run(fn, *args)``, which may
-    hand them to another thread. Until the caller joins those tasks, the
-    chain must write nothing a pending task reads: a task reads the
-    forward's cache and the gradient backward was given, which backward
-    never writes, and arrays made new for its layer, which the chain only
-    reads after handing them on."""
+    layer's weight and bias gradients go to ``run(fn, *args)``, a
+    :func:`~scorewave.diffusion.handing` ``hand`` or :func:`_inline`. A
+    task reads the forward's cache and the gradient backward was given,
+    which backward never writes, and arrays made new for its layer, which
+    the chain only reads after handing them on."""
     e = cache["e"]
     d_e = None if e is None else np.zeros_like(e)
     for i in reversed(range(n)):
@@ -458,12 +456,9 @@ class ScoreNet:
 
     def backward(self, d_out: np.ndarray, *, helper: Executor | None = None) -> Gradients:
         """Parameter gradients for the last forward(train=True) call, written
-        into one new vector per call.
-
-        With a ``helper`` executor, each layer's weight and bias gradients
-        run on it while the calling thread goes down the chain; every task
-        is joined before the call returns or raises, and the first task
-        error is raised. The bits are the inline call's."""
+        into one new vector per call. Each layer's weight and bias gradients
+        are handed to ``helper`` (:func:`~scorewave.diffusion.handing`)
+        while the calling thread goes down the chain."""
         if self._cache is None:
             raise TrainingError("backward called without a cached forward pass (train=True)")
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -472,16 +467,9 @@ class ScoreNet:
         flat = np.empty_like(self.flat)
         grads = Gradients(flat, _views(flat, self._shapes))
         layer = self._by_layer(grads)
-        pending: list[Future] = []
-        run = _inline if helper is None else (
-            lambda fn, *args: pending.append(helper.submit(fn, *args)))
-        try:
-            _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"], run)
-            self.embedding.backward(self._cache["emb"], d_e, layer["emb"], run)
-        finally:  # the first task error, in handing order, wins over the chain's
-            wait(pending)
-            for task in pending:
-                task.result()
+        with handing(helper) as hand:
+            _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"], hand)
+            self.embedding.backward(self._cache["emb"], d_e, layer["emb"], hand)
         return grads
 
 
@@ -568,11 +556,10 @@ def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray, *,
 
     The vector is updated in slices of ``_ADAM_BLOCK`` elements, each through
     two scratch buffers with ``out=`` ufuncs: one slice of all six vectors
-    stays in cache, and no whole-vector temporary is allocated. With a
-    ``helper`` executor and b > 1 slices, the first ceil(b/2) run on the
-    calling thread and the rest on the helper, each half with its own two
-    buffers; both are joined before the step count moves, and the bits are
-    the inline call's.
+    stays in cache, and no whole-vector temporary is allocated. With b > 1
+    slices, the last floor(b/2) are handed to ``helper``
+    (:func:`~scorewave.diffusion.handing`) and the first ceil(b/2) run here,
+    each half with its own two buffers; the step count moves after both.
     """
     cfg = state.config
     lr = lr_at(cfg, state.step)
@@ -598,15 +585,10 @@ def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray, *,
             p -= np.multiply(lr, update, out=update)
 
     split = -(-params.size // _ADAM_BLOCK // 2) * _ADAM_BLOCK  # ceil(b/2) slices
-    if helper is None or split >= params.size:
-        update_slices(0, params.size)
-    else:
-        upper = helper.submit(update_slices, split, params.size)
-        try:
-            update_slices(0, split)
-        finally:
-            wait([upper])
-        upper.result()
+    with handing(helper) as hand:
+        if split < params.size:
+            hand(update_slices, split, params.size)
+        update_slices(0, min(split, params.size))
     state.step = t
     return float(lr)
 
@@ -618,7 +600,7 @@ def dsm_loss_and_grads(net: ScoreNet, x0: np.ndarray, c, schedule: NoiseSchedule
     Per example: draw (t, z) through :func:`~scorewave.diffusion.dsm_draw`,
     form x_t = x0 + sigma_t z, and accumulate 1/2 ||sigma_t S(x_t, c,
     sigma_t) + z||^2; the upstream gradient into the network is
-    sigma_t (sigma_t S + z) / B. ``helper`` goes to :meth:`ScoreNet.backward`.
+    sigma_t (sigma_t S + z) / B; ``helper`` is :meth:`ScoreNet.backward`'s.
     """
     _, sig, x_t, z = dsm_draw(x0, schedule, rng)
     batch = x_t.shape[0]
@@ -646,7 +628,7 @@ def train(
     `data` is either a GmmPrior (unconditional: c = None) or a callable
     (rng, batch_size) -> (x0, c) producing training pairs. Deterministic
     given the rng; aborts with the iteration index if the loss goes
-    non-finite. ``helper`` goes to each backward pass and Adam step.
+    non-finite. ``helper`` is each backward pass's and Adam step's.
     """
     if isinstance(data, GmmPrior):
         prior = data

@@ -99,7 +99,8 @@ def write_wav(path, sig: Signal, encoding: str = "pcm16") -> None:
     PCM16 samples are clipped to [-1, 1] and scaled by 32767 with
     round-half-away rounding, so the read-back error is at most half an
     LSB. float32 is written verbatim (bit-exact round trip up to the
-    float64 -> float32 cast).
+    float64 -> float32 cast). A rate or size the header's 32-bit fields
+    cannot hold raises AudioError before the file is opened.
     """
     if encoding == "pcm16":
         fmt_code, bits = 1, 16
@@ -112,6 +113,9 @@ def write_wav(path, sig: Signal, encoding: str = "pcm16") -> None:
         raise AudioError(f"unsupported encoding {encoding!r} (pcm16 or float32)")
     raw = payload.tobytes()
     block_align = bits // 8
+    if max(sig.sample_rate * block_align, 36 + len(raw)) > 0xFFFFFFFF:  # rate <= byte rate
+        raise AudioError(f"a {encoding} WAV header cannot hold {len(raw)} data bytes at "
+                         f"{sig.sample_rate} Hz")
     header = b"".join(
         [
             b"RIFF",

@@ -1007,6 +1007,18 @@ class TestMalformedInputs:
         assert "inconsistent fmt chunk" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
+    def test_rate_beyond_the_float32_header_is_io_error(self, tmp_path, capsys):
+        """A valid PCM16 input at 1.5 GHz (byte rate 3.0e9) is enhanced, but
+        its float32 output's byte rate, 6.0e9, does not fit the header's
+        uint32: exit 3 naming the rate, and no output file."""
+        noisy = tmp_path / "hi.wav"
+        x = 0.1 * np.random.default_rng(0).standard_normal(4000)
+        write_wav(noisy, Signal(samples=x, sample_rate=1_500_000_000), encoding="pcm16")
+        code = main(["enhance", "--input", str(noisy), "--output", str(tmp_path / "o.wav")])
+        assert code == EXIT_IO
+        assert "1500000000 Hz" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
     @pytest.mark.parametrize("command", ["distort", "train"])
     @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["missing", "binary"])
     def test_unreadable_manifest_is_io_error(self, tmp_path, command, content):

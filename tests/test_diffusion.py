@@ -12,6 +12,7 @@ estimator's standard error. The Gaussian closed forms used as references:
 
 from __future__ import annotations
 
+import contextlib
 import re
 import threading
 import time
@@ -24,11 +25,13 @@ from scipy.integrate import quad
 from scorewave import GmmPrior, NoiseSchedule, NumericError, SamplingError, langevin_sample, make_plan
 from scorewave.cli import (EXIT_CONFIG, EXIT_OK, _enhance_samples, _prior_from, _schedule_from,
                            load_config, main)
-from scorewave.diffusion import NOISE_BLOCK, denoise_final, dsm_loss_batch, perturb
+from scorewave.diffusion import NOISE_BLOCK, denoise_final, dsm_loss_batch, handing, perturb
 from scorewave.oracle import posterior_prior, posterior_score, score_function
 from scorewave.oracle import sample as sample_prior
 from scorewave.scorenet import ScoreNet, ScoreNetConfig
 from scorewave.signal import Signal, write_wav
+
+from executors import RecordingHelper, SlowHelper
 
 
 def zero_score(x, c, sigma):
@@ -367,22 +370,61 @@ def gaussian_score(x, c, sigma):
     return -x / (1.0 + sigma**2)
 
 
-class SlowHelper(ThreadPoolExecutor):
-    """A one-worker pool that keeps every future it hands out and sleeps
-    before each task, so a draw the sampler submits is still running when
-    the step after it raises."""
+def fail(message, delay=0.0):
+    time.sleep(delay)
+    raise ValueError(message)
 
-    def __init__(self):
-        super().__init__(max_workers=1)
-        self.futures = []
 
-    def submit(self, fn, /, *args, **kwargs):
-        def slow():
-            time.sleep(0.005)
-            return fn(*args, **kwargs)
+class TestHanding:
+    """``handing``: a handed call runs on the helper, or at once without one;
+    leaving the block waits for every handed call, then raises the block's
+    error, else the first handed call's error in handing order."""
 
-        self.futures.append(super().submit(slow))
-        return self.futures[-1]
+    def test_without_helper_runs_at_once_and_builds_no_pool(self, monkeypatch):
+        built, ran = [], []
+        init = ThreadPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        before = threading.active_count()
+        with handing(None) as hand:
+            hand(lambda *a, **k: ran.append((a, k, threading.active_count())), 1, out=2)
+            assert ran == [((1,), {"out": 2}, before)]
+            with pytest.raises(ValueError, match="^at once$"):
+                hand(fail, "at once")
+        assert built == [] and threading.active_count() == before
+
+    def test_block_error_wins_over_handed_error(self):
+        with RecordingHelper(delay=0.02) as helper:
+            with pytest.raises(KeyError, match="block"):
+                with handing(helper) as hand:
+                    hand(fail, "handed")
+                    raise KeyError("block")
+            assert [f.done() for f in helper.futures] == [True]
+
+    def test_first_handed_error_wins(self):
+        """On two workers the second handed call fails first; the first's
+        error is still the one raised."""
+        with ThreadPoolExecutor(max_workers=2) as helper:
+            with pytest.raises(ValueError, match="^first$"):
+                with handing(helper) as hand:
+                    hand(fail, "first", delay=0.05)
+                    hand(fail, "second")
+
+    @pytest.mark.parametrize("block_raises", [False, True], ids=["returns", "raises"])
+    def test_every_handed_call_done_on_leaving(self, block_raises):
+        done = []
+        with RecordingHelper(delay=0.02) as helper:
+            with pytest.raises(KeyError) if block_raises else contextlib.nullcontext():
+                with handing(helper) as hand:
+                    for i in range(3):
+                        hand(done.append, i)
+                    if block_raises:
+                        raise KeyError("block")
+            assert done == [0, 1, 2] and all(f.done() for f in helper.futures)
 
 
 class TestNoiseBlocks:

@@ -13,8 +13,6 @@ import os
 import struct
 import subprocess
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +48,8 @@ from scorewave.scorenet import (
     save_checkpoint,
 )
 from scorewave.signal import Signal, write_wav
+
+from executors import RecordingHelper
 
 
 def frozen_dsm_loss(net, x_t, z, sig, c):
@@ -728,24 +728,6 @@ class TestTraining:
                   n_iters=10, batch_size=4, rng=np.random.default_rng(31))
 
 
-class RecordingHelper(ThreadPoolExecutor):
-    """A one-worker pool that keeps every future it hands out and, with a
-    ``delay``, sleeps that long before each task, so a task is still
-    pending when the submitting thread moves on."""
-
-    def __init__(self, delay=0.0):
-        super().__init__(max_workers=1)
-        self.futures, self.delay = [], delay
-
-    def submit(self, fn, /, *args, **kwargs):
-        def slow():
-            time.sleep(self.delay)
-            return fn(*args, **kwargs)
-
-        self.futures.append(super().submit(slow))
-        return self.futures[-1]
-
-
 def gmm_task():
     from scorewave import GmmPrior
 
@@ -840,6 +822,32 @@ class TestHelperBits:
         monkeypatch.setattr(scorenet, name, failing)
         with RecordingHelper(delay=0.02) as helper:
             with pytest.raises(TrainingError, match=f"^{raising} failed$"):
+                net.backward(x, helper=helper)
+            done = [f.done() for f in helper.futures]
+        assert len(done) >= 2 and all(done)
+
+    def test_backward_raises_the_chains_error_over_a_tasks(self, monkeypatch):
+        """The first handed task and the chain's third PReLU backward both
+        raise: the chain's error wins, after every task is done."""
+        net = ScoreNet(ScoreNetConfig(dim_x=1), np.random.default_rng(64))
+        x = np.random.default_rng(65).standard_normal((128, 1))
+        net.forward(x, None, np.full(128, 0.5), train=True)
+
+        def raise_at(name, at):
+            calls, original = [], getattr(scorenet, name)
+
+            def failing(*args):
+                calls.append(1)
+                if len(calls) == at:
+                    raise TrainingError(f"{name} failed")
+                return original(*args)
+
+            monkeypatch.setattr(scorenet, name, failing)
+
+        raise_at("_prelu_backward", 3)
+        raise_at("_affine_grads", 1)
+        with RecordingHelper(delay=0.02) as helper:
+            with pytest.raises(TrainingError, match="^_prelu_backward failed$"):
                 net.backward(x, helper=helper)
             done = [f.done() for f in helper.futures]
         assert len(done) >= 2 and all(done)

@@ -195,6 +195,24 @@ class TestWav:
         with pytest.raises(AudioError, match="declares 200 bytes"):
             read_wav(path)
 
+    @pytest.mark.parametrize("encoding, rate", [
+        ("float32", 1_500_000_000),   # byte rate 6.0e9; the PCM16 file's 3.0e9 fits
+        ("pcm16", 2**31),             # byte rate 2**32
+    ])
+    def test_header_overflow_rejected_before_writing(self, tmp_path, encoding, rate):
+        """A byte rate the header's uint32 cannot hold raises AudioError
+        naming the rate, not struct.error, and opens no file."""
+        path = tmp_path / "x.wav"
+        with pytest.raises(AudioError, match=f"at {rate} Hz$"):
+            write_wav(path, Signal(samples=np.zeros(4), sample_rate=rate), encoding=encoding)
+        assert not path.exists()
+
+    def test_largest_header_rate_is_written(self, tmp_path):
+        """A PCM16 byte rate of exactly 2**32 - 2 still fits."""
+        path = tmp_path / "x.wav"
+        write_wav(path, Signal(samples=np.zeros(4), sample_rate=2**31 - 1), encoding="pcm16")
+        assert read_wav(path).sample_rate == 2**31 - 1
+
     def test_unsupported_write_encoding(self, tmp_path):
         with pytest.raises(AudioError):
             write_wav(tmp_path / "x.wav", Signal(samples=np.zeros(4)), encoding="pcm24")

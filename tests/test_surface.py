@@ -170,3 +170,27 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {str(path.relative_to(SRC)): names for path in modules
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+# -- helper threads -----------------------------------------------------------
+
+
+def calls_in(path: Path) -> list[tuple[str, str | None, str | None]]:
+    """(module, top-level def or class it sits in, callee's last name) for
+    every call in a source file of ``src/``."""
+    tree = ast.parse(path.read_text())
+    module = str(path.relative_to(SRC))
+    return [(module, getattr(top, "name", None),
+             node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+            for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Call)]
+
+
+def test_one_hand_off_and_one_pool_owner():
+    """Work reaches a pool through ``diffusion.handing`` (and a pool's own
+    ``map``) alone, and only the CLI builds a pool, so no module grows a
+    hand-off with its own join."""
+    calls = [call for path in sorted((SRC / "scorewave").rglob("*.py")) for call in calls_in(path)]
+    assert {(module, top) for module, top, name in calls if name == "submit"} == {
+        ("scorewave/diffusion.py", "handing")}
+    assert {module for module, _, name in calls if name == "ThreadPoolExecutor"} == {
+        "scorewave/cli.py"}
