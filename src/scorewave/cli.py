@@ -149,7 +149,7 @@ def _read_lines(path, error, what: str) -> list[tuple[int, str]]:
     """(line number, stripped line) of each line that is neither blank nor
     a ``#`` comment; a file that cannot be read or decoded raises ``error``."""
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)

@@ -1,6 +1,9 @@
 """Trainable sigma-conditioned score network with hand-written gradients.
 
-Three pieces, all double precision, all plain numpy:
+One network, all double precision, all plain numpy. :class:`ScoreNet`
+draws (or wraps) every parameter, runs the backward pass and exposes the
+(x, c, sigma) -> score interface the sampler and the DSM loss expect. Its
+two forward-only views over its parameters:
 
 * :class:`SigmaEmbedding` — the noise level enters through random Fourier
   features of log sigma: u = [sin(f_i log sigma), cos(f_i log sigma)] with
@@ -11,10 +14,10 @@ Three pieces, all double precision, all plain numpy:
   gamma ⊙ pre + shift, where gamma and shift are per-layer linear
   projections of the sigma embedding (FiLM). PReLU activations; the final
   affine layer is zero-initialized so training starts from score ≡ 0.
-* :class:`ScoreNet` — the composition, exposing the (x, c, sigma) -> score
-  interface the sampler and the DSM loss expect. The sampler calls it at
-  one scalar sigma per step; outside training that sigma is embedded once
-  per call, not once per row, and the rows go through the MLP in blocks.
+
+The sampler calls the network at one scalar sigma per step; outside
+training that sigma is embedded once per call, not once per row, and the
+rows go through the MLP in blocks.
 
 Both MLPs are one PReLU layer stack written once (:func:`_layers_forward`,
 :func:`_layers_backward`); the score stack's layers add FiLM.
@@ -179,22 +182,18 @@ def _affine_grads(*terms) -> None:
         _rows(d).sum(axis=0, out=b)
 
 
-def _inline(fn, *args) -> None:
-    fn(*args)
-
-
 def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndarray,
-                     grads: dict[str, np.ndarray], run=_inline) -> np.ndarray | None:
+                     grads: dict[str, np.ndarray], hand) -> np.ndarray | None:
     """Writes the stack's parameter gradients into ``grads``, given the
     gradient d_h w.r.t. its output, and returns the gradient w.r.t. the
     embedding (None without FiLM). The stack's input gets no gradient.
 
     The chain (PReLU backward, d_gamma, d_pre, d_e, d_h) runs here; each
-    layer's weight and bias gradients go to ``run(fn, *args)``, a
-    :func:`~scorewave.diffusion.handing` ``hand`` or :func:`_inline`. A
-    task reads the forward's cache and the gradient backward was given,
-    which backward never writes, and arrays made new for its layer, which
-    the chain only reads after handing them on."""
+    layer's weight and bias gradients go to ``hand``, a
+    :func:`~scorewave.diffusion.handing` block's. A task reads the
+    forward's cache and the gradient backward was given, which backward
+    never writes, and arrays made new for its layer, which the chain only
+    reads after handing them on."""
     e = cache["e"]
     d_e = None if e is None else np.zeros_like(e)
     for i in reversed(range(n)):
@@ -206,7 +205,7 @@ def _layers_backward(p: dict[str, np.ndarray], n: int, cache: dict, d_h: np.ndar
             d_pre = d_act * gamma
             terms = [(e, d_gamma, grads[f"l{i}.gw"], grads[f"l{i}.gb"]),
                      (e, d_act, grads[f"l{i}.hw"], grads[f"l{i}.hb"])]
-        run(_affine_grads, *terms, (cache["inputs"][i], d_pre, grads[f"l{i}.w"], grads[f"l{i}.b"]))
+        hand(_affine_grads, *terms, (cache["inputs"][i], d_pre, grads[f"l{i}.w"], grads[f"l{i}.b"]))
         if e is not None:
             d_e += d_gamma @ p[f"l{i}.gw"].T
             d_e += d_act @ p[f"l{i}.hw"].T
@@ -247,9 +246,12 @@ class ScoreNetConfig:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every trainable array in sorted-name order: the
         layout of :attr:`ScoreNet.flat` and of the checkpoint payload."""
-        named = {f"emb.{k}": s for k, s in SigmaEmbedding.shapes(self.n_pairs, self.embed_dim).items()}
-        named |= {f"mlp.{k}": s for k, s in FilmMlp.shapes(self).items()}
-        return {k: named[k] for k in sorted(named)}
+        sizes = [self.dim_x + self.dim_c, *self.hidden]
+        emb = _layer_shapes([2 * self.n_pairs] + [self.embed_dim] * 3, 0)
+        mlp = _layer_shapes(sizes, self.embed_dim) | {"out.w": (sizes[-1], self.dim_x),
+                                                      "out.b": (self.dim_x,)}
+        named = {f"emb.{k}": s for k, s in emb.items()} | {f"mlp.{k}": s for k, s in mlp.items()}
+        return dict(sorted(named.items()))
 
     def n_parameters(self) -> int:
         """:meth:`ScoreNet.n_parameters` from the sizes alone, no arrays built."""
@@ -257,28 +259,12 @@ class ScoreNetConfig:
 
 
 class SigmaEmbedding:
-    """Frozen random Fourier features of log sigma plus a 3-layer PReLU MLP.
+    """Frozen random Fourier features of log sigma plus a 3-layer PReLU MLP,
+    over the parameter views and read-only frequencies :class:`ScoreNet`
+    gives it."""
 
-    The frequency vector is drawn once at construction and never trained.
-    Initial parameters are drawn from ``rng`` into ``params`` when given
-    (name -> array of the :meth:`shapes` shape), else into new arrays. With
-    ``rng`` None nothing is drawn: ``params`` is kept as it is and the caller
-    sets ``frequencies``.
-    """
-
-    def __init__(self, n_pairs: int, embed_dim: int, rng: np.random.Generator | None,
-                 params: dict[str, np.ndarray] | None = None):
-        shapes = self.shapes(n_pairs, embed_dim)
-        self.params = params if params is not None else {k: np.empty(s) for k, s in shapes.items()}
-        if rng is None:
-            return
-        self.frequencies = rng.standard_normal(n_pairs)
-        self.frequencies.flags.writeable = False
-        _init_layers(self.params, 3, rng)
-
-    @staticmethod
-    def shapes(n_pairs: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
-        return _layer_shapes([2 * n_pairs, embed_dim, embed_dim, embed_dim], 0)
+    def __init__(self, params: dict[str, np.ndarray], frequencies: np.ndarray):
+        self.params, self.frequencies = params, frequencies
 
     def features(self, sigma) -> np.ndarray:
         """[sin(f_i log sigma), cos(f_i log sigma)] — shape (..., 2*n_pairs)."""
@@ -291,17 +277,6 @@ class SigmaEmbedding:
     def forward(self, sigma, cache: dict | None = None) -> np.ndarray:
         return _layers_forward(self.params, 3, self.features(sigma), None, cache)
 
-    def backward(self, cache: dict, d_out: np.ndarray,
-                 grads: dict[str, np.ndarray] | None = None, run=_inline) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. the MLP parameters, given the
-        gradient w.r.t. the embedding output, written into ``grads`` (new
-        arrays when None). Frequencies receive none, and neither does the
-        input of the first layer. ``run`` is :func:`_layers_backward`'s."""
-        if grads is None:
-            grads = {k: np.empty_like(p) for k, p in self.params.items()}
-        _layers_backward(self.params, 3, cache, d_out, grads, run)
-        return grads
-
 
 class FilmMlp:
     """PReLU MLP over concat(x, c) with per-layer FiLM modulation.
@@ -310,25 +285,11 @@ class FilmMlp:
     gamma = e @ Gw + gb and shift = e @ Hw + hb computed from the sigma
     embedding e. FiLM starts at identity (Gw = Hw = 0, gb = 1, hb = 0) and
     the output layer starts at zero, so the freshly built network is the
-    zero score. ``rng`` and ``params`` work as for :class:`SigmaEmbedding`.
+    zero score. The parameters are views :class:`ScoreNet` gives it.
     """
 
-    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator | None,
-                 params: dict[str, np.ndarray] | None = None):
-        self.config = config
-        shapes = self.shapes(config)
-        self.params = params if params is not None else {k: np.empty(s) for k, s in shapes.items()}
-        if rng is None:
-            return
-        _init_layers(self.params, len(config.hidden), rng)
-        self.params["out.w"][...] = 0.0
-        self.params["out.b"][...] = 0.0
-
-    @staticmethod
-    def shapes(config: ScoreNetConfig) -> dict[str, tuple[int, ...]]:
-        sizes = [config.dim_x + config.dim_c, *config.hidden]
-        return _layer_shapes(sizes, config.embed_dim) | {"out.w": (sizes[-1], config.dim_x),
-                                                         "out.b": (config.dim_x,)}
+    def __init__(self, config: ScoreNetConfig, params: dict[str, np.ndarray]):
+        self.config, self.params = config, params
 
     def forward(self, x: np.ndarray, c, sigma_emb: np.ndarray, cache: dict | None = None):
         cfg, p = self.config, self.params
@@ -349,19 +310,6 @@ class FilmMlp:
         out += p["out.b"]
         return out
 
-    def backward(self, cache: dict, d_out: np.ndarray, grads: dict[str, np.ndarray] | None = None,
-                 run=_inline):
-        """Returns (parameter gradients, gradient w.r.t. the sigma embedding);
-        the parameter gradients are written into ``grads`` (new arrays when
-        None). The input of the first layer gets no gradient. ``run`` is
-        :func:`_layers_backward`'s, and takes the output layer's too."""
-        p = self.params
-        if grads is None:
-            grads = {k: np.empty_like(v) for k, v in p.items()}
-        run(_affine_grads, (cache["inputs"][-1], d_out, grads["out.w"], grads["out.b"]))
-        d_h = d_out @ p["out.w"].T
-        return grads, _layers_backward(p, len(self.config.hidden), cache, d_h, grads, run)
-
 
 class Gradients(dict):
     """name -> gradient array, every one a view of the vector :attr:`flat`,
@@ -375,33 +323,46 @@ class Gradients(dict):
 class ScoreNet:
     """Sigma embedding + FiLM MLP, presenting the sampler's score interface.
 
-    The frozen frequencies and initial parameters are drawn from ``rng``.
-    Given ``flat`` (a float64 vector of ``config.n_parameters()``), the
-    network wraps it as its parameter vector instead and draws nothing;
-    ``rng`` is then unused and the caller sets ``embedding.frequencies``.
+    Given ``rng`` alone, it draws the frozen frequencies, then the
+    embedding's layers, then the MLP's (fan-in affine, slopes 0.25, identity
+    FiLM), and zeroes the output layer. Given ``flat`` and ``frequencies``
+    alone (float64 vectors of ``config.n_parameters()`` and
+    ``config.n_pairs``), it wraps ``flat`` as its parameter vector, keeps a
+    read-only copy of ``frequencies`` and draws nothing. Anything else is a
+    :class:`ConfigError`.
     """
 
-    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator | None,
-                 flat: np.ndarray | None = None):
-        self.config = config
+    def __init__(self, config: ScoreNetConfig, rng: np.random.Generator | None = None,
+                 flat: np.ndarray | None = None, frequencies: np.ndarray | None = None):
+        draw = rng is not None and flat is None and frequencies is None
+        if draw:
+            # zeros: every array but the output layer's is drawn below
+            flat, frequencies = np.zeros(config.n_parameters()), rng.standard_normal(config.n_pairs)
+        elif rng is not None or not all(
+                isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+                for v, n in ((flat, config.n_parameters()), (frequencies, config.n_pairs))):
+            raise ConfigError("ScoreNet takes an rng to draw from, or flat and frequencies to "
+                              f"wrap: float64 vectors of {config.n_parameters()} and "
+                              f"{config.n_pairs} values")
+        frequencies = np.array(frequencies)
+        frequencies.flags.writeable = False
+        self.config, self.flat = config, flat
         self._shapes = config.shapes()
-        draw = rng if flat is None else None
-        self.flat = np.empty(config.n_parameters()) if flat is None else flat
-        self._views = _views(self.flat, self._shapes)
+        self._views = _views(flat, self._shapes)
         layer = self._by_layer(self._views)
-        self.embedding = SigmaEmbedding(config.n_pairs, config.embed_dim, draw, layer["emb"])
-        self.mlp = FilmMlp(config, draw, layer["mlp"])
+        if draw:
+            _init_layers(layer["emb"], 3, rng)
+            _init_layers(layer["mlp"], len(config.hidden), rng)
+        self.embedding = SigmaEmbedding(layer["emb"], frequencies)
+        self.mlp = FilmMlp(config, layer["mlp"])
         self.opt_state: OptimizerState | None = None
         self._cache: dict | None = None
 
     @staticmethod
     def _by_layer(named: dict[str, np.ndarray]) -> dict[str, dict[str, np.ndarray]]:
         """{"emb": {...}, "mlp": {...}} from "emb."/"mlp."-prefixed names."""
-        layers: dict[str, dict[str, np.ndarray]] = {"emb": {}, "mlp": {}}
-        for name, arr in named.items():
-            prefix, key = name.split(".", 1)
-            layers[prefix][key] = arr
-        return layers
+        return {layer: {name.partition(".")[2]: arr for name, arr in named.items()
+                        if name.startswith(layer + ".")} for layer in ("emb", "mlp")}
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (frozen frequencies excluded);
@@ -466,10 +427,12 @@ class ScoreNet:
             d_out = d_out[None, :]
         flat = np.empty_like(self.flat)
         grads = Gradients(flat, _views(flat, self._shapes))
-        layer = self._by_layer(grads)
+        g, p, cache = self._by_layer(grads), self.mlp.params, self._cache["mlp"]
         with handing(helper) as hand:
-            _, d_e = self.mlp.backward(self._cache["mlp"], d_out, layer["mlp"], hand)
-            self.embedding.backward(self._cache["emb"], d_e, layer["emb"], hand)
+            hand(_affine_grads, (cache["inputs"][-1], d_out, g["mlp"]["out.w"], g["mlp"]["out.b"]))
+            d_e = _layers_backward(p, len(self.config.hidden), cache, d_out @ p["out.w"].T,
+                                   g["mlp"], hand)
+            _layers_backward(self.embedding.params, 3, self._cache["emb"], d_e, g["emb"], hand)
         return grads
 
 
@@ -725,9 +688,7 @@ def load_checkpoint(path):
 
     freq, *vectors = np.split(np.frombuffer(raw, dtype="<f8"),
                               cfg.n_pairs + n_params * np.arange(n_copies))
-    net = ScoreNet(cfg, None, flat=vectors[0].astype(np.float64))
-    net.embedding.frequencies = freq.astype(np.float64)
-    net.embedding.frequencies.flags.writeable = False
+    net = ScoreNet(cfg, flat=vectors[0].astype(np.float64), frequencies=freq.astype(np.float64))
     opt_state = None if opt_config is None else init_optimizer(net.parameters(), opt_config)
     if opt_state is not None:
         opt_state.step = step

@@ -117,6 +117,15 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "d.txt").exists()
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A config saved with a UTF-8 BOM reads as the same text without it."""
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbfseed = 42\n")
+        assert load_config(str(path))["seed"] == 42
+        code = main(["--config", str(path),
+                     "sample-prior", "--n", "1", "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_OK
+
     def test_echo_is_json_serializable(self):
         json.dumps(load_config(None))
 
@@ -173,6 +182,15 @@ class TestDistort:
             assert len(record["chain"]) >= 1
             assert isinstance(record["offset"], int)
             assert isinstance(record["clipped"], bool)
+
+    def test_manifest_byte_order_mark_is_dropped(self, tmp_path):
+        write_tone(tmp_path / "x.wav", seed=1)
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"\xef\xbb\xbf" + f"{tmp_path}/x.wav\n".encode())
+        out = tmp_path / "out"
+        assert main(["distort", str(manifest), str(out), "--seed", "7"]) == EXIT_OK
+        _, record = read_lines(out / "distort_log.jsonl")
+        assert record["input"] == f"{tmp_path}/x.wav"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         write_tone(tmp_path / "x.wav", seed=3)

@@ -30,11 +30,13 @@ from scorewave import (
     train,
 )
 from scorewave import scorenet
+from scorewave.diffusion import handing
 from scorewave.scorenet import (
     _ADAM_BLOCK,
     _BLOCK_ROWS,
     FilmMlp,
     SigmaEmbedding,
+    _layers_backward,
     _layers_forward,
     _layer_shapes,
     _prelu,
@@ -172,7 +174,8 @@ class TestGradients:
     def test_sigma_embedding_gradients(self):
         """Gradient of a linear probe of the embedding vs finite differences."""
         rng = np.random.default_rng(102)
-        emb = SigmaEmbedding(n_pairs=4, embed_dim=6, rng=np.random.default_rng(1))
+        emb = ScoreNet(ScoreNetConfig(dim_x=1, n_pairs=4, embed_dim=6),
+                       np.random.default_rng(1)).embedding
         for p in emb.params.values():
             p += 0.3 * rng.standard_normal(p.shape)
         probe = rng.normal(size=6)
@@ -180,7 +183,9 @@ class TestGradients:
 
         cache = {}
         emb.forward(sigma, cache)
-        grads = emb.backward(cache, probe[None, :])
+        grads = {name: np.empty_like(p) for name, p in emb.params.items()}
+        with handing(None) as hand:
+            _layers_backward(emb.params, 3, cache, probe[None, :], grads, hand)
         h = 1e-6
         for name, p in emb.params.items():
             flat_p = p.reshape(-1)
@@ -285,20 +290,23 @@ class TestForward:
 
     def test_embedding_shape_and_determinism(self):
         """Default sizes: 32 frequency pairs expand to 256 channels."""
-        emb = SigmaEmbedding(n_pairs=32, embed_dim=256, rng=np.random.default_rng(11))
+        emb = ScoreNet(ScoreNetConfig(dim_x=1, n_pairs=32, embed_dim=256),
+                       np.random.default_rng(11)).embedding
         e1 = emb.forward(0.05)
         e2 = emb.forward(0.05)
         assert e1.shape == (256,)
         np.testing.assert_array_equal(e1, e2)
 
     def test_embedding_rejects_nonpositive_sigma(self):
-        emb = SigmaEmbedding(n_pairs=2, embed_dim=3, rng=np.random.default_rng(12))
+        emb = ScoreNet(ScoreNetConfig(dim_x=1, n_pairs=2, embed_dim=3),
+                       np.random.default_rng(12)).embedding
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ConfigError):
                 emb.forward(bad)
 
     def test_frequencies_frozen(self):
-        emb = SigmaEmbedding(n_pairs=4, embed_dim=4, rng=np.random.default_rng(13))
+        emb = ScoreNet(ScoreNetConfig(dim_x=1, n_pairs=4, embed_dim=4),
+                       np.random.default_rng(13)).embedding
         with pytest.raises(ValueError):
             emb.frequencies[0] = 1.0
 
@@ -503,7 +511,8 @@ class TestInferenceBlocks:
         """The sigma embedding runs the same layer stack: without a cache
         (inference PReLU) it gives the bits of the cached training formula."""
         rng = np.random.default_rng(embed_dim)
-        emb = SigmaEmbedding(n_pairs, embed_dim, np.random.default_rng(9))
+        emb = ScoreNet(ScoreNetConfig(dim_x=1, n_pairs=n_pairs, embed_dim=embed_dim),
+                       np.random.default_rng(9)).embedding
         for name, p in emb.params.items():
             p += 0.3 * rng.standard_normal(p.shape)
             if name.endswith(".a") and unit_slopes:
@@ -899,6 +908,46 @@ class TestParameterStore:
     ])
     def test_config_counts_parameters_without_building(self, cfg):
         assert cfg.n_parameters() == ScoreNet(cfg, np.random.default_rng(0)).n_parameters()
+
+
+class TestConstruction:
+    """A network is drawn from an rng or wraps a parameter vector and its
+    frequencies; no call builds one with either missing."""
+
+    CFG = ScoreNetConfig(dim_x=2, dim_c=1, hidden=(5, 4), n_pairs=3, embed_dim=6)
+
+    def drawn(self):
+        return ScoreNet(self.CFG, np.random.default_rng(38))
+
+    def test_wrapped_network_shares_the_vector_and_copies_the_frequencies(self):
+        net = self.drawn()
+        randomize(net, np.random.default_rng(39))
+        flat, freq = net.flat.copy(), net.embedding.frequencies.copy()
+        wrapped = ScoreNet(self.CFG, flat=flat, frequencies=freq)
+        assert wrapped.flat is flat
+        assert not np.shares_memory(wrapped.embedding.frequencies, freq)
+        assert freq.flags.writeable and not wrapped.embedding.frequencies.flags.writeable
+        x, c = np.array([[0.3, -0.2], [1.1, 0.4]]), np.array([0.5])
+        assert wrapped.forward(x, c, 0.7).tobytes() == net.forward(x, c, 0.7).tobytes()
+
+    @pytest.mark.parametrize("case", ["nothing", "rng_and_flat", "rng_and_both", "flat_alone",
+                                      "frequencies_alone", "short_flat", "long_frequencies",
+                                      "float32_flat", "list_frequencies"])
+    def test_half_built_network_is_config_error(self, case):
+        net = self.drawn()
+        flat, freq = net.flat.copy(), net.embedding.frequencies.copy()
+        rng = np.random.default_rng(0)
+        kwargs = {"nothing": {"rng": None},
+                  "rng_and_flat": {"rng": rng, "flat": flat},
+                  "rng_and_both": {"rng": rng, "flat": flat, "frequencies": freq},
+                  "flat_alone": {"flat": flat},
+                  "frequencies_alone": {"frequencies": freq},
+                  "short_flat": {"flat": flat[:-1], "frequencies": freq},
+                  "long_frequencies": {"flat": flat, "frequencies": np.append(freq, 0.0)},
+                  "float32_flat": {"flat": flat.astype(np.float32), "frequencies": freq},
+                  "list_frequencies": {"flat": flat, "frequencies": list(freq)}}[case]
+        with pytest.raises(ConfigError, match="rng to draw from, or flat and frequencies"):
+            ScoreNet(self.CFG, **kwargs)
 
 
 class TestCheckpoint:

@@ -194,3 +194,17 @@ def test_one_hand_off_and_one_pool_owner():
         ("scorewave/diffusion.py", "handing")}
     assert {module for module, _, name in calls if name == "ThreadPoolExecutor"} == {
         "scorewave/cli.py"}
+
+
+# -- one score network ----------------------------------------------------------
+
+
+def test_score_network_draws_and_differentiates_its_own_stacks():
+    """``ScoreNet`` alone draws the layer stacks and runs their backward pass:
+    the embedding and the FiLM MLP are forward-only views of its parameters."""
+    path = SRC / "scorewave" / "scorenet.py"
+    classes = [node for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)]
+    assert {cls.name for cls in classes if any(
+        isinstance(f, ast.FunctionDef) and f.name == "backward" for f in cls.body)} == {"ScoreNet"}
+    callers = {top for _, top, name in calls_in(path) if name in ("_init_layers", "_layers_backward")}
+    assert callers == {"ScoreNet"}
